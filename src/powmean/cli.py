@@ -6,10 +6,10 @@ counterexamples, CSV report), ``counterexample`` (single-pair witness dump),
 example), ``verify-lemma`` (closed-form coefficient vs extrapolation
 oracle), and ``fuzz`` (randomized property suites).
 
-Exit codes: 0 success, 1 inconsistency or property failure, 2 usage error,
-3 counterexample requested inside the sufficiency region, 4 degenerate
-expansion hypotheses.  The master seed defaults to the POWMEAN_SEED
-environment variable.
+Exit codes: 0 success, 1 inconsistency, uncertified pair or property
+failure, 2 usage error, 3 counterexample requested inside the sufficiency
+region, 4 degenerate expansion hypotheses.  The master seed defaults to the
+POWMEAN_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .counterexamples import (
     pd_rotation_difference,
     rank_one_difference,
 )
-from .errors import DegenerateFrameError, InRegionError, SearchExhaustedError
+from .errors import DegenerateFrameError, InRegionError, PowerMeanError
 from .expansions import (
     det_coeff_log_pair,
     det_coeff_power_pair,
@@ -37,6 +37,7 @@ from .expansions import (
     rank_one_remainder_orders,
 )
 from .fuzz import FUZZ_TARGETS, fuzz_point
+from .means import normalize_exponent
 from .region import Case, classify
 
 CSV_HEADER = "p,q,label,verdict,detail,x,y,theta,seed"
@@ -81,6 +82,23 @@ def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     return lines
 
 
+def _csv_row(p, q, label, verdict, detail, witness, seed) -> str:
+    params = (witness.x, witness.y, witness.theta) if witness else (None, None, None)
+    return ",".join(_fmt(v) for v in (float(p), float(q), label, verdict, detail, *params, seed))
+
+
+def _write_csv(path: str, rows: list[str]) -> bool:
+    try:
+        with open(path, "w", newline="\n") as handle:
+            handle.write(CSV_HEADER + "\n")
+            for row in rows:
+                handle.write(row + "\n")
+    except OSError as exc:
+        print("cannot write %s: %s" % (path, exc), file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_scan(args) -> int:
     if args.step <= 0.0:
         print("--step must be positive", file=sys.stderr)
@@ -94,42 +112,25 @@ def cmd_scan(args) -> int:
     consistent = True
     for pi, p in enumerate(_grid(args.pmin, args.pmax, args.step)):
         for qi, q in enumerate(_grid(args.qmin, args.qmax, args.step)):
-            label = classify(p, q)
+            label = classify(normalize_exponent(p), normalize_exponent(q))
             seed = _cell_seed(master, pi, qi)
-            detail = x = y = theta = None
+            witness = None
             if label.case is Case.IN_REGION:
-                passed, worst = fuzz_point(p, q, args.trials, seed, tol=tol)
+                passed, detail = fuzz_point(p, q, args.trials, seed, tol=tol)
                 verdict = "fuzz-pass" if passed else "in-region"
-                detail = worst
                 consistent &= passed
-            elif label.case is Case.SCALAR_FAIL:
-                witness = find_counterexample(p, q, args.tol_cert, tol)
-                verdict = "scalar-fail"
-                detail = witness.neg_eigenvalue
             else:
                 try:
                     witness = find_counterexample(p, q, args.tol_cert, tol)
-                    verdict = "certified-counterexample"
-                    detail = witness.neg_eigenvalue
-                    x, y, theta = witness.x, witness.y, witness.theta
-                except SearchExhaustedError:
-                    verdict = "in-region"
+                except PowerMeanError as exc:
+                    verdict, detail = "uncertified", type(exc).__name__
                     consistent = False
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(float(p)), _fmt(float(q)), str(label), verdict,
-                        _fmt(detail), _fmt(x), _fmt(y), _fmt(theta), str(seed),
-                    ]
-                )
-            )
-    try:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(CSV_HEADER + "\n")
-            for row in rows:
-                handle.write(row + "\n")
-    except OSError as exc:
-        print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+                else:
+                    verdict = ("scalar-fail" if label.case is Case.SCALAR_FAIL
+                               else "certified-counterexample")
+                    detail = witness.neg_eigenvalue
+            rows.append(_csv_row(p, q, label, verdict, detail, witness, seed))
+    if not _write_csv(args.out, rows):
         return 1
     print("wrote %d rows to %s (%s)" % (len(rows), args.out,
                                         "consistent" if consistent else "INCONSISTENT"))
@@ -144,7 +145,11 @@ def cmd_counterexample(args) -> int:
         print("(%g, %g) lies in the sufficiency region; the order inequality holds"
               % (args.p, args.q))
         return 3
-    label = classify(args.p, args.q)
+    except PowerMeanError as exc:
+        print("(%g, %g) uncertified: %s: %s" % (args.p, args.q, type(exc).__name__, exc),
+              file=sys.stderr)
+        return 1
+    label = classify(normalize_exponent(args.p), normalize_exponent(args.q))
     lines = [
         "exponents: p = %s, q = %s" % (_fmt(float(args.p)), _fmt(float(args.q))),
         "family: %s" % label,
@@ -159,18 +164,9 @@ def cmd_counterexample(args) -> int:
     lines.append("witness vector: %s" % np.array2string(witness.witness, precision=17))
     print("\n".join(lines))
     if args.out:
-        row = ",".join(
-            [
-                _fmt(float(args.p)), _fmt(float(args.q)), str(label),
-                "certified-counterexample", _fmt(witness.neg_eigenvalue),
-                _fmt(witness.x), _fmt(witness.y), _fmt(witness.theta), "0",
-            ]
-        )
-        try:
-            with open(args.out, "w", newline="\n") as handle:
-                handle.write(CSV_HEADER + "\n" + row + "\n")
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+        row = _csv_row(args.p, args.q, label, "certified-counterexample",
+                       witness.neg_eigenvalue, witness, 0)
+        if not _write_csv(args.out, [row]):
             return 1
     return 0
 

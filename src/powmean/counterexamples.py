@@ -6,9 +6,15 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 * pd-rotation:   A = diag(1, x), B_t = R_t diag(1, y) R_t^T with y = x^2
   and x walked down a geometric schedule until the closed-form t^2
   determinant coefficient goes negative;
-* log-euclidean: the same family against the p = 0 (log-Euclidean) mean;
+* log-euclidean: the same x-walk at p = 0, guided by the log-Euclidean
+  coefficient;
 * rank-one:      A = diag(2, 0) against the rank-one projection at angle t,
   whose coefficient is negative for every 0 < p < q < 1.
+
+The families only generate candidate pairs, tagged with their schedule
+position; one walker certifies them in order and returns the first hit.
+Labels reached through the dual reflection (p, q) -> (-q, -p) are built at
+the reflected pair, inverted, and certified again.
 
 Every witness is certified directly: the returned negative eigenvalue and
 unit vector come from an eigendecomposition of M_q - M_p on the actual
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +42,7 @@ from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
 from .means import normalize_exponent, power_mean, scalar_power_mean
-from .region import Case, classify
+from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
@@ -97,47 +104,76 @@ def rank_one_pair(theta: float, eps_shift: float = 0.0) -> tuple[np.ndarray, np.
     return np.diag([2.0, 0.0]) + shift, symmetrize(proj) + shift
 
 
+def _gap(p, q, a, b, tol):
+    """M_q(A, B) - M_p(A, B)."""
+    return power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
+
+
 def pd_rotation_difference(
     p: float, q: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q(A, B_theta) - M_p(A, B_theta) for the rotated family."""
-
-    def difference(theta: float) -> np.ndarray:
-        a, b = pd_rotation_pair(x, y, theta)
-        return power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
-
-    return difference
+    return lambda theta: _gap(p, q, *pd_rotation_pair(x, y, theta), tol)
 
 
 def rank_one_difference(
     p: float, q: float, eps_shift: float = 0.0, tol: Tolerances = DEFAULT_TOL
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q - M_p for the singular rank-one family."""
-
-    def difference(theta: float) -> np.ndarray:
-        a, b = rank_one_pair(theta, eps_shift)
-        return power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
-
-    return difference
+    return lambda theta: _gap(p, q, *rank_one_pair(theta, eps_shift), tol)
 
 
 def _certify(p, q, a, b, cert_tol, tol):
     """Smallest eigenvalue and unit witness of M_q - M_p, if negative."""
-    diff = power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
-    dec = eig_sym(diff, tol)
+    dec = eig_sym(_gap(p, q, a, b, tol), tol)
     lam = float(dec.eigenvalues[0])
     if lam < -cert_tol:
         return lam, dec.basis[:, 0].copy()
     return None
 
 
-def _warn_near_cap(k: int | None, j: int) -> None:
-    if (k is not None and k >= _SCHEDULE_WARN_K) or j >= _SCHEDULE_WARN_J:
-        warnings.warn(
-            "counterexample search approached its schedule cap (k=%r, j=%d)" % (k, j),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _theta_walk(pair, k=None, x=None, y=None):
+    """The theta schedule as candidates (k, j, x, y, theta, (a, b))."""
+    for j, theta in enumerate(_THETA_SCHEDULE):
+        yield k, j, x, y, theta, pair(theta)
+
+
+def _rotation_walk(p, q, tol):
+    """Candidates x = 2^-k, y = x^2 whose closed-form t^2 coefficient (the
+    log-Euclidean one at p = 0) is negative, each walking its thetas."""
+    for k in _X_SCHEDULE:
+        x = 2.0**-k
+        y = x * x
+        try:
+            if p == 0.0:
+                coeff = det_coeff_log_pair(q, x, y, tol)
+            else:
+                coeff = det_coeff_power_pair(p, q, x, y, tol)
+            if coeff.total >= 0.0:
+                continue
+        except DegenerateFrameError:
+            continue
+        yield from _theta_walk(partial(pd_rotation_pair, x, y), k, x, y)
+
+
+def _first_witness(p, q, candidates, cert_tol, tol, exhausted: str) -> Witness:
+    """The first candidate that ``_certify`` accepts, as a witness.
+
+    Candidates outside the means' domain are skipped; running out raises
+    ``SearchExhaustedError`` with the message ``exhausted``.
+    """
+    for k, j, x, y, theta, (a, b) in candidates:
+        try:
+            hit = _certify(p, q, a, b, cert_tol, tol)
+        except DomainError:
+            continue
+        if hit is not None:
+            if (k is not None and k >= _SCHEDULE_WARN_K) or j >= _SCHEDULE_WARN_J:
+                warnings.warn("counterexample search approached its schedule cap "
+                              "(k=%r, j=%d)" % (k, j), RuntimeWarning, stacklevel=3)
+            lam, vec = hit
+            return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta)
+    raise SearchExhaustedError(exhausted)
 
 
 def construct_pd_rotation(
@@ -157,25 +193,10 @@ def construct_pd_rotation(
         raise PreconditionError(
             "pd-rotation family needs -1 < p < 1/2, p != 0 and q > max(0, p)"
         )
-    for k in _X_SCHEDULE:
-        x = 2.0**-k
-        y = x * x
-        try:
-            if det_coeff_power_pair(p, q, x, y, tol).total >= 0.0:
-                continue
-        except DegenerateFrameError:
-            continue
-        for j, theta in enumerate(_THETA_SCHEDULE):
-            a, b = pd_rotation_pair(x, y, theta)
-            try:
-                hit = _certify(p, q, a, b, cert_tol, tol)
-            except DomainError:
-                continue
-            if hit is not None:
-                _warn_near_cap(k, j)
-                lam, vec = hit
-                return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta)
-    raise SearchExhaustedError("pd-rotation schedule exhausted at (%g, %g)" % (p, q))
+    return _first_witness(
+        p, q, _rotation_walk(p, q, tol), cert_tol, tol,
+        "pd-rotation schedule exhausted at (%g, %g)" % (p, q),
+    )
 
 
 def construct_log_euclidean(
@@ -183,28 +204,17 @@ def construct_log_euclidean(
     cert_tol: float = CERT_TOL,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Witness:
-    """Certified witness for p = 0 (log-Euclidean mean) against q > 0."""
+    """Certified witness for p = 0 (log-Euclidean mean) against q > 0.
+
+    The pd-rotation search at p = 0, guided by the log-Euclidean
+    coefficient.
+    """
     if not q > 0.0:
         raise PreconditionError("log-euclidean family needs q > 0")
-    for k in _X_SCHEDULE:
-        x = 2.0**-k
-        y = x * x
-        try:
-            if det_coeff_log_pair(q, x, y, tol).total >= 0.0:
-                continue
-        except DegenerateFrameError:
-            continue
-        for j, theta in enumerate(_THETA_SCHEDULE):
-            a, b = pd_rotation_pair(x, y, theta)
-            try:
-                hit = _certify(0.0, q, a, b, cert_tol, tol)
-            except DomainError:
-                continue
-            if hit is not None:
-                _warn_near_cap(k, j)
-                lam, vec = hit
-                return Witness(0.0, q, a, b, lam, vec, x=x, y=y, theta=theta)
-    raise SearchExhaustedError("log-euclidean schedule exhausted at q=%g" % q)
+    return _first_witness(
+        0.0, q, _rotation_walk(0.0, q, tol), cert_tol, tol,
+        "log-euclidean schedule exhausted at q=%g" % q,
+    )
 
 
 def construct_rank_one(
@@ -222,17 +232,10 @@ def construct_rank_one(
     """
     if not 0.0 < p < q < 1.0:
         raise PreconditionError("rank-one family needs 0 < p < q < 1")
-    for j, theta in enumerate(_THETA_SCHEDULE):
-        a, b = rank_one_pair(theta, eps_shift)
-        try:
-            hit = _certify(p, q, a, b, cert_tol, tol)
-        except DomainError:
-            continue
-        if hit is not None:
-            _warn_near_cap(None, j)
-            lam, vec = hit
-            return Witness(p, q, a, b, lam, vec, theta=theta)
-    raise SearchExhaustedError("rank-one schedule exhausted at (%g, %g)" % (p, q))
+    return _first_witness(
+        p, q, _theta_walk(partial(rank_one_pair, eps_shift=eps_shift)), cert_tol, tol,
+        "rank-one schedule exhausted at (%g, %g)" % (p, q),
+    )
 
 
 def construct_scalar_fail(
@@ -300,22 +303,17 @@ def find_counterexample(
     if label.case is Case.SCALAR_FAIL:
         return construct_scalar_fail(p, q, cert_tol, tol)
 
-    if not label.via_dual:
-        if label.case is Case.LOG_EUCLIDEAN:
-            return construct_log_euclidean(q, cert_tol=cert_tol, tol=tol)
-        if label.case is Case.PD_ROTATION:
-            return construct_pd_rotation(p, q, cert_tol=cert_tol, tol=tol)
-        return construct_rank_one(p, q, cert_tol=cert_tol, tol=tol)
-
-    dp, dq = -q, -p
+    bp, bq = dual(p, q) if label.via_dual else (p, q)
     if label.case is Case.LOG_EUCLIDEAN:
-        base = construct_log_euclidean(dq, cert_tol=cert_tol, tol=tol)
+        base = construct_log_euclidean(bq, cert_tol=cert_tol, tol=tol)
     elif label.case is Case.PD_ROTATION:
-        base = construct_pd_rotation(dp, dq, cert_tol=cert_tol, tol=tol)
+        base = construct_pd_rotation(bp, bq, cert_tol=cert_tol, tol=tol)
     else:
-        base = construct_rank_one(
-            dp, dq, eps_shift=_DUAL_RANK_ONE_SHIFT, cert_tol=cert_tol, tol=tol
-        )
+        shift = _DUAL_RANK_ONE_SHIFT if label.via_dual else 0.0
+        base = construct_rank_one(bp, bq, eps_shift=shift, cert_tol=cert_tol, tol=tol)
+    if not label.via_dual:
+        return base
+
     inv_a = _invert_spd(base.a, tol)
     inv_b = _invert_spd(base.b, tol)
     hit = _certify(p, q, inv_a, inv_b, cert_tol, tol)

@@ -31,7 +31,6 @@ from .errors import DegenerateFrameError, DomainError, NonConvergenceError, Prec
 from .functions import EXP, Power, ScalarFunction
 
 DEFAULT_THETAS = tuple(0.1 * 2.0**-k for k in range(8))
-_TABLEAU_COLUMNS = 2
 _ORACLE_REL_TOL = 1e-5
 
 

@@ -94,6 +94,45 @@ def test_counterexample_csv_dump(tmp_path):
     assert len(lines) == 2
 
 
+#: Pairs outside the region whose search fails, and the error it ends in.
+_UNCERTIFIED = [((-0.9, -0.8), "SearchExhaustedError"), ((-1.425, -0.473), "DomainError")]
+
+
+@pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
+def test_scan_reports_uncertified_cell(pair, reason, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    p, q = (str(v) for v in pair)
+    args = ["scan", "--pmin", p, "--pmax", p, "--qmin", q, "--qmax", q,
+            "--step", "0.1", "--out", str(out)]
+    assert main(args) == 1
+    assert "INCONSISTENT" in capsys.readouterr().out
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[3:5] == ["uncertified", reason]
+
+
+@pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
+def test_counterexample_uncertified_exit(pair, reason, capsys):
+    p, q = (str(v) for v in pair)
+    assert main(["counterexample", "--p", p, "--q", q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "uncertified: %s" % reason in captured.err
+
+
+def test_near_zero_exponent_labelled_log_euclidean(tmp_path, capsys):
+    assert main(["counterexample", "--p", "1e-9", "--q", "0.5"]) == 0
+    assert "family: log-euclidean\n" in capsys.readouterr().out
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--pmin", "-0.3", "--pmax", "0.3", "--qmin", "0.5",
+                 "--qmax", "0.5", "--step", "0.1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    labels = {float(r[0]): r[2] for r in rows}
+    near_zero = [p for p in labels if abs(p) < 1e-8]
+    assert len(near_zero) == 1 and near_zero[0] != 0.0
+    assert labels.pop(near_zero[0]) == "log-euclidean"
+    assert set(labels.values()) == {"pd-rotation"}
+
+
 def test_choi_table_patterns(capsys):
     assert main(["choi-table"]) == 0
     out = capsys.readouterr().out

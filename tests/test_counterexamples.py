@@ -165,6 +165,26 @@ def test_find_counterexample_dual_recertified(p, q):
     assert witness.p == p and witness.q == q
 
 
+#: (p, q) -> (x, y, theta, dual_applied) of the first certified schedule
+#: point: x = 2^-k, y = x^2, theta = 0.1 * 2^-j, so every value is exact.
+_SEARCH_ORDER = {
+    "pd-rotation": ((0.3, 2.0), (2.0**-7, 2.0**-14, 0.1 * 2.0**-5, False)),
+    "log-euclidean": ((0.0, 3.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, False)),
+    "rank-one": ((0.9, 0.95), (None, None, 0.1 * 2.0**-13, False)),
+    "pd-rotation-dual": ((-2.0, -0.25), (2.0**-6, 2.0**-12, 0.1 * 2.0**-4, True)),
+    "log-euclidean-dual": ((-3.0, 0.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, True)),
+    "rank-one-dual": ((-0.9, -0.7), (None, None, 0.1 * 2.0**-2, True)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SEARCH_ORDER))
+def test_find_counterexample_search_order(label):
+    (p, q), expected = _SEARCH_ORDER[label]
+    assert str(classify(p, q)) == label
+    witness = find_counterexample(p, q)
+    assert (witness.x, witness.y, witness.theta, witness.dual_applied) == expected
+
+
 def test_find_counterexample_normalizes_tiny_exponents():
     # below the log-Euclidean threshold the dispatch must follow the means
     witness = find_counterexample(1e-9, 2.0)
