@@ -90,6 +90,7 @@ from .means import (
     map_power,
     normalize_exponent,
     power_mean,
+    power_mean_gap,
     scalar_power_mean,
 )
 from .region import Case, CaseLabel, classify, dual, in_sufficient_region
@@ -161,6 +162,7 @@ __all__ = [
     "pd_rotation_pair",
     "plane_rotation",
     "power_mean",
+    "power_mean_gap",
     "random_kraus_map",
     "random_pd",
     "rank_one_difference",

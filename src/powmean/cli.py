@@ -99,13 +99,16 @@ def _write_csv(path: str, rows: list[str]) -> bool:
     return True
 
 
+def _usage_error(message: str):
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_scan(args) -> int:
     if args.step <= 0.0:
-        print("--step must be positive", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--step must be positive")
     if args.trials < 1:
-        print("--trials must be at least 1", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error("--trials must be at least 1")
     tol = _tolerances(args)
     master = args.seed if args.seed is not None else _env_seed()
     rows = []
@@ -217,6 +220,8 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 1:
+        _usage_error("--trials must be at least 1")
     seed = args.seed if args.seed is not None else _env_seed()
     report = FUZZ_TARGETS[args.target](args.trials, seed, _tolerances(args))
     print(report.summary())

@@ -140,48 +140,54 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
 
 
 def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
-    a = m.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    iu = np.triu_indices(n, 1)
-    thresh = tol.eig * math.sqrt(float((a * a).sum()))
+    # Rotations run on Python floats: at n <= 8 a numpy call per row or
+    # column costs more than its arithmetic.  Every product and sum rounds
+    # once (no fused multiply-add), as separate numpy ufuncs do, so results
+    # match a vectorised sweep bit for bit.
+    n = m.shape[0]
+    a = m.tolist()
+    vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
+    thresh = tol.eig * math.sqrt(float((m * m).sum()))
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    idx = range(n)
     # One extra sweep after crossing the threshold: clustered spectra need
     # off-diagonals at machine level for accurate eigenvectors.
     polish = 1
     for _ in range(_JACOBI_SWEEP_CAP):
-        if float(np.abs(a[iu]).max()) <= thresh:
+        if all(abs(a[p][q]) <= thresh for p, q in pairs):
             if polish == 0:
                 break
             polish -= 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = a[q, p] = 0.0
-                vcolp = v[:, p].copy()
-                vcolq = v[:, q].copy()
-                v[:, p] = c * vcolp - s * vcolq
-                v[:, q] = s * vcolp + c * vcolq
+        for p, q in pairs:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            for row in a:
+                x, y = row[p], row[q]
+                row[p] = c * x - s * y
+                row[q] = s * x + c * y
+            rowp, rowq = a[p], a[q]
+            for j in idx:
+                x, y = rowp[j], rowq[j]
+                rowp[j] = c * x - s * y
+                rowq[j] = s * x + c * y
+            rowp[q] = rowq[p] = 0.0
+            vp, vq = vt[p], vt[q]
+            for j in idx:
+                x, y = vp[j], vq[j]
+                vp[j] = c * x - s * y
+                vq[j] = s * x + c * y
     else:
         raise NonConvergenceError(
             "Jacobi sweeps exceeded the cap of %d" % _JACOBI_SWEEP_CAP
         )
-    diag = np.diag(a)
+    diag = np.array([a[i][i] for i in idx])
     order = np.argsort(diag, kind="stable")
-    return SpectralDecomposition(diag[order].copy(), _fix_column_signs(v[:, order]))
+    return SpectralDecomposition(diag[order], _fix_column_signs(np.array(vt).T[:, order]))
 
 
 def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
@@ -242,6 +248,19 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray, tol: Tolerances) -> np
     return eigs**r
 
 
+def spectral_fun(
+    dec: SpectralDecomposition, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL
+) -> np.ndarray:
+    """``f`` applied to a matrix already decomposed by :func:`eig_sym`.
+
+    Computes V diag(f(lambda_i)) V^T, exactly symmetric, under the domain
+    rules of :func:`mat_fun`; one decomposition can serve several functions.
+    """
+    vals = _spectrum_values(f, dec.eigenvalues, tol)
+    out = (dec.basis * vals) @ dec.basis.T
+    return (out + out.T) / 2.0
+
+
 def mat_fun(m, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Spectral matrix function: apply a scalar function to the eigenvalues.
 
@@ -261,10 +280,7 @@ def mat_fun(m, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     DomainError
         If an eigenvalue violates the function's domain as above.
     """
-    dec = eig_sym(m, tol)
-    vals = _spectrum_values(f, dec.eigenvalues, tol)
-    out = (dec.basis * vals) @ dec.basis.T
-    return (out + out.T) / 2.0
+    return spectral_fun(eig_sym(m, tol), f, tol)
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:

@@ -41,7 +41,7 @@ from .errors import (
 from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
-from .means import normalize_exponent, power_mean, scalar_power_mean
+from .means import normalize_exponent, power_mean_gap, scalar_power_mean
 from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
@@ -104,28 +104,23 @@ def rank_one_pair(theta: float, eps_shift: float = 0.0) -> tuple[np.ndarray, np.
     return np.diag([2.0, 0.0]) + shift, symmetrize(proj) + shift
 
 
-def _gap(p, q, a, b, tol):
-    """M_q(A, B) - M_p(A, B)."""
-    return power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
-
-
 def pd_rotation_difference(
     p: float, q: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q(A, B_theta) - M_p(A, B_theta) for the rotated family."""
-    return lambda theta: _gap(p, q, *pd_rotation_pair(x, y, theta), tol)
+    return lambda theta: power_mean_gap(p, q, *pd_rotation_pair(x, y, theta), tol=tol)
 
 
 def rank_one_difference(
     p: float, q: float, eps_shift: float = 0.0, tol: Tolerances = DEFAULT_TOL
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q - M_p for the singular rank-one family."""
-    return lambda theta: _gap(p, q, *rank_one_pair(theta, eps_shift), tol)
+    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta, eps_shift), tol=tol)
 
 
 def _certify(p, q, a, b, cert_tol, tol):
     """Smallest eigenvalue and unit witness of M_q - M_p, if negative."""
-    dec = eig_sym(_gap(p, q, a, b, tol), tol)
+    dec = eig_sym(power_mean_gap(p, q, a, b, tol=tol), tol)
     lam = float(dec.eigenvalues[0])
     if lam < -cert_tol:
         return lam, dec.basis[:, 0].copy()

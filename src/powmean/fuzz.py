@@ -14,7 +14,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Tolerances, loewner_leq, mat_fun, random_pd
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import limit_slope_check, map_power, power_mean
+from .means import limit_slope_check, map_power, power_mean, power_mean_gap
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -61,7 +61,7 @@ def order_margin(p, q, a, b, bound=ORDER_FUZZ_BOUND, tol=DEFAULT_TOL):
     Returns lambda_min(M_q - M_p) + bound * (1 + |M_q - M_p|_inf) along with
     the raw smallest eigenvalue.
     """
-    diff = power_mean(q, a, b, tol=tol) - power_mean(p, a, b, tol=tol)
+    diff = power_mean_gap(p, q, a, b, tol=tol)
     verdict = loewner_leq(np.zeros_like(diff), diff, tol)
     scale = 1.0 + float(np.abs(diff).max())
     return verdict.min_eigenvalue + bound * scale, verdict.min_eigenvalue

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, mat_fun, symmetrize
+from .core import DEFAULT_TOL, Tolerances, eig_sym, mat_fun, spectral_fun, symmetrize
 from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
@@ -47,6 +47,24 @@ def scalar_power_mean(p: float, a: float, b: float, weight: float = 0.5) -> floa
     return ((1.0 - weight) * a**p + weight * b**p) ** (1.0 / p)
 
 
+def _decompose_pair(a, b, weight: float, tol: Tolerances):
+    """Validate a mean's matrix arguments and decompose each once."""
+    a = symmetrize(a)
+    b = symmetrize(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError("means need equal dimensions")
+    if not 0.0 < weight < 1.0:
+        raise PreconditionError("weight must lie strictly in (0, 1)")
+    return eig_sym(a, tol), eig_sym(b, tol)
+
+
+def _mean_of(p: float, dec_a, dec_b, weight: float, tol: Tolerances) -> np.ndarray:
+    p = normalize_exponent(p)
+    f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
+    combo = (1.0 - weight) * spectral_fun(dec_a, f, tol) + weight * spectral_fun(dec_b, f, tol)
+    return mat_fun(combo, inverse, tol)
+
+
 def power_mean(
     p: float,
     a,
@@ -73,18 +91,24 @@ def power_mean(
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    a = symmetrize(a)
-    b = symmetrize(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError("means need equal dimensions")
-    if not 0.0 < weight < 1.0:
-        raise PreconditionError("weight must lie strictly in (0, 1)")
-    p = normalize_exponent(p)
-    if p == 0.0:
-        combo = (1.0 - weight) * mat_fun(a, LOG, tol) + weight * mat_fun(b, LOG, tol)
-        return mat_fun(combo, EXP, tol)
-    combo = (1.0 - weight) * mat_fun(a, Power(p), tol) + weight * mat_fun(b, Power(p), tol)
-    return mat_fun(combo, Power(1.0 / p), tol)
+    return _mean_of(p, *_decompose_pair(a, b, weight, tol), weight, tol)
+
+
+def power_mean_gap(
+    p: float,
+    q: float,
+    a,
+    b,
+    tol: Tolerances = DEFAULT_TOL,
+) -> np.ndarray:
+    """Equal-weight M_q(A, B) - M_p(A, B) from one decomposition of A and of B.
+
+    Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
+    q-mean evaluated first, so errors are those of that two-call form.
+    """
+    dec_a, dec_b = _decompose_pair(a, b, 0.5, tol)
+    high = _mean_of(q, dec_a, dec_b, 0.5, tol)
+    return high - _mean_of(p, dec_a, dec_b, 0.5, tol)
 
 
 def map_power(phi, p: float, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -164,3 +164,13 @@ def test_verify_lemma_missing_parameter():
 def test_fuzz_targets_pass(target, capsys):
     assert main(["fuzz", target, "--trials", "25", "--seed", "7"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_fuzz_rejects_nonpositive_trials(trials, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "region", "--trials", trials, "--seed", "7"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "--trials must be at least 1"
+    assert captured.out == ""

@@ -5,7 +5,9 @@ reconstruction invariants; spectral functions are checked against closed
 forms and algebraic identities.
 """
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -112,6 +114,73 @@ def test_eig_deterministic():
     b = eig_sym(m)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.basis, b.basis)
+
+
+# sha256 (first 32 hex digits) of the float.hex words of eig_sym's
+# eigenvalues then basis, row-major, recorded from the numpy-slice Jacobi
+# solver; any rounding change in the sweeps shows up here.  Keys are
+# (dim, seed, shift) of _exact_gram.
+_EIG_BITS = {
+    (3, 3, 0): "2692b7ea8f3e5c293baa20dffbc7b392",
+    (3, 103, 2): "53738bb8098c08b1b794e81bdfcbdf8f",
+    (4, 4, 0): "35d3f597c4b6015bfc644f79240681bd",
+    (4, 104, 2): "0fca49cadc7b1d1a7000e61ad6a98782",
+    (5, 5, 0): "fa611a29482a41191e65400d85bb4777",
+    (5, 105, 2): "e1090a3307a9ca8a4d77befcbfaa75a0",
+    (6, 6, 0): "a5632163c853465b61f18ca065d304fe",
+    (6, 106, 2): "f6d7c6ce825b2126184f563f9909ccee",
+    (7, 7, 0): "ce0b9ff41440c612c51488bffeae3200",
+    (7, 107, 2): "515dcc95ea2f0c35a45e64266c387468",
+    (8, 8, 0): "52b5dcb73a50a5aa31b0a95db87bfdf4",
+    (8, 108, 2): "a2a3435a3c6ae26f930d57b8ccdc1a2d",
+}
+
+
+# The pinned inputs avoid LAPACK and BLAS (random_pd uses both, and their
+# kernels differ between hosts): every entry is one correctly rounded
+# math.fsum of IEEE products, and random.Random.random() is the one stream
+# Python keeps fixed across versions, so a hash mismatch means the solver
+# changed.
+def _exact_gram(dim, seed, shift):
+    """Gram matrix of a seeded uniform matrix with row i scaled by 2**(shift*i)."""
+    rnd = random.Random(seed)
+    rows = [[2.0 ** (shift * i) * (rnd.random() - 0.5) for _ in range(dim)] for i in range(dim)]
+    return np.array([[math.fsum(x * y for x, y in zip(r, s)) for s in rows] for r in rows])
+
+
+def _exact_near_degenerate():
+    """diag(1, 1, 1 + 1e-9) conjugated by a seeded Householder reflection H.
+
+    In dimension 3, -H is a rotation giving the same similarity.
+    """
+    rnd = random.Random(5)
+    v = [math.copysign(1 + int(9 * rnd.random()), rnd.random() - 0.5) for _ in range(3)]
+    norm2 = sum(x * x for x in v)
+    h = [[float(i == j) - 2 * v[i] * v[j] / norm2 for j in range(3)] for i in range(3)]
+    lam = (1.0, 1.0, 1.0 + 1e-9)
+    m = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            m[i, j] = m[j, i] = math.fsum(h[i][k] * lam[k] * h[j][k] for k in range(3))
+    return m
+
+
+def _eig_bits(m):
+    dec = eig_sym(m)
+    words = [float(x).hex() for x in np.concatenate([dec.eigenvalues, dec.basis.ravel()])]
+    return hashlib.sha256(" ".join(words).encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("case", sorted(_EIG_BITS))
+def test_eig_bits_pinned(case):
+    assert _eig_bits(_exact_gram(*case)) == _EIG_BITS[case]
+
+
+def test_eig_bits_pinned_near_degenerate():
+    m = _exact_near_degenerate()
+    values = [float(x).hex() for x in eig_sym(m).eigenvalues]
+    assert values == ["0x1.0000000000001p+0", "0x1.0000000000002p+0", "0x1.000000044b82fp+0"]
+    assert _eig_bits(m) == "230be77c48588ed9973d3eb0104d76bd"
 
 
 def test_eig_nonconvergence_when_sweep_cap_hit(rng, monkeypatch):

@@ -1,5 +1,7 @@
 """Power means, the log-Euclidean branch, and map-composed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from powmean import (
     mat_fun,
     normalize_exponent,
     power_mean,
+    power_mean_gap,
     random_pd,
     scalar_power_mean,
     symmetrize,
@@ -118,6 +121,30 @@ def test_semidefinite_inputs_rejected_for_negative_p():
     a = np.diag([2.0, 0.0])
     with pytest.raises(DomainError):
         power_mean(-0.5, a, np.eye(2))
+
+
+_GAP_EXPONENTS = (0.0, 1e-9, -1e-9, 2.0, 0.5, -0.5, -3.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_power_mean_gap_matches_two_calls(dim):
+    a = random_pd(dim, 300 + dim, 10.0)
+    b = random_pd(dim, 400 + dim, 10.0)
+    for p, q in itertools.permutations(_GAP_EXPONENTS, 2):
+        two_calls = power_mean(q, a, b) - power_mean(p, a, b)
+        assert np.array_equal(power_mean_gap(p, q, a, b), two_calls), (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, -0.5), (-3.0, -0.5), (1e-9, -3.0)])
+def test_power_mean_gap_errors_match_two_calls(p, q):
+    a = np.diag([2.0, 0.0])
+    b = np.array([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(DomainError) as two_calls:
+        power_mean(q, a, b) - power_mean(p, a, b)
+    with pytest.raises(DomainError) as gap:
+        power_mean_gap(p, q, a, b)
+    assert type(gap.value) is type(two_calls.value)
+    assert str(gap.value) == str(two_calls.value)
 
 
 def test_weighted_arithmetic_mean():
