@@ -5,6 +5,10 @@ a deterministic spectral decomposition (closed form for 2x2, cyclic Jacobi
 above), spectral matrix functions f(M) = V diag(f(lambda_i)) V^T, and a
 Loewner-order verdict that always carries a witness vector.
 
+:func:`eig_sym` is the one validating entry point of the spectral layer: it
+runs :func:`symmetrize` on its input, so callers that only decompose pass
+their matrices straight to it rather than validating them first.
+
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.
 """
@@ -91,7 +95,8 @@ def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
 
     Asymmetry up to ``max_asymmetry`` (relative to 1 + the max entry) is
     treated as accumulation drift and averaged away; anything larger is an
-    error rather than silently rewritten.
+    error rather than silently rewritten.  Finite entries so large that
+    the average overflows are an error too.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -99,18 +104,36 @@ def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
     n = m.shape[0]
     if not 1 <= n <= MAX_DIM:
         raise PreconditionError("dimension %d outside 1..%d" % (n, MAX_DIM))
-    if not np.all(np.isfinite(m)):
+    sym = (m + m.T) / 2.0
+    # The average is non-finite iff an entry is or m + m^T overflows.  At
+    # n <= 8 Python-level tests beat numpy reductions.
+    finite = all(map(math.isfinite, sym.flat))
+    if not finite and not np.isfinite(m).all():
         raise PreconditionError("matrix entries must be finite")
-    asym = float(np.abs(m - m.T).max())
-    if asym > max_asymmetry * (1.0 + float(np.abs(m).max())):
-        raise PreconditionError("asymmetry %.3e exceeds the construction guard" % asym)
-    return (m + m.T) / 2.0
+    # Bitwise equality with the transpose means zero asymmetry (signed
+    # zeros merely fall through to the measured guard).
+    if m.tobytes() != m.T.tobytes():
+        asym = float(np.abs(m - m.T).max())
+        if asym > max_asymmetry * (1.0 + float(np.abs(m).max())):
+            raise PreconditionError("asymmetry %.3e exceeds the construction guard" % asym)
+    if not finite:
+        raise PreconditionError(
+            "symmetric part overflows: max |entry| %.3e" % float(np.abs(m).max())
+        )
+    return sym
 
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(v), axis=0)
     signs = np.where(v[idx, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
     return v * signs
+
+
+def _fix_sign(x: float, y: float) -> tuple[float, float]:
+    # _fix_column_signs for one column (x, y): the first entry of largest
+    # |value| is made non-negative.
+    pivot = x if abs(x) >= abs(y) else y
+    return (-x, -y) if pivot < 0.0 else (x, y)
 
 
 def _eig_1x1(m: np.ndarray) -> SpectralDecomposition:
@@ -135,8 +158,8 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
         ux, uy = b, r - half
     nrm = math.hypot(ux, uy)
     c, s = ux / nrm, uy / nrm
-    basis = _fix_column_signs(np.array([[-s, c], [c, s]]))
-    return SpectralDecomposition(np.array([mid - r, mid + r]), basis)
+    (x0, y0), (x1, y1) = _fix_sign(-s, c), _fix_sign(c, s)
+    return SpectralDecomposition(np.array([mid - r, mid + r]), np.array([[x0, x1], [y0, y1]]))
 
 
 def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
@@ -147,7 +170,15 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
     n = m.shape[0]
     a = m.tolist()
     vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
-    thresh = tol.eig * math.sqrt(float((m * m).sum()))
+    with np.errstate(over="ignore"):
+        frob2 = float((m * m).sum())
+    if math.isfinite(frob2):
+        thresh = tol.eig * math.sqrt(frob2)
+    else:
+        # Entries above ~1e154 overflow the squares; an infinite threshold
+        # would stop the sweeps after one pass.
+        scale = float(np.abs(m).max())
+        thresh = tol.eig * scale * math.sqrt(float(((m / scale) ** 2).sum()))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     idx = range(n)
     # One extra sweep after crossing the threshold: clustered spectra need
@@ -193,9 +224,11 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
 def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
-    Uses the closed-form rotation for 2x2 and cyclic Jacobi sweeps above,
-    with the off-diagonal threshold ``tol.eig`` times the Frobenius norm and
-    a hard cap on sweeps.  Deterministic for fixed input.
+    The input is validated and averaged by :func:`symmetrize` here, once;
+    this is the one validating entry point for every decomposition.  Uses
+    the closed-form rotation for 2x2 and cyclic Jacobi sweeps above, with
+    the off-diagonal threshold ``tol.eig`` times the Frobenius norm and a
+    hard cap on sweeps.  Deterministic for fixed input.
 
     Returns
     -------
@@ -206,6 +239,8 @@ def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
 
     Raises
     ------
+    PreconditionError
+        If :func:`symmetrize` rejects the input.
     NonConvergenceError
         If the sweep cap is exceeded (pathological input).
     """
@@ -221,7 +256,8 @@ def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
 def _spectrum_values(f: ScalarFunction, eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
     if isinstance(f, Exp):
         return np.exp(eigs)
-    floor = tol.psd * float(np.abs(eigs).max())
+    # The spectrum ascends (NaN sorts last), so its ends hold the largest |value|.
+    floor = tol.psd * max(abs(float(eigs[-1])), abs(float(eigs[0])))
     if isinstance(f, Log):
         if eigs[0] <= floor:
             raise DomainError(
@@ -320,4 +356,5 @@ def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return symmetrize((q * vals) @ q.T)
+    m = (q * vals) @ q.T
+    return (m + m.T) / 2.0

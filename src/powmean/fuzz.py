@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, loewner_leq, mat_fun, random_pd
+from .core import DEFAULT_TOL, Tolerances, eig_sym, loewner_leq, mat_fun, random_pd
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import limit_slope_check, map_power, power_mean, power_mean_gap
@@ -62,9 +62,9 @@ def order_margin(p, q, a, b, bound=ORDER_FUZZ_BOUND, tol=DEFAULT_TOL):
     the raw smallest eigenvalue.
     """
     diff = power_mean_gap(p, q, a, b, tol=tol)
-    verdict = loewner_leq(np.zeros_like(diff), diff, tol)
+    lam = float(eig_sym(diff, tol).eigenvalues[0])
     scale = 1.0 + float(np.abs(diff).max())
-    return verdict.min_eigenvalue + bound * scale, verdict.min_eigenvalue
+    return lam + bound * scale, lam
 
 
 def fuzz_point(

@@ -48,14 +48,18 @@ def scalar_power_mean(p: float, a: float, b: float, weight: float = 0.5) -> floa
 
 
 def _decompose_pair(a, b, weight: float, tol: Tolerances):
-    """Validate a mean's matrix arguments and decompose each once."""
-    a = symmetrize(a)
-    b = symmetrize(b)
-    if a.shape != b.shape:
+    """Validate a mean's matrix arguments and decompose each once.
+
+    ``eig_sym`` validates A, then B, before the shape and weight checks, as
+    two ``symmetrize`` calls up front would.
+    """
+    dec_a = eig_sym(a, tol)
+    dec_b = eig_sym(b, tol)
+    if dec_a.basis.shape != dec_b.basis.shape:
         raise DimensionMismatchError("means need equal dimensions")
     if not 0.0 < weight < 1.0:
         raise PreconditionError("weight must lie strictly in (0, 1)")
-    return eig_sym(a, tol), eig_sym(b, tol)
+    return dec_a, dec_b
 
 
 def _mean_of(p: float, dec_a, dec_b, weight: float, tol: Tolerances) -> np.ndarray:

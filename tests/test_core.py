@@ -57,6 +57,47 @@ def test_symmetrize_rejects_bad_shapes():
         symmetrize(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.ones(3), "expected a square matrix, got shape (3,)"),
+        (np.ones((0, 0)), "dimension 0 outside 1..8"),
+        (np.ones((9, 9)), "dimension 9 outside 1..8"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+        ([[0.0, -np.inf], [np.inf, 0.0]], "matrix entries must be finite"),
+        # non-finite input is reported before asymmetry
+        ([[np.nan, 5.0], [0.0, 1.0]], "matrix entries must be finite"),
+        ([[1.0, 2.0], [0.0, 1.0]], "asymmetry 2.000e+00 exceeds the construction guard"),
+        # just above the guard: 1.01e-13 > 1e-13 * (1 + 1.01e-13)
+        ([[0.0, 1.01e-13], [0.0, 0.0]], "asymmetry 1.010e-13 exceeds the construction guard"),
+        ([[0.0, 1e308], [-1e308, 0.0]], "asymmetry inf exceeds the construction guard"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guard_errors(m, message):
+    for validate in (symmetrize, eig_sym):
+        with pytest.raises(PreconditionError) as err:
+            validate(m)
+        assert str(err.value) == message
+
+
+def test_guard_admits_drift_just_below():
+    m = np.array([[0.0, 0.99e-13], [0.0, 0.0]])
+    assert np.array_equal(symmetrize(m), [[0.0, 0.495e-13], [0.495e-13, 0.0]])
+    assert np.array_equal(eig_sym(m).eigenvalues, [-0.495e-13, 0.495e-13])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_guard_rejects_overflowing_average():
+    # finite entries whose sum m + m^T overflows: the average used to be inf
+    # and the eigenvalues NaN, with no error
+    m = [[1e308, 5e307], [5e307, 1.5e308]]
+    for validate in (symmetrize, eig_sym):
+        with pytest.raises(PreconditionError, match="overflows"):
+            validate(m)
+
+
 def test_tolerances_validated():
     with pytest.raises(PreconditionError):
         Tolerances(eig=-1.0)
@@ -181,6 +222,17 @@ def test_eig_bits_pinned_near_degenerate():
     values = [float(x).hex() for x in eig_sym(m).eigenvalues]
     assert values == ["0x1.0000000000001p+0", "0x1.0000000000002p+0", "0x1.000000044b82fp+0"]
     assert _eig_bits(m) == "230be77c48588ed9973d3eb0104d76bd"
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_eig_accurate_where_squares_overflow(rng, scale):
+    # the squared entries overflow, which must not disable the threshold
+    g = sym_rand(rng, 5)
+    dec = eig_sym(g * scale)
+    ref = np.linalg.eigvalsh(g)
+    assert np.abs(dec.eigenvalues / scale - ref).max() <= 1e-13 * np.abs(ref).max()
+    recon = (dec.basis * (dec.eigenvalues / scale)) @ dec.basis.T
+    assert np.abs(recon - g).max() <= 1e-13 * np.abs(g).max()
 
 
 def test_eig_nonconvergence_when_sweep_cap_hit(rng, monkeypatch):

@@ -1,6 +1,7 @@
 """Power means, the log-Euclidean branch, and map-composed forms."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from powmean import (
     LinearMatrixMap,
     NotUnitalError,
     Power,
+    PowerMeanError,
     PreconditionError,
     block_average,
     compression,
@@ -26,6 +28,8 @@ from powmean import (
     scalar_power_mean,
     symmetrize,
 )
+from powmean import core
+from powmean.fuzz import order_margin
 from powmean.maps import plane_rotation
 
 from conftest import sym_rand
@@ -145,6 +149,48 @@ def test_power_mean_gap_errors_match_two_calls(p, q):
         power_mean_gap(p, q, a, b)
     assert type(gap.value) is type(two_calls.value)
     assert str(gap.value) == str(two_calls.value)
+
+
+@pytest.mark.parametrize(
+    "a, b, weight, error",
+    [
+        ([[1.0, 2.0], [0.0, 1.0]], np.ones((9, 9)), 2.0, "asymmetry 2.000e+00 exceeds the construction guard"),
+        (np.eye(3), np.ones((9, 9)), 2.0, "dimension 9 outside 1..8"),
+        (np.eye(2), np.eye(3), 2.0, "means need equal dimensions"),
+        (np.eye(2), np.eye(2), 1.0, "weight must lie strictly in (0, 1)"),
+    ],
+)
+def test_argument_errors_keep_their_order(a, b, weight, error):
+    # A is validated before B, both before the shape check, and that
+    # before the weight check
+    with pytest.raises(PowerMeanError) as err:
+        power_mean(1.0, a, b, weight=weight)
+    assert str(err.value) == error
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every powmean module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "powmean" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_order_check_validates_once_per_decomposition(monkeypatch):
+    a = random_pd(3, 71, 10.0)
+    b = random_pd(3, 72, 10.0)
+    eigs = _count_calls(monkeypatch, core.eig_sym)
+    guards = _count_calls(monkeypatch, core.symmetrize)
+    order_margin(0.5, 2.0, a, b)
+    # eig of A and of B, one per mean, and one of M_q - M_p
+    assert len(eigs) == 5
+    assert len(guards) == 5
 
 
 def test_weighted_arithmetic_mean():
