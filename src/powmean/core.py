@@ -136,6 +136,24 @@ def _fix_sign(x: float, y: float) -> tuple[float, float]:
     return (-x, -y) if pivot < 0.0 else (x, y)
 
 
+def _rescaled(m: np.ndarray, decompose) -> SpectralDecomposition:
+    """Decompose ``m`` through m / 2^e with max |entry| below 1.
+
+    For matrices near the top of the float range.  A power-of-two scale
+    rounds no normal number, so the basis serves ``m`` as it is and only the
+    eigenvalues scale back, unless they exceed the float range.
+    """
+    e = math.frexp(float(np.abs(m).max()))[1]
+    dec = decompose(np.ldexp(m, -e))
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(dec.eigenvalues, e)
+    if not np.isfinite(vals).all():
+        raise PreconditionError(
+            "spectrum exceeds the float range: max |entry| %.3e" % float(np.abs(m).max())
+        )
+    return SpectralDecomposition(vals, dec.basis)
+
+
 def _eig_1x1(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([m[0, 0]]), np.ones((1, 1)))
 
@@ -157,12 +175,22 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     else:
         ux, uy = b, r - half
     nrm = math.hypot(ux, uy)
+    # nrm >= r, so a finite |mid| + nrm bounds both eigenvalues as well.
+    if math.isinf(abs(mid) + nrm):
+        return _rescaled(m, _eig_2x2)
     c, s = ux / nrm, uy / nrm
     (x0, y0), (x1, y1) = _fix_sign(-s, c), _fix_sign(c, s)
     return SpectralDecomposition(np.array([mid - r, mid + r]), np.array([[x0, x1], [y0, y1]]))
 
 
 def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
+    with np.errstate(over="ignore"):
+        frob2 = float((m * m).sum())
+    if not math.isfinite(frob2):
+        # Entries above ~1e154 overflow the squares (an infinite threshold
+        # would stop the sweeps after one pass), and near the top of the
+        # range the rotations overflow too.
+        return _rescaled(m, lambda scaled: _eig_jacobi(scaled, tol))
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do, so results
@@ -170,15 +198,7 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
     n = m.shape[0]
     a = m.tolist()
     vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
-    with np.errstate(over="ignore"):
-        frob2 = float((m * m).sum())
-    if math.isfinite(frob2):
-        thresh = tol.eig * math.sqrt(frob2)
-    else:
-        # Entries above ~1e154 overflow the squares; an infinite threshold
-        # would stop the sweeps after one pass.
-        scale = float(np.abs(m).max())
-        thresh = tol.eig * scale * math.sqrt(float(((m / scale) ** 2).sum()))
+    thresh = tol.eig * math.sqrt(frob2)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     idx = range(n)
     # One extra sweep after crossing the threshold: clustered spectra need
@@ -240,7 +260,8 @@ def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     Raises
     ------
     PreconditionError
-        If :func:`symmetrize` rejects the input.
+        If :func:`symmetrize` rejects the input, or an eigenvalue exceeds
+        the float range.
     NonConvergenceError
         If the sweep cap is exceeded (pathological input).
     """

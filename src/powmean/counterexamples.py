@@ -23,6 +23,7 @@ returned matrices, never from the expansion that guided the search.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -50,6 +51,7 @@ _THETA_SCHEDULE = tuple(0.1 * 2.0**-j for j in range(21))
 _SCHEDULE_WARN_K = 35
 _SCHEDULE_WARN_J = 16
 _DUAL_RANK_ONE_SHIFT = 1e-6
+_EPS = sys.float_info.epsilon
 
 #: Classic 3x3 positive definite matrix (due to Choi) whose top-left 2x2
 #: compression violates the Jensen power inequality outside 1 <= p <= 2 and
@@ -135,10 +137,20 @@ def _theta_walk(pair, k=None, x=None, y=None):
 
 def _rotation_walk(p, q, tol):
     """Candidates x = 2^-k, y = x^2 whose closed-form t^2 coefficient (the
-    log-Euclidean one at p = 0) is negative, each walking its thetas."""
+    log-Euclidean one at p = 0) is negative, each walking its thetas.
+
+    At p <= 0 the walk stops where y lies certainly below the domain floor
+    of B_t, ``tol.psd`` times its norm 1: M_p of that candidate and of every
+    later one (y only falls) raises ``DomainError``, which the walker skips.
+    """
     for k in _X_SCHEDULE:
         x = 2.0**-k
         y = x * x
+        # B_t's computed smallest eigenvalue is y within a few eps, and its
+        # floor tol.psd within rounding; the margins keep the stop sound for
+        # every tol.psd, down to values where it never fires.
+        if p <= 0.0 and y + 16.0 * _EPS <= 0.5 * tol.psd:
+            break
         try:
             if p == 0.0:
                 coeff = det_coeff_log_pair(q, x, y, tol)

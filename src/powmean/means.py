@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, eig_sym, mat_fun, spectral_fun, symmetrize
+from .core import DEFAULT_TOL, Tolerances, eig_sym, mat_fun, spectral_fun
 from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
@@ -131,15 +131,16 @@ def map_power(phi, p: float, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     if not phi.is_unital(tol):
         raise NotUnitalError("map_power requires a unital map")
-    a = symmetrize(a)
-    if a.shape[0] != phi.in_dim:
+    dec = eig_sym(a, tol)
+    n = dec.basis.shape[0]
+    if n != phi.in_dim:
         raise DimensionMismatchError(
-            "matrix dim %d does not match map input dim %d" % (a.shape[0], phi.in_dim)
+            "matrix dim %d does not match map input dim %d" % (n, phi.in_dim)
         )
     p = normalize_exponent(p)
     if p == 0.0:
-        return mat_fun(phi.apply(mat_fun(a, LOG, tol)), EXP, tol)
-    return mat_fun(phi.apply(mat_fun(a, Power(p), tol)), Power(1.0 / p), tol)
+        return mat_fun(phi.apply(spectral_fun(dec, LOG, tol)), EXP, tol)
+    return mat_fun(phi.apply(spectral_fun(dec, Power(p), tol)), Power(1.0 / p), tol)
 
 
 def limit_slope_check(phi, a, p_sequence, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -235,6 +235,24 @@ def test_eig_accurate_where_squares_overflow(rng, scale):
     assert np.abs(recon - g).max() <= 1e-13 * np.abs(g).max()
 
 
+def test_eig_2x2_basis_finite_where_its_sum_overflows():
+    # r + |half| overflows although both eigenvalues, +-1.26e308, fit
+    m = np.array([[8.9e307, 8.9e307], [8.9e307, -8.9e307]])
+    dec = eig_sym(m)
+    ref = np.linalg.eigvalsh(m / 8.9e307) * 8.9e307
+    assert np.abs(dec.eigenvalues - ref).max() <= 1e-15 * 8.9e307
+    assert np.isfinite(dec.basis).all()
+    recon = (dec.basis * (dec.eigenvalues / 8.9e307)) @ dec.basis.T
+    assert np.abs(recon - m / 8.9e307).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_eig_rejects_spectrum_beyond_float_range():
+    # top eigenvalue 4 * 5e307 = 2e308 exceeds the largest double
+    with pytest.raises(PreconditionError, match="spectrum exceeds the float range"):
+        eig_sym(np.full((4, 4), 5e307))
+
+
 def test_eig_nonconvergence_when_sweep_cap_hit(rng, monkeypatch):
     import powmean.core
 

@@ -9,11 +9,15 @@ import math
 import numpy as np
 import pytest
 
+import powmean.counterexamples as ce
 from powmean import (
     CHOI_MATRIX,
     Case,
+    DomainError,
     InRegionError,
     PreconditionError,
+    SearchExhaustedError,
+    Tolerances,
     choi_sign_table,
     classify,
     construct_log_euclidean,
@@ -24,6 +28,7 @@ from powmean import (
     find_counterexample,
     pd_rotation_pair,
     power_mean,
+    power_mean_gap,
     rank_one_pair,
     scalar_power_mean,
 )
@@ -206,6 +211,56 @@ def test_coefficient_guidance_becomes_and_stays_negative():
             signs.append(det_coeff_power_pair(p, q, x, x * x).total < 0.0)
         first_negative = signs.index(True)
         assert all(signs[first_negative:])
+
+
+@pytest.mark.parametrize("psd", [1e-6, 1e-10, 1e-13, 1e-15, 1e-16, 1e-17])
+def test_rotation_walk_stops_only_where_every_candidate_fails(monkeypatch, psd):
+    # The walk computes a coefficient at every x it reaches, so the x values
+    # it never evaluates are the ones its domain-floor stop skipped.  Each
+    # skipped (x, theta) candidate must raise DomainError from the gap, as
+    # the search would have found by certifying it.
+    tol = Tolerances(psd=psd)
+    q = 1.5
+    reached = set()
+
+    def reaching(fn):
+        def wrapped(*args):
+            reached.add(args[-3])  # x, in both coefficient signatures
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("det_coeff_power_pair", "det_coeff_log_pair"):
+        monkeypatch.setattr(ce, name, reaching(getattr(ce, name)))
+    for p in (-0.99, -0.7, -0.3, -1e-3, 0.0):
+        reached.clear()
+        list(ce._rotation_walk(p, q, tol))
+        skipped = [2.0**-k for k in ce._X_SCHEDULE if 2.0**-k not in reached]
+        if psd >= 1e-10:
+            assert skipped
+        for x in skipped:
+            for theta in ce._THETA_SCHEDULE:
+                with pytest.raises(DomainError):
+                    power_mean_gap(p, q, *pd_rotation_pair(x, x * x, theta), tol=tol)
+
+
+@pytest.mark.parametrize("p, q", [(-0.99, 1.5), (-0.98, 1.9)])
+def test_exhausted_search_skips_candidates_below_the_floor(monkeypatch, p, q):
+    # Near p = -1 no x above the domain floor has a negative coefficient,
+    # so nothing is certified; the 126 and 315 candidates below the floor
+    # would each raise DomainError.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return certify(*args)
+
+    certify = ce._certify
+    monkeypatch.setattr(ce, "_certify", counted)
+    with pytest.raises(SearchExhaustedError) as info:
+        find_counterexample(p, q)
+    assert str(info.value) == "pd-rotation schedule exhausted at (%g, %g)" % (p, q)
+    assert len(calls) <= len(ce._THETA_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from powmean import (
+    EXP,
+    LOG,
     DimensionMismatchError,
     DomainError,
     LinearMatrixMap,
@@ -173,7 +175,7 @@ def _count_calls(monkeypatch, fn):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -254,6 +256,18 @@ def test_compression_cube_of_choi_matrix():
     assert np.abs(direct - cube[:2, :2]).max() <= 1e-9
     via_map_power = map_power(comp, 3.0, CHOI_MATRIX)
     assert np.abs(via_map_power - mat_fun(direct, Power(1.0 / 3.0))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_map_power_validates_its_input_once(monkeypatch, p):
+    a = random_pd(3, 73, 10.0)
+    phi = compression((0, 1), 3)
+    f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
+    two_step = mat_fun(phi.apply(mat_fun(symmetrize(a), f)), inverse)
+    guards = _count_calls(monkeypatch, core.symmetrize)
+    out = map_power(phi, p, a)
+    assert sum(np.array_equal(args[0], a) for args in guards) == 1
+    assert np.array_equal(out, two_step)
 
 
 def test_map_power_requires_unital_map():
