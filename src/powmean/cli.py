@@ -20,9 +20,10 @@ import sys
 
 import numpy as np
 
-from .core import Tolerances
+from .core import DEFAULT_TOL, Tolerances
 from .counterexamples import (
     CERT_TOL,
+    _checked_cert_tol,
     choi_sign_table,
     find_counterexample,
     pd_rotation_difference,
@@ -53,10 +54,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("POWMEAN_SEED", "0"))
-
-
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(max(count, 0))]
@@ -66,14 +63,14 @@ def _cell_seed(master: int, pi: int, qi: int) -> int:
     return int(np.random.SeedSequence([master, pi, qi]).generate_state(1)[0])
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(order=args.tol_order)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--tol-order", type=float, default=1e-10)
-    parser.add_argument("--tol-cert", type=float, default=CERT_TOL)
+def _checked(check):
+    """argparse type: the float through ``check``; a value it rejects exits 2."""
+    def parse(text: str):
+        try:
+            return check(float(text))
+        except ValueError as exc:  # PreconditionError is a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
@@ -109,22 +106,20 @@ def cmd_scan(args) -> int:
         _usage_error("--step must be positive")
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
-    tol = _tolerances(args)
-    master = args.seed if args.seed is not None else _env_seed()
     rows = []
     consistent = True
     for pi, p in enumerate(_grid(args.pmin, args.pmax, args.step)):
         for qi, q in enumerate(_grid(args.qmin, args.qmax, args.step)):
             label = classify(normalize_exponent(p), normalize_exponent(q))
-            seed = _cell_seed(master, pi, qi)
+            seed = _cell_seed(args.seed, pi, qi)
             witness = None
             if label.case is Case.IN_REGION:
-                passed, detail = fuzz_point(p, q, args.trials, seed, tol=tol)
+                passed, detail = fuzz_point(p, q, args.trials, seed, tol=args.tol)
                 verdict = "fuzz-pass" if passed else "in-region"
                 consistent &= passed
             else:
                 try:
-                    witness = find_counterexample(p, q, args.tol_cert, tol)
+                    witness = find_counterexample(p, q, args.tol_cert, args.tol)
                 except PowerMeanError as exc:
                     verdict, detail = "uncertified", type(exc).__name__
                     consistent = False
@@ -141,9 +136,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    tol = _tolerances(args)
     try:
-        witness = find_counterexample(args.p, args.q, args.tol_cert, tol)
+        witness = find_counterexample(args.p, args.q, args.tol_cert)
     except InRegionError:
         print("(%g, %g) lies in the sufficiency region; the order inequality holds"
               % (args.p, args.q))
@@ -222,8 +216,7 @@ def cmd_verify_lemma(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
-    seed = args.seed if args.seed is not None else _env_seed()
-    report = FUZZ_TARGETS[args.target](args.trials, seed, _tolerances(args))
+    report = FUZZ_TARGETS[args.target](args.trials, args.seed, args.tol)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -235,8 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "expansion-coefficient checks and property fuzzing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=os.environ.get("POWMEAN_SEED", "0"),
+                      help="master seed (default: $POWMEAN_SEED, else 0)")
+    tol_order = argparse.ArgumentParser(add_help=False)
+    tol_order.add_argument("--tol-order", dest="tol", metavar="SLACK", default=DEFAULT_TOL,
+                           type=_checked(lambda order: Tolerances(order=order)))
+    tol_cert = argparse.ArgumentParser(add_help=False)
+    tol_cert.add_argument("--tol-cert", default=CERT_TOL, type=_checked(_checked_cert_tol))
 
-    scan = sub.add_parser("scan", help="classify a (p, q) grid and emit a CSV report")
+    scan = sub.add_parser("scan", parents=[seed, tol_order, tol_cert],
+                          help="classify a (p, q) grid and emit a CSV report")
     scan.add_argument("--pmin", type=float, default=-2.0)
     scan.add_argument("--pmax", type=float, default=2.0)
     scan.add_argument("--qmin", type=float, default=-2.0)
@@ -245,18 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--trials", type=int, default=50,
                       help="random pairs per in-region grid point")
     scan.add_argument("--out", default="scan.csv")
-    _add_common(scan)
     scan.set_defaults(func=cmd_scan)
 
-    ce = sub.add_parser("counterexample", help="certify one exponent pair")
+    ce = sub.add_parser("counterexample", parents=[tol_cert], help="certify one exponent pair")
     ce.add_argument("--p", type=float, required=True)
     ce.add_argument("--q", type=float, required=True)
     ce.add_argument("--out", default=None, help="optional CSV witness dump")
-    _add_common(ce)
     ce.set_defaults(func=cmd_counterexample)
 
     choi = sub.add_parser("choi-table", help="sign table of the compression example")
-    _add_common(choi)
     choi.set_defaults(func=cmd_choi_table)
 
     lemma = sub.add_parser("verify-lemma",
@@ -267,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--q", type=float, default=None)
     lemma.add_argument("--x", type=float, default=None)
     lemma.add_argument("--y", type=float, default=None)
-    _add_common(lemma)
     lemma.set_defaults(func=cmd_verify_lemma)
 
-    fuzz = sub.add_parser("fuzz", help="randomized property suites")
+    fuzz = sub.add_parser("fuzz", parents=[seed, tol_order], help="randomized property suites")
     fuzz.add_argument("target", choices=sorted(FUZZ_TARGETS))
     fuzz.add_argument("--trials", type=int, default=200)
-    _add_common(fuzz)
     fuzz.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -46,8 +46,8 @@ class Tolerances:
         Floor below which an eigenvalue counts as non-positive for domain
         checks, relative to the matrix norm; also the unitality slack.
     order : float
-        Slack in Loewner-order verdicts, relative to 1 + the norm of the
-        difference.
+        Slack of every Loewner-order verdict, in the library, the fuzz and
+        ``scan``: D >= 0 holds iff lambda_min(D) + order * (1 + max|D|) >= 0.
     confluent : float
         Node separation below which divided differences switch to their
         derivative-based confluent form.
@@ -60,8 +60,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("eig", "psd", "order", "confluent"):
-            if not getattr(self, name) > 0.0:
-                raise PreconditionError("tolerance %r must be positive" % name)
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise PreconditionError("tolerance %r must be positive and finite" % name)
         if not self.confluent > self.eig:
             raise PreconditionError("confluent tolerance must exceed eig tolerance")
 
@@ -78,16 +78,20 @@ class SpectralDecomposition(NamedTuple):
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Outcome of a Loewner comparison A <= B.
+    """Outcome of a Loewner comparison A <= B, which holds iff ``margin`` >= 0.
 
-    ``min_eigenvalue`` is the smallest eigenvalue of B - A and ``witness``
-    is a unit vector achieving it, so a failed verdict is certified by
-    witness^T (B - A) witness = min_eigenvalue < 0.
+    ``min_eigenvalue`` is the smallest eigenvalue of B - A, ``margin`` that
+    plus tol.order * (1 + max|B - A|), and ``witness`` a unit vector achieving
+    it, so a failed verdict is certified by witness^T (B - A) witness < 0.
     """
 
-    holds: bool
+    margin: float
     min_eigenvalue: float
     witness: np.ndarray
+
+    @property
+    def holds(self) -> bool:
+        return self.margin >= 0.0
 
 
 def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
@@ -350,14 +354,16 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:
     a = symmetrize(a)
     b = symmetrize(b)
     if a.shape != b.shape:
-        raise DimensionMismatchError(
-            "cannot compare %r with %r" % (a.shape, b.shape)
-        )
-    d = b - a
+        raise DimensionMismatchError("cannot compare %r with %r" % (a.shape, b.shape))
+    return _order_verdict(b - a, tol)
+
+
+def _order_verdict(d, tol: Tolerances) -> OrderVerdict:
+    """The verdict 0 <= D under ``tol.order``; :func:`eig_sym` validates ``d``."""
     dec = eig_sym(d, tol)
     lam = float(dec.eigenvalues[0])
-    scale = 1.0 + float(np.abs(d).max())
-    return OrderVerdict(lam >= -tol.order * scale, lam, dec.basis[:, 0].copy())
+    margin = lam + tol.order * (1.0 + float(np.abs(d).max()))
+    return OrderVerdict(margin, lam, dec.basis[:, 0].copy())
 
 
 def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray:

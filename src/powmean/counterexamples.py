@@ -207,6 +207,13 @@ def _first_witness(p, q, candidates, cert_tol, tol, exhausted: str, via_dual) ->
     raise SearchExhaustedError(exhausted)
 
 
+def _checked_cert_tol(cert_tol: float) -> float:
+    """``cert_tol``, if finite and >= 0: a negative one certifies positive spectra."""
+    if not 0.0 <= cert_tol < np.inf:
+        raise PreconditionError("cert_tol must be finite and >= 0, got %r" % (cert_tol,))
+    return cert_tol
+
+
 def _search(case, p, q, cert_tol, tol, via_dual=False, eps_shift=0.0) -> Witness:
     """Certified witness at (p, q) from the family of ``case``, walked at
     its base pair: (p, q), or (-q, -p) on reciprocal pairs with ``via_dual``.
@@ -225,7 +232,7 @@ def _search(case, p, q, cert_tol, tol, via_dual=False, eps_shift=0.0) -> Witness
     else:
         walk = _rotation_walk(bp, bq, tol, via_dual)
         exhausted = "pd-rotation schedule exhausted at (%g, %g)" % (bp, bq)
-    return _first_witness(p, q, walk, cert_tol, tol, exhausted, via_dual)
+    return _first_witness(p, q, walk, _checked_cert_tol(cert_tol), tol, exhausted, via_dual)
 
 
 def construct_pd_rotation(
@@ -297,7 +304,7 @@ def construct_scalar_fail(
         raise PreconditionError("scalar failure needs p > q")
     a = np.eye(2)
     b = 4.0 * np.eye(2)
-    hit = _certify(p, q, a, b, cert_tol, tol)
+    hit = _certify(p, q, a, b, _checked_cert_tol(cert_tol), tol)
     if hit is None:
         raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
     lam, vec = hit

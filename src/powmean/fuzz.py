@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, eig_sym, loewner_leq, mat_fun, random_pd
+from .core import DEFAULT_TOL, Tolerances, _order_verdict, loewner_leq, mat_fun, random_pd
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import limit_slope_check, map_power, power_mean, power_mean_gap
@@ -19,7 +19,6 @@ from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
 _LIMIT_PS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-ORDER_FUZZ_BOUND = 1e-9
 
 
 @dataclass
@@ -55,16 +54,14 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def order_margin(p, q, a, b, bound=ORDER_FUZZ_BOUND, tol=DEFAULT_TOL):
-    """Margin of the order check: nonnegative iff the verdict passes.
+def order_margin(p, q, a, b, tol=DEFAULT_TOL):
+    """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B).
 
-    Returns lambda_min(M_q - M_p) + bound * (1 + |M_q - M_p|_inf) along with
-    the raw smallest eigenvalue.
+    The margin is lambda_min(D) + tol.order * (1 + max|D|) for D = M_q - M_p,
+    the rule of :func:`~powmean.core.loewner_leq`: nonnegative iff it passes.
     """
-    diff = power_mean_gap(p, q, a, b, tol=tol)
-    lam = float(eig_sym(diff, tol).eigenvalues[0])
-    scale = 1.0 + float(np.abs(diff).max())
-    return lam + bound * scale, lam
+    verdict = _order_verdict(power_mean_gap(p, q, a, b, tol=tol), tol)
+    return verdict.margin, verdict.min_eigenvalue
 
 
 def fuzz_point(
@@ -73,13 +70,12 @@ def fuzz_point(
     trials: int,
     seed: int,
     dims=(2, 3),
-    bound: float = ORDER_FUZZ_BOUND,
     tol: Tolerances = DEFAULT_TOL,
 ):
     """Random-pair order check at a fixed exponent pair.
 
     Returns (passed, worst raw min-eigenvalue) over ``trials`` seeded pairs
-    per dimension.
+    per dimension; a pair passes iff its :func:`order_margin` is >= 0.
     """
     rng = _spawn(seed, 0)
     passed = True
@@ -89,10 +85,9 @@ def fuzz_point(
             spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
             a = random_pd(dim, int(rng.integers(2**63)), spread)
             b = random_pd(dim, int(rng.integers(2**63)), spread)
-            margin, lam = order_margin(p, q, a, b, bound, tol)
+            margin, lam = order_margin(p, q, a, b, tol)
             worst = min(worst, lam)
-            if margin < 0.0:
-                passed = False
+            passed &= margin >= 0.0
     return passed, worst
 
 
@@ -155,15 +150,9 @@ def fuzz_map_order(
         phi = random_kraus_map(2, out_dim, int(rng.integers(2**63)))
         a = random_pd(2, int(rng.integers(2**63)), 10.0)
         p, q = _sample_exponent_pair(rng)
-        low = map_power(phi, p, a, tol)
-        high = map_power(phi, q, a, tol)
-        diff = high - low
-        lam = float(loewner_leq(low, high, tol).min_eigenvalue)
-        scale = 1.0 + float(np.abs(diff).max())
-        report.record(
-            lam + ORDER_FUZZ_BOUND * scale,
-            "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, lam),
-        )
+        verdict = loewner_leq(map_power(phi, p, a, tol), map_power(phi, q, a, tol), tol)
+        note = "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, verdict.min_eigenvalue)
+        report.record(verdict.margin, note)
         direct = phi.apply(mat_fun(a, Power(p), tol))
         affine = apply_power_affine_2x2(phi, p, a, tol)
         gap = float(np.abs(affine - direct).max())

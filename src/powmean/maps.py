@@ -190,8 +190,7 @@ def random_kraus_map(
         raise PreconditionError("need at least one factor")
     rng = np.random.default_rng(seed)
     raw = [rng.standard_normal((out_dim, in_dim)) for _ in range(n_factors)]
-    total = symmetrize(sum(v @ v.T for v in raw))
-    whitener = mat_fun(total, Power(-0.5), tol)
+    whitener = mat_fun(sum(v @ v.T for v in raw), Power(-0.5), tol)
     return kraus_map([whitener @ v for v in raw], tol)
 
 

@@ -9,10 +9,13 @@ under ``perfbench/`` is run beyond importing ``spans``.
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 
 import pytest
+
+from powmean import DEFAULT_TOL
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -23,6 +26,14 @@ WORKLOAD_CALLS = [
     ("counterexamples", "pd_rotation_difference"),
     ("counterexamples", "rank_one_difference"),
     ("counterexamples", "find_counterexample"),
+]
+
+#: Call shapes of workloads.py: the wide workload's order and map-order
+#: checks, and the scan workload's wrapper of the CLI's fuzz_point.
+WORKLOAD_CALL_SHAPES = [
+    ("fuzz", "fuzz_point", (0.5, 2.0, 1, 9), {"dims": (4,)}),
+    ("fuzz", "fuzz_map_order", (1, 9), {"dims": (4,)}),
+    ("cli", "fuzz_point", (0.5, 2.0, 50, 9), {"tol": DEFAULT_TOL}),
 ]
 
 
@@ -58,3 +69,8 @@ def test_every_module_attribute_in_workloads_exists():
     assert set(WORKLOAD_CALLS) <= used
     for module, name in sorted(used):
         assert hasattr(importlib.import_module("powmean." + module), name), (module, name)
+
+
+@pytest.mark.parametrize("module,name,args,kwargs", WORKLOAD_CALL_SHAPES)
+def test_workload_call_shapes_bind(module, name, args, kwargs):
+    inspect.signature(_attr(module, name)).bind(*args, **kwargs)

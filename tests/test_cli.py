@@ -69,6 +69,51 @@ def test_scan_rejects_bad_step(tmp_path):
     assert info.value.code == 2
 
 
+_NEG_SPECTRUM_PAIR = ["--p", "-1.9176636524619972", "--q", "-0.05991928785813627"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--tol-order", "0"],
+    ["scan", "--tol-order", "inf"],
+    ["scan", "--tol-cert", "-1"],
+    ["fuzz", "region", "--tol-order", "nan"],
+    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "-1"],
+    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "inf"],
+])
+def test_bad_tolerance_option_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + (["--out", str(out)] if argv[0] != "fuzz" else []))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--p", "0.25", "--q", "1", "--seed", "1"],
+    ["counterexample", "--p", "0.25", "--q", "1", "--tol-order", "1e-10"],
+    ["choi-table", "--seed", "1"],
+    ["choi-table", "--tol-cert", "1e-12"],
+    ["verify-lemma", "--family", "rank-one", "--p", "0.25", "--q", "0.5",
+     "--tol-order", "1e-10"],
+    ["fuzz", "region", "--tol-cert", "1e-12"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fuzz_verdicts_read_tol_order(capsys):
+    # The margin of a passing check is at least the slack times 1 + max|D|.
+    assert main(["fuzz", "region", "--trials", "20", "--seed", "7", "--tol-order", "10"]) == 0
+    worst = float(capsys.readouterr().out.split("worst margin ")[1].split(")")[0])
+    assert worst >= 10.0
+
+
 def test_counterexample_certified_exit(capsys):
     assert main(["counterexample", "--p", "0.25", "--q", "1"]) == 0
     captured = capsys.readouterr().out

@@ -105,6 +105,14 @@ def test_tolerances_validated():
         Tolerances(confluent=1e-13)  # must exceed eig
 
 
+@pytest.mark.parametrize("name", ["eig", "psd", "order", "confluent"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_tolerances_reject_non_finite(name, value):
+    # An infinite order slack would let loewner_leq(2I, I) hold.
+    with pytest.raises(PreconditionError, match="finite"):
+        Tolerances(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 # ---------------------------------------------------------------------------

@@ -121,6 +121,42 @@ def test_rank_one_precondition():
         construct_rank_one(0.5, 1.2)
 
 
+#: Each public search at a certifiable pair, as a function of cert_tol.
+_PUBLIC_SEARCHES = {
+    "find-dual": lambda t: find_counterexample(-1.9176636524619972, -0.05991928785813627, t),
+    "find-scalar": lambda t: find_counterexample(1.0, 0.5, t),
+    "pd-rotation": lambda t: construct_pd_rotation(-0.5, 1.0, t),
+    "log-euclidean": lambda t: construct_log_euclidean(1.0, t),
+    "rank-one": lambda t: construct_rank_one(0.25, 0.5, cert_tol=t),
+    "scalar-fail": lambda t: construct_scalar_fail(1.0, 0.5, t),
+}
+_searches = pytest.mark.parametrize(
+    "search", list(_PUBLIC_SEARCHES.values()), ids=list(_PUBLIC_SEARCHES)
+)
+
+
+@_searches
+@pytest.mark.parametrize("cert_tol", [-1.0, -1e-300, math.inf, math.nan])
+def test_cert_tol_must_be_finite_and_nonnegative(search, cert_tol):
+    # A negative threshold would certify a positive smallest eigenvalue.
+    with pytest.raises(PreconditionError, match="cert_tol"):
+        search(cert_tol)
+
+
+@_searches
+def test_cert_tol_checked_once_per_search(search, monkeypatch):
+    calls = []
+    check = ce._checked_cert_tol
+
+    def counted(cert_tol):
+        calls.append(cert_tol)
+        return check(cert_tol)
+
+    monkeypatch.setattr(ce, "_checked_cert_tol", counted)
+    search(0.0)
+    assert calls == [0.0]
+
+
 def test_rank_one_shifted_pair_cross_check():
     # continuity: the eps-shifted positive definite pair certifies too
     plain = construct_rank_one(0.6, 0.8)

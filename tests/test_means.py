@@ -33,8 +33,8 @@ from powmean import (
     scalar_power_mean,
     symmetrize,
 )
-from powmean import core
-from powmean.fuzz import order_margin
+from powmean import Tolerances, core, find_counterexample, random_kraus_map
+from powmean.fuzz import fuzz_point, fuzz_region, order_margin
 from powmean.maps import plane_rotation
 
 from conftest import sym_rand
@@ -196,6 +196,27 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     # eig of A and of B, one per mean, and one of M_q - M_p
     assert len(eigs) == 5
     assert len(guards) == 5
+
+
+def test_random_kraus_map_validates_once(monkeypatch):
+    eigs = _count_calls(monkeypatch, core.eig_sym)
+    guards = _count_calls(monkeypatch, core.symmetrize)
+    random_kraus_map(2, 3, 73)
+    # the whitener's one decomposition, guarded inside eig_sym
+    assert len(eigs) == 1
+    assert len(guards) == 1
+
+
+def test_order_verdicts_read_the_order_slack():
+    # A certified violation fails at the default slack and passes at a
+    # slack above any |lambda_min| / (1 + max|D|); so do the fuzz verdicts.
+    slack = Tolerances(order=10.0)
+    w = find_counterexample(0.25, 1.0)
+    assert order_margin(0.25, 1.0, w.a, w.b)[0] < 0.0
+    assert order_margin(0.25, 1.0, w.a, w.b, tol=slack)[0] >= 0.0
+    assert not fuzz_point(0.25, 1.0, 20, 0)[0]
+    assert fuzz_point(0.25, 1.0, 20, 0, tol=slack)[0]
+    assert fuzz_region(50, 7, slack).worst >= 10.0
 
 
 def test_weighted_arithmetic_mean():
