@@ -29,7 +29,8 @@ from .counterexamples import (
     pd_rotation_difference,
     rank_one_difference,
 )
-from .errors import DegenerateFrameError, InRegionError, PowerMeanError
+from .errors import (DegenerateFrameError, DomainError, InRegionError, PowerMeanError,
+                     PreconditionError)
 from .expansions import (
     det_coeff_log_pair,
     det_coeff_power_pair,
@@ -64,10 +65,12 @@ def _cell_seed(master: int, pi: int, qi: int) -> int:
 
 
 def _checked(check):
-    """argparse type: the float through ``check``; a value it rejects exits 2."""
+    """argparse type: a finite float through ``check``; a value rejected exits 2."""
     def parse(text: str):
         try:
-            return check(float(text))
+            if not np.isfinite(value := float(text)):
+                raise ValueError("must be finite, got %s" % text)
+            return check(value)
         except ValueError as exc:  # PreconditionError is a ValueError
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -205,6 +208,9 @@ def cmd_verify_lemma(args) -> int:
     except DegenerateFrameError as exc:
         print("degenerate expansion hypotheses: %s" % exc, file=sys.stderr)
         return 4
+    except (DomainError, PreconditionError) as exc:
+        print("parameters outside the %s family: %s" % (args.family, exc), file=sys.stderr)
+        return 2
     gap = abs(closed - oracle.value)
     bound = _LEMMA_GAP_BOUND * (1.0 + abs(closed))
     print("closed form:   %s" % _fmt(closed))
@@ -239,19 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", parents=[seed, tol_order, tol_cert],
                           help="classify a (p, q) grid and emit a CSV report")
-    scan.add_argument("--pmin", type=float, default=-2.0)
-    scan.add_argument("--pmax", type=float, default=2.0)
-    scan.add_argument("--qmin", type=float, default=-2.0)
-    scan.add_argument("--qmax", type=float, default=2.0)
-    scan.add_argument("--step", type=float, default=0.5)
+    scan.add_argument("--pmin", type=_checked(float), default=-2.0)
+    scan.add_argument("--pmax", type=_checked(float), default=2.0)
+    scan.add_argument("--qmin", type=_checked(float), default=-2.0)
+    scan.add_argument("--qmax", type=_checked(float), default=2.0)
+    scan.add_argument("--step", type=_checked(float), default=0.5)
     scan.add_argument("--trials", type=int, default=50,
                       help="random pairs per in-region grid point")
     scan.add_argument("--out", default="scan.csv")
     scan.set_defaults(func=cmd_scan)
 
     ce = sub.add_parser("counterexample", parents=[tol_cert], help="certify one exponent pair")
-    ce.add_argument("--p", type=float, required=True)
-    ce.add_argument("--q", type=float, required=True)
+    ce.add_argument("--p", type=_checked(float), required=True)
+    ce.add_argument("--q", type=_checked(float), required=True)
     ce.add_argument("--out", default=None, help="optional CSV witness dump")
     ce.set_defaults(func=cmd_counterexample)
 
@@ -262,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="closed-form determinant coefficient vs oracle")
     lemma.add_argument("--family", required=True,
                        choices=("pd-rotation", "log-euclidean", "rank-one"))
-    lemma.add_argument("--p", type=float, default=None)
-    lemma.add_argument("--q", type=float, default=None)
-    lemma.add_argument("--x", type=float, default=None)
-    lemma.add_argument("--y", type=float, default=None)
+    lemma.add_argument("--p", type=_checked(float), default=None)
+    lemma.add_argument("--q", type=_checked(float), default=None)
+    lemma.add_argument("--x", type=_checked(float), default=None)
+    lemma.add_argument("--y", type=_checked(float), default=None)
     lemma.set_defaults(func=cmd_verify_lemma)
 
     fuzz = sub.add_parser("fuzz", parents=[seed, tol_order], help="randomized property suites")

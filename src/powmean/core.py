@@ -7,7 +7,9 @@ Loewner-order verdict that always carries a witness vector.
 
 :func:`eig_sym` is the one validating entry point of the spectral layer: it
 runs :func:`symmetrize` on its input, so callers that only decompose pass
-their matrices straight to it rather than validating them first.
+their matrices straight to it rather than validating them first.  Its
+solvers rely on that input being exactly symmetric: Jacobi keeps it so
+through every rotation, computing each mirrored pair of entries once.
 
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.
@@ -127,17 +129,15 @@ def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
     return sym
 
 
-def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.where(v[idx, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
-    return v * signs
-
-
-def _fix_sign(x: float, y: float) -> tuple[float, float]:
-    # _fix_column_signs for one column (x, y): the first entry of largest
-    # |value| is made non-negative.
+def _fix_sign(x: float, y: float, *rest: float) -> tuple[float, ...]:
+    # The first entry of largest |value| of a column is made non-negative.
     pivot = x if abs(x) >= abs(y) else y
-    return (-x, -y) if pivot < 0.0 else (x, y)
+    if not rest:  # the 2x2 closed form, a hot path
+        return (-x, -y) if pivot < 0.0 else (x, y)
+    for z in rest:
+        if abs(z) > abs(pivot):
+            pivot = z
+    return tuple([-v for v in (x, y, *rest)]) if pivot < 0.0 else (x, y, *rest)
 
 
 def _rescaled(m: np.ndarray, decompose) -> SpectralDecomposition:
@@ -221,15 +221,16 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
             t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            for row in a:
-                x, y = row[p], row[q]
-                row[p] = c * x - s * y
-                row[q] = s * x + c * y
             rowp, rowq = a[p], a[q]
+            # a stays exactly symmetric: each off-block pair is computed once.
             for j in idx:
-                x, y = rowp[j], rowq[j]
-                rowp[j] = c * x - s * y
-                rowq[j] = s * x + c * y
+                if j != p and j != q:
+                    x, y = rowp[j], rowq[j]
+                    rowp[j] = a[j][p] = c * x - s * y
+                    rowq[j] = a[j][q] = s * x + c * y
+            app, aqq = rowp[p], rowq[q]
+            rowp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+            rowq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
             rowp[q] = rowq[p] = 0.0
             vp, vq = vt[p], vt[q]
             for j in idx:
@@ -240,9 +241,9 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
         raise NonConvergenceError(
             "Jacobi sweeps exceeded the cap of %d" % _JACOBI_SWEEP_CAP
         )
-    diag = np.array([a[i][i] for i in idx])
-    order = np.argsort(diag, kind="stable")
-    return SpectralDecomposition(diag[order], _fix_column_signs(np.array(vt).T[:, order]))
+    order = sorted(idx, key=lambda i: a[i][i])  # stable: ties keep their diagonal order
+    basis = np.array([_fix_sign(*vt[i]) for i in order]).T
+    return SpectralDecomposition(np.array([a[i][i] for i in order]), basis)
 
 
 def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
@@ -374,14 +375,19 @@ def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray
     orthogonal basis, so ``condition_spread == 1`` forces the identity.
     Deterministic per ``(dim, seed, condition_spread)``.
     """
+    return _random_pd_stack(dim, [(seed, condition_spread)])[0]
+
+
+def _random_pd_stack(dim: int, draws) -> np.ndarray:
+    """:func:`random_pd` of each (seed, condition_spread) in ``draws``, as one stack."""
     if not 1 <= dim <= MAX_DIM:
         raise PreconditionError("dimension %d outside 1..%d" % (dim, MAX_DIM))
-    if condition_spread < 1.0:
+    if any(spread < 1.0 for _, spread in draws):
         raise PreconditionError("condition_spread must be >= 1")
-    rng = np.random.default_rng(seed)
-    vals = np.exp(rng.uniform(-1.0, 1.0, size=dim) * math.log(condition_spread))
-    gauss = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    m = (q * vals) @ q.T
-    return (m + m.T) / 2.0
+    rngs = [np.random.default_rng(seed) for seed, _ in draws]
+    logs = [g.uniform(-1.0, 1.0, size=dim) * math.log(sp) for g, (_, sp) in zip(rngs, draws)]
+    gauss = [g.standard_normal((dim, dim)) for g in rngs]
+    q, r = np.linalg.qr(np.reshape(gauss, (-1, dim, dim)))
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
+    m = (q * np.exp(np.reshape(logs, (-1, 1, dim)))) @ q.transpose(0, 2, 1)
+    return (m + m.transpose(0, 2, 1)) / 2.0

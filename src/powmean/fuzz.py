@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, _order_verdict, loewner_leq, mat_fun, random_pd
+from .core import (DEFAULT_TOL, Tolerances, _order_verdict, _random_pd_stack, loewner_leq,
+                   mat_fun, random_pd)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import limit_slope_check, map_power, power_mean, power_mean_gap
@@ -81,10 +82,12 @@ def fuzz_point(
     passed = True
     worst = float("inf")
     for dim in dims:
+        draws = []  # all of a dimension's (seed, spread) draws, in the per-trial order
         for _ in range(trials):
             spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
-            a = random_pd(dim, int(rng.integers(2**63)), spread)
-            b = random_pd(dim, int(rng.integers(2**63)), spread)
+            draws += [(int(rng.integers(2**63)), spread), (int(rng.integers(2**63)), spread)]
+        pairs = _random_pd_stack(dim, draws)
+        for a, b in zip(pairs[0::2], pairs[1::2]):
             margin, lam = order_margin(p, q, a, b, tol)
             worst = min(worst, lam)
             passed &= margin >= 0.0

@@ -74,3 +74,18 @@ def test_every_module_attribute_in_workloads_exists():
 @pytest.mark.parametrize("module,name,args,kwargs", WORKLOAD_CALL_SHAPES)
 def test_workload_call_shapes_bind(module, name, args, kwargs):
     inspect.signature(_attr(module, name)).bind(*args, **kwargs)
+
+
+@pytest.mark.parametrize("trials,dims", [(7, (2, 3, 4)), (1, (3,)), (50, (2, 3))])
+def test_fuzz_point_makes_one_order_margin_call_per_check(monkeypatch, trials, dims):
+    # The scan workload counts its operations by rebinding fuzz.order_margin.
+    fuzz = importlib.import_module("powmean.fuzz")
+    inner, calls = fuzz.order_margin, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fuzz, "order_margin", counted)
+    fuzz.fuzz_point(0.5, 2.0, trials, 3, dims=dims)
+    assert calls == [(0.5, 2.0)] * (trials * len(dims))

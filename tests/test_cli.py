@@ -92,6 +92,45 @@ def test_bad_tolerance_option_is_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["scan", "--pmin", "nan"],
+    ["scan", "--pmax=-inf"],
+    ["scan", "--qmin", "inf"],
+    ["scan", "--qmax", "nan"],
+    ["scan", "--step", "inf"],
+    ["counterexample", "--p", "nan", "--q", "1"],
+    ["counterexample", "--p", "0.25", "--q", "inf"],
+    ["verify-lemma", "--family", "rank-one", "--p", "nan", "--q", "0.5"],
+    ["verify-lemma", "--family", "pd-rotation", "--p", "1", "--q", "2", "--x", "inf",
+     "--y", "0.25"],
+    ["verify-lemma", "--family", "log-euclidean", "--q", "2", "--x", "0.5", "--y=-inf"],
+])
+def test_non_finite_numeric_option_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + (["--out", str(out)] if argv[0] != "verify-lemma" else []))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--family", "rank-one", "--p", "2", "--q", "3"], "p, q in (0, 1)"),
+    (["--family", "pd-rotation", "--p", "1", "--q", "2", "--x", "-1", "--y", "0.25"],
+     "must be positive"),
+    (["--family", "log-euclidean", "--q", "2", "--x", "0.5", "--y", "0"], "must be positive"),
+    (["--family", "pd-rotation", "--p", "0", "--q", "2", "--x", "0.5", "--y", "0.25"],
+     "nonzero exponent"),
+])
+def test_verify_lemma_outside_family_domain_is_usage_error(argv, reason, capsys):
+    assert main(["verify-lemma", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["counterexample", "--p", "0.25", "--q", "1", "--seed", "1"],
     ["counterexample", "--p", "0.25", "--q", "1", "--tol-order", "1e-10"],
     ["choi-table", "--seed", "1"],

@@ -28,6 +28,7 @@ from powmean import (
     random_pd,
     symmetrize,
 )
+from powmean import core
 from powmean.maps import plane_rotation
 
 from conftest import sym_rand
@@ -232,6 +233,39 @@ def test_eig_bits_pinned_near_degenerate():
     assert _eig_bits(m) == "230be77c48588ed9973d3eb0104d76bd"
 
 
+# Exact ties in the Jacobi finish, pinned to numpy's rules (the hashes were
+# recorded with an argsort/argmax finish): equal eigenvalues keep their
+# diagonal order (a stable sort; signed zeros are equal), and a column whose
+# largest |entry| is tied takes its sign from the first of them.
+_TIE_CASES = {
+    "diag_tie_3": (np.diag([2.0, 1.0, 2.0]), "226a626c323b2de0bfe46e04132a2b68"),
+    "diag_tie_4": (np.diag([3.0, 1.0, 3.0, 1.0]), "e207e13e087cd5b53730fa0113753a9a"),
+    "signed_zero_diag": (np.diag([0.0, -0.0, 0.0]), "2f8a4a9cc5f2f812f1da9e68c8514106"),
+    "sign_tie_3": (np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]),
+                   "c2abc4b13b34ebb9bd12f08dd3ef2790"),
+    "sign_tie_4": (np.array([[2.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0],
+                             [0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 2.0]]),
+                   "05f5247e78a339a09187619197982b04"),
+    "ones_3": (np.ones((3, 3)), "444b37b7c3c37610d71b107952fbd5d9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_eig_ties_pinned(case):
+    m, bits = _TIE_CASES[case]
+    assert _eig_bits(m) == bits
+
+
+def test_eig_ties_keep_diagonal_order_and_first_pivot_sign():
+    dec = eig_sym(np.diag([2.0, 1.0, 2.0]))
+    assert dec.eigenvalues.tolist() == [1.0, 2.0, 2.0]
+    assert dec.basis.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    c = 1.0 / math.sqrt(2.0)
+    # both entries of each rotated column tie in |value|: the first is made >= 0
+    basis = eig_sym(_TIE_CASES["sign_tie_3"][0]).basis
+    assert basis[:2, :2].tolist() == [[c, c], [c, -c]]
+
+
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
 def test_eig_accurate_where_squares_overflow(rng, scale):
     # the squared entries overflow, which must not disable the threshold
@@ -400,3 +434,29 @@ def test_random_pd_validates_arguments():
         random_pd(0, 1)
     with pytest.raises(PreconditionError):
         random_pd(2, 1, 0.5)
+    with pytest.raises(PreconditionError, match="dimension"):
+        random_pd(9, 1, 0.5)  # the dimension is checked first
+
+
+def _random_pd_reference(dim, seed, condition_spread):
+    """The per-matrix construction the stacked builder must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    vals = np.exp(rng.uniform(-1.0, 1.0, size=dim) * math.log(condition_spread))
+    gauss = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(gauss)
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    m = (q * vals) @ q.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_random_pd_stack_matches_per_matrix_reference(dim):
+    spreads = (1.0, 2.0, 5.0, 10.0, 1e3)
+    draws = [(seed, spread) for seed in range(200) for spread in spreads]
+    stack = core._random_pd_stack(dim, draws)
+    assert stack.shape == (len(draws), dim, dim)
+    for (seed, spread), m in zip(draws, stack):
+        ref = _random_pd_reference(dim, seed, spread)
+        assert np.array_equal(m, ref), (seed, spread)
+    for seed, spread in draws[:: len(spreads) + 1]:
+        assert np.array_equal(random_pd(dim, seed, spread), _random_pd_reference(dim, seed, spread))

@@ -33,7 +33,7 @@ from powmean import (
     scalar_power_mean,
     symmetrize,
 )
-from powmean import Tolerances, core, find_counterexample, random_kraus_map
+from powmean import Tolerances, core, find_counterexample, fuzz, random_kraus_map
 from powmean.fuzz import fuzz_point, fuzz_region, order_margin
 from powmean.maps import plane_rotation
 
@@ -217,6 +217,33 @@ def test_order_verdicts_read_the_order_slack():
     assert not fuzz_point(0.25, 1.0, 20, 0)[0]
     assert fuzz_point(0.25, 1.0, 20, 0, tol=slack)[0]
     assert fuzz_region(50, 7, slack).worst >= 10.0
+
+
+def _fuzz_point_reference(p, q, trials, seed, dims):
+    """fuzz_point as a per-trial loop: one random_pd pair per draw."""
+    rng = fuzz._spawn(seed, 0)
+    passed, worst = True, float("inf")
+    for dim in dims:
+        for _ in range(trials):
+            spread = fuzz._SPREADS[int(rng.integers(len(fuzz._SPREADS)))]
+            a = random_pd(dim, int(rng.integers(2**63)), spread)
+            b = random_pd(dim, int(rng.integers(2**63)), spread)
+            margin, lam = order_margin(p, q, a, b)
+            worst = min(worst, lam)
+            passed &= margin >= 0.0
+    return passed, worst
+
+
+@pytest.mark.parametrize("p,q,dims", [
+    (0.5, 2.0, (2, 3)),
+    (0.25, 1.0, (2, 3)),  # outside the region: some checks fail
+    (-1.0, 0.0, (1, 4, 8)),
+])
+def test_fuzz_point_matches_per_trial_reference(p, q, dims):
+    for seed in range(3):
+        got = fuzz_point(p, q, 25, seed, dims=dims)
+        assert got == _fuzz_point_reference(p, q, 25, seed, dims)
+    assert fuzz_point(p, q, 0, 0, dims=dims) == (True, float("inf"))
 
 
 def test_weighted_arithmetic_mean():
