@@ -158,6 +158,9 @@ def cmd_counterexample(args) -> int:
         lines.append("parameters: x = %s, y = %s" % (_fmt(witness.x), _fmt(witness.y)))
     if witness.theta is not None:
         lines.append("rotation angle: %s" % _fmt(witness.theta))
+    if witness.j is not None:
+        k = "" if witness.k is None else "k = %d, " % witness.k
+        lines.append("schedule position: %sj = %d" % (k, witness.j))
     lines.extend(_matrix_lines("A", witness.a))
     lines.extend(_matrix_lines("B", witness.b))
     lines.append("negative eigenvalue of M_q - M_p: %s" % _fmt(witness.neg_eigenvalue))

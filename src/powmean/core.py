@@ -96,10 +96,10 @@ class OrderVerdict:
         return self.margin >= 0.0
 
 
-def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
+def symmetrize(m) -> np.ndarray:
     """Validate a square matrix and return its exactly symmetric part.
 
-    Asymmetry up to ``max_asymmetry`` (relative to 1 + the max entry) is
+    Asymmetry up to 1e-13 (relative to 1 + the max entry) is
     treated as accumulation drift and averaged away; anything larger is an
     error rather than silently rewritten.  Finite entries so large that
     the average overflows are an error too.
@@ -120,7 +120,7 @@ def symmetrize(m, max_asymmetry: float = _MAX_ASYMMETRY) -> np.ndarray:
     # zeros merely fall through to the measured guard).
     if m.tobytes() != m.T.tobytes():
         asym = float(np.abs(m - m.T).max())
-        if asym > max_asymmetry * (1.0 + float(np.abs(m).max())):
+        if asym > _MAX_ASYMMETRY * (1.0 + float(np.abs(m).max())):
             raise PreconditionError("asymmetry %.3e exceeds the construction guard" % asym)
     if not finite:
         raise PreconditionError(

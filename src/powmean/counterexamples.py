@@ -27,7 +27,6 @@ returned matrices, never from the expansion that guided the search.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -46,13 +45,11 @@ from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
 from .means import normalize_exponent, power_mean_gap, scalar_power_mean
-from .region import Case, classify, dual
+from .region import Case, classify, dual, in_family_domain
 
 CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
 _THETA_SCHEDULE = tuple(0.1 * 2.0**-j for j in range(21))
-_SCHEDULE_WARN_K = 35
-_SCHEDULE_WARN_J = 16
 _DUAL_RANK_ONE_SHIFT = 1e-6
 _EPS = sys.float_info.epsilon
 
@@ -62,6 +59,7 @@ _EPS = sys.float_info.epsilon
 CHOI_MATRIX = np.array(
     [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
 )
+_CHOI_SIGN_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +68,9 @@ class Witness:
 
     ``neg_eigenvalue`` is the smallest eigenvalue of M_q - M_p and
     ``witness`` a unit vector achieving it; ``x``, ``y``, ``theta`` record
-    the construction parameters when applicable.  ``dual_applied`` marks
+    the construction parameters when applicable, and ``k``, ``j`` their
+    schedule position x = 2^-k, theta = 0.1 * 2^-j (``None`` where the
+    family has no such index).  ``dual_applied`` marks
     witnesses built as the reciprocal of a construction at (-q, -p); their
     ``x``, ``y``, ``theta`` are those of the base construction, so a dual
     pd-rotation witness has ``a = diag(1, 1/x)``.
@@ -86,6 +86,8 @@ class Witness:
     y: float | None = None
     theta: float | None = None
     dual_applied: bool = False
+    k: int | None = None
+    j: int | None = None
 
 
 def pd_rotation_pair(x: float, y: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,10 +126,10 @@ def pd_rotation_difference(
 
 
 def rank_one_difference(
-    p: float, q: float, eps_shift: float = 0.0, tol: Tolerances = DEFAULT_TOL
+    p: float, q: float, tol: Tolerances = DEFAULT_TOL
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q - M_p for the singular rank-one family."""
-    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta, eps_shift), tol=tol)
+    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta), tol=tol)
 
 
 def _certify(p, q, a, b, cert_tol, tol):
@@ -198,12 +200,9 @@ def _first_witness(p, q, candidates, cert_tol, tol, exhausted: str, via_dual) ->
         except DomainError:
             continue
         if hit is not None:
-            if (k is not None and k >= _SCHEDULE_WARN_K) or j >= _SCHEDULE_WARN_J:
-                warnings.warn("counterexample search approached its schedule cap "
-                              "(k=%r, j=%d)" % (k, j), RuntimeWarning, stacklevel=4)
             lam, vec = hit
             return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta,
-                           dual_applied=via_dual)
+                           dual_applied=via_dual, k=k, j=j)
     raise SearchExhaustedError(exhausted)
 
 
@@ -248,7 +247,7 @@ def construct_pd_rotation(
     check certifies.
     """
     p = normalize_exponent(p)
-    if not (-1.0 < p < 0.5) or p == 0.0 or not q > max(0.0, p):
+    if not in_family_domain(Case.PD_ROTATION, p, q):
         raise PreconditionError(
             "pd-rotation family needs -1 < p < 1/2, p != 0 and q > max(0, p)"
         )
@@ -265,7 +264,7 @@ def construct_log_euclidean(
     The pd-rotation search at p = 0, guided by the log-Euclidean
     coefficient.
     """
-    if not q > 0.0:
+    if not in_family_domain(Case.LOG_EUCLIDEAN, 0.0, q):
         raise PreconditionError("log-euclidean family needs q > 0")
     return _search(Case.LOG_EUCLIDEAN, 0.0, q, cert_tol, tol)
 
@@ -283,7 +282,7 @@ def construct_rank_one(
     0 ** r = 0 convention); ``eps_shift`` optionally replaces it by the
     eps-shifted positive definite pair.
     """
-    if not 0.0 < p < q < 1.0:
+    if not in_family_domain(Case.RANK_ONE, p, q):
         raise PreconditionError("rank-one family needs 0 < p < q < 1")
     return _search(Case.RANK_ONE, p, q, cert_tol, tol, eps_shift=eps_shift)
 
@@ -343,15 +342,13 @@ def find_counterexample(
 
 
 def choi_sign_table(
-    p_values,
-    threshold: float = 1e-12,
-    tol: Tolerances = DEFAULT_TOL,
+    p_values, tol: Tolerances = DEFAULT_TOL
 ) -> list[tuple[float, tuple[str, str]]]:
     """Eigenvalue sign patterns of C(B^p) - C(B)^p for the Choi example.
 
     ``B`` is ``CHOI_MATRIX`` and ``C`` the compression onto the top-left
-    2x2 corner.  Signs are reported per ascending eigenvalue with the given
-    threshold ("0" inside it).  The pattern walks through five intervals:
+    2x2 corner.  Signs are reported per ascending eigenvalue, "0" within
+    1e-12 of zero.  The pattern walks through five intervals:
     (-, +) below -1, (+, +) on (-1, 0), (-, -) on (0, 1), (+, +) on (1, 2)
     and (-, +) above 2.
     """
@@ -366,7 +363,7 @@ def choi_sign_table(
         )
         dec = eig_sym(gap, tol)
         signs = tuple(
-            "+" if lam > threshold else "-" if lam < -threshold else "0"
+            "+" if lam > _CHOI_SIGN_THRESHOLD else "-" if lam < -_CHOI_SIGN_THRESHOLD else "0"
             for lam in dec.eigenvalues
         )
         rows.append((p, signs))

@@ -183,15 +183,45 @@ class DetCoefficientBreakdown:
         return self.delta1 + self.delta2
 
 
-def _check_power_frame(p: float, x: float, y: float, tol: Tolerances) -> float:
-    if p == 0.0:
+class _Terms(NamedTuple):
+    """One exponent's share of the t^2 coefficient: the scalar mean m_r,
+    c_r = (1-x^r)(1-y^r)/(r (2-x^r-y^r)) and a_r = (1-y^r)/(2-x^r-y^r)."""
+
+    m: float
+    c: float
+    a: float
+
+
+def _terms(r: float | None, x: float, y: float, tol: Tolerances) -> _Terms:
+    """The terms of exponent ``r``; ``r=None`` gives their r -> 0 limits
+    sqrt(xy), -log x log y / log xy and log y / log xy.
+
+    Raises ``DegenerateFrameError`` where the denominators degenerate:
+    x^r + y^r too close to 2, or xy too close to 1 in the limit.
+    """
+    if r == 0.0:
         raise PreconditionError("power frame needs a nonzero exponent")
     if x <= 0.0 or y <= 0.0:
         raise PreconditionError("x and y must be positive")
-    s = x**p + y**p
+    if r is None:
+        lxy = math.log(x * y)
+        if abs(lxy) <= tol.confluent:
+            raise DegenerateFrameError("x * y is too close to 1")
+        ly = math.log(y)
+        return _Terms(math.sqrt(x * y), -math.log(x) * ly / lxy, ly / lxy)
+    xr, yr = x**r, y**r
+    s = xr + yr
     if abs(s - 2.0) <= tol.confluent:
         raise DegenerateFrameError("x^p + y^p is too close to 2")
-    return s
+    return _Terms((s / 2.0) ** (1.0 / r), (1.0 - xr) * (1.0 - yr) / (r * (2.0 - s)),
+                  (1.0 - yr) / (2.0 - s))
+
+
+def _det_coeff(tp: _Terms, tq: _Terms) -> DetCoefficientBreakdown:
+    wp, wq = 1.0 - tp.m, 1.0 - tq.m
+    delta1 = 0.5 * (tp.c - tq.c) * (tq.m - tp.m)
+    delta2 = -((tp.a - tq.a) ** 2) * wp * wq
+    return DetCoefficientBreakdown(delta1, delta2, wp, wq)
 
 
 def taylor_frame_power(
@@ -203,10 +233,10 @@ def taylor_frame_power(
     base = diag(2, x^p + y^p), first with off-diagonal 1 - y^p, and
     second = diag(-(1 - y^p), 1 - y^p).
     """
-    s = _check_power_frame(p, x, y, tol)
+    _terms(p, x, y, tol)
     hy = 1.0 - y**p
     return TaylorFrame(
-        base=np.diag([2.0, s]),
+        base=np.diag([2.0, x**p + y**p]),
         first=np.array([[0.0, hy], [hy, 0.0]]),
         second=np.diag([-hy, hy]),
     )
@@ -218,12 +248,8 @@ def taylor_frame_log(x: float, y: float, tol: Tolerances = DEFAULT_TOL) -> Taylo
     base = diag(0, log xy), first with off-diagonal -log y, and
     second = diag(log y, -log y); requires xy away from 1.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise PreconditionError("x and y must be positive")
-    lxy = math.log(x * y)
-    if abs(lxy) <= tol.confluent:
-        raise DegenerateFrameError("x * y is too close to 1")
-    ly = math.log(y)
+    _terms(None, x, y, tol)
+    lxy, ly = math.log(x * y), math.log(y)
     return TaylorFrame(
         base=np.diag([0.0, lxy]),
         first=np.array([[0.0, -ly], [-ly, 0.0]]),
@@ -240,36 +266,29 @@ def _second_order_matrix(
     )
 
 
+def _alpha(t: _Terms, f: ScalarFunction, frame: TaylorFrame, tol: Tolerances):
+    w = 1.0 - t.m
+    alpha22 = float(_second_order_matrix(f, frame, tol)[1, 1])
+    return ExpansionCoefficients(-0.5 * t.c - t.a**2 * w, t.a * w, alpha22)
+
+
 def alpha_power(
     p: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
 ) -> ExpansionCoefficients:
     """Expansion coefficients of M_p(A, B_t) for the rotated-diagonal family.
 
-    ``alpha11`` and ``alpha12`` come from closed forms; ``alpha22`` is read
-    off the Frechet machinery (its closed form is never needed for the
-    determinant coefficient).
+    ``alpha11 = -c_p/2 - a_p^2 w_p`` and ``alpha12 = a_p w_p`` come from the
+    terms of ``det_coeff_power_pair``; ``alpha22`` is read off the Frechet
+    machinery (its closed form is never needed for the determinant
+    coefficient).
     """
-    s = _check_power_frame(p, x, y, tol)
-    hy = 1.0 - y**p
-    mp = (s / 2.0) ** (1.0 / p)
-    wp = 1.0 - mp
-    alpha11 = -(1.0 - x**p) * hy / (2.0 * p * (2.0 - s)) - hy**2 * wp / (2.0 - s) ** 2
-    alpha12 = hy * wp / (2.0 - s)
-    frame = taylor_frame_power(p, x, y, tol)
-    alpha22 = float(_second_order_matrix(Power(1.0 / p), frame, tol)[1, 1])
-    return ExpansionCoefficients(alpha11, alpha12, alpha22)
+    return _alpha(_terms(p, x, y, tol), Power(1.0 / p), taylor_frame_power(p, x, y, tol), tol)
 
 
 def alpha_log(x: float, y: float, tol: Tolerances = DEFAULT_TOL) -> ExpansionCoefficients:
-    """Expansion coefficients of the log-Euclidean mean of (A, B_t)."""
-    frame = taylor_frame_log(x, y, tol)
-    lx, ly = math.log(x), math.log(y)
-    lxy = lx + ly
-    w0 = 1.0 - math.sqrt(x * y)
-    alpha11 = lx * ly / (2.0 * lxy) - w0 * ly**2 / lxy**2
-    alpha12 = w0 * ly / lxy
-    alpha22 = float(_second_order_matrix(EXP, frame, tol)[1, 1])
-    return ExpansionCoefficients(alpha11, alpha12, alpha22)
+    """Expansion coefficients of the log-Euclidean mean of (A, B_t), from
+    the r -> 0 terms."""
+    return _alpha(_terms(None, x, y, tol), EXP, taylor_frame_log(x, y, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +300,16 @@ def det_coeff_power_pair(
 ) -> DetCoefficientBreakdown:
     """t^2 coefficient of det(M_q - M_p) for the rotated-diagonal family.
 
-    With m_r = ((x^r + y^r)/2)^(1/r), w_r = 1 - m_r and
-    a_r = (1 - y^r)/(2 - x^r - y^r):
+    With m_r = ((x^r + y^r)/2)^(1/r), w_r = 1 - m_r,
+    c_r = (1-x^r)(1-y^r)/(r (2-x^r-y^r)) and a_r = (1-y^r)/(2-x^r-y^r):
 
-        delta1 = (1/2) [ (1-x^p)(1-y^p)/(p (2-x^p-y^p))
-                         - (1-x^q)(1-y^q)/(q (2-x^q-y^q)) ] (m_q - m_p)
+        delta1 = (1/2) (c_p - c_q) (m_q - m_p)
         delta2 = -(a_p - a_q)^2 w_p w_q
 
     Raises ``DegenerateFrameError`` when x^r + y^r is too close to 2 for
     either exponent (the divided-difference denominators degenerate).
     """
-    sp = _check_power_frame(p, x, y, tol)
-    sq = _check_power_frame(q, x, y, tol)
-    mp = (sp / 2.0) ** (1.0 / p)
-    mq = (sq / 2.0) ** (1.0 / q)
-    cp = (1.0 - x**p) * (1.0 - y**p) / (p * (2.0 - sp))
-    cq = (1.0 - x**q) * (1.0 - y**q) / (q * (2.0 - sq))
-    ap = (1.0 - y**p) / (2.0 - sp)
-    aq = (1.0 - y**q) / (2.0 - sq)
-    wp, wq = 1.0 - mp, 1.0 - mq
-    delta1 = 0.5 * (cp - cq) * (mq - mp)
-    delta2 = -((ap - aq) ** 2) * wp * wq
-    return DetCoefficientBreakdown(delta1, delta2, wp, wq)
+    return _det_coeff(_terms(p, x, y, tol), _terms(q, x, y, tol))
 
 
 def det_coeff_log_pair(
@@ -310,27 +317,11 @@ def det_coeff_log_pair(
 ) -> DetCoefficientBreakdown:
     """t^2 coefficient of det(M_q - log-Euclidean mean), the p -> 0 limit.
 
-        delta1 = -(1/2) [ log x log y / log xy
-                          + (1-x^q)(1-y^q)/(q (2-x^q-y^q)) ] (m_q - sqrt(xy))
-        delta2 = -( log y/log xy - (1-y^q)/(2-x^q-y^q) )^2 w_0 w_q
-
-    Requires xy away from 1 and x^q + y^q away from 2.
+    The ``det_coeff_power_pair`` combination with the r -> 0 terms
+    m_0 = sqrt(xy), c_0 = -log x log y / log xy and a_0 = log y / log xy
+    in place of p's.  Requires xy away from 1 and x^q + y^q away from 2.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise PreconditionError("x and y must be positive")
-    lxy = math.log(x * y)
-    if abs(lxy) <= tol.confluent:
-        raise DegenerateFrameError("x * y is too close to 1")
-    sq = _check_power_frame(q, x, y, tol)
-    mq = (sq / 2.0) ** (1.0 / q)
-    m0 = math.sqrt(x * y)
-    w0, wq = 1.0 - m0, 1.0 - mq
-    cq = (1.0 - x**q) * (1.0 - y**q) / (q * (2.0 - sq))
-    a0 = math.log(y) / lxy
-    aq = (1.0 - y**q) / (2.0 - sq)
-    delta1 = -0.5 * (math.log(x) * math.log(y) / lxy + cq) * (mq - m0)
-    delta2 = -((a0 - aq) ** 2) * w0 * wq
-    return DetCoefficientBreakdown(delta1, delta2, w0, wq)
+    return _det_coeff(_terms(None, x, y, tol), _terms(q, x, y, tol))
 
 
 def det_coeff_rank_one(p: float, q: float) -> float:
@@ -384,7 +375,6 @@ def rank_one_remainder_orders(p: float, q: float) -> tuple[float, ...]:
 def numeric_det_coeff(
     difference_at: Callable[[float], np.ndarray],
     thetas: Sequence[float] = DEFAULT_THETAS,
-    rel_tol: float = _ORACLE_REL_TOL,
     orders: Sequence[float] = DEFAULT_REMAINDER_ORDERS,
 ) -> ExtrapolationResult:
     """Richardson-extrapolated limit of det(difference(t)) / t^2 as t -> 0.
@@ -401,7 +391,7 @@ def numeric_det_coeff(
     Raises
     ------
     NonConvergenceError
-        If successive extrapolants disagree beyond 10x ``rel_tol``.
+        If successive extrapolants disagree by more than 1e-4 (1 + |value|).
     """
     ts = np.asarray(thetas, dtype=float)
     if ts.ndim != 1 or ts.size < 4:
@@ -428,7 +418,7 @@ def numeric_det_coeff(
         nodes = nodes[1:]
     value = float(col[-1])
     error = float(abs(col[-1] - col[-2]))
-    if error > 10.0 * rel_tol * (1.0 + abs(value)):
+    if error > 10.0 * _ORACLE_REL_TOL * (1.0 + abs(value)):
         raise NonConvergenceError(
             "extrapolants disagree by %.3e at value %.6e" % (error, value)
         )

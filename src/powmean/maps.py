@@ -10,7 +10,7 @@ the classic identities reproduce bit-cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import (
     PreconditionError,
 )
 from .functions import Power
+
+_RANDOM_KRAUS_FACTORS = 3
 
 
 def plane_rotation(theta: float) -> np.ndarray:
@@ -35,15 +37,13 @@ class LinearMatrixMap:
     """Linear map from in_dim x in_dim to out_dim x out_dim symmetric matrices.
 
     ``action`` has shape (out_dim**2, in_dim**2) and acts on the row-major
-    vectorization; ``kraus`` holds factors when the map was built in Kraus
-    form (then it is completely positive by construction).
+    vectorization.
     """
 
     in_dim: int
     out_dim: int
     action: np.ndarray
     tag: str = "general"
-    kraus: tuple = field(default=())
 
     def apply(self, x) -> np.ndarray:
         x = symmetrize(x)
@@ -96,7 +96,6 @@ def kraus_map(factors, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
         out_dim,
         _action_from_factors(factors),
         tag="kraus(%d)" % len(factors),
-        kraus=factors,
     )
 
 
@@ -107,14 +106,7 @@ def block_average(n: int) -> LinearMatrixMap:
     left = np.hstack([np.eye(n), np.zeros((n, n))])
     right = np.hstack([np.zeros((n, n)), np.eye(n)])
     action = _action_from_factors([left, right], weights=[0.5, 0.5])
-    scale = 1.0 / math.sqrt(2.0)
-    return LinearMatrixMap(
-        2 * n,
-        n,
-        action,
-        tag="block-average(%d)" % n,
-        kraus=(scale * left, scale * right),
-    )
+    return LinearMatrixMap(2 * n, n, action, tag="block-average(%d)" % n)
 
 
 def _selector(index_set, in_dim: int) -> np.ndarray:
@@ -140,7 +132,6 @@ def compression(index_set, in_dim: int) -> LinearMatrixMap:
         sel.shape[0],
         _action_from_factors([sel]),
         tag="compression%r" % (tuple(int(i) for i in index_set),),
-        kraus=(sel,),
     )
 
 
@@ -162,14 +153,12 @@ def rotated_pinch(pair_a, pair_b, theta: float) -> LinearMatrixMap:
         raise PreconditionError("rotated_pinch needs index pairs of size 2")
     u = plane_rotation(theta)
     action = _action_from_factors([sel_a, u @ sel_b], weights=[0.5, 0.5])
-    scale = 1.0 / math.sqrt(2.0)
     return LinearMatrixMap(
         3,
         2,
         action,
         tag="rotated-pinch(%r,%r,%g)"
         % (tuple(int(i) for i in pair_a), tuple(int(i) for i in pair_b), theta),
-        kraus=(scale * sel_a, scale * (u @ sel_b)),
     )
 
 
@@ -177,19 +166,16 @@ def random_kraus_map(
     in_dim: int,
     out_dim: int,
     seed: int,
-    n_factors: int = 3,
     tol: Tolerances = DEFAULT_TOL,
 ) -> LinearMatrixMap:
     """Seeded random unital completely positive map.
 
-    Gaussian factors are normalized on the left by (sum V V^T)^(-1/2), which
-    makes the map unital exactly up to rounding.
+    Three Gaussian factors are normalized on the left by (sum V V^T)^(-1/2),
+    which makes the map unital exactly up to rounding.
     """
     _check_dims(in_dim, out_dim)
-    if n_factors < 1:
-        raise PreconditionError("need at least one factor")
     rng = np.random.default_rng(seed)
-    raw = [rng.standard_normal((out_dim, in_dim)) for _ in range(n_factors)]
+    raw = [rng.standard_normal((out_dim, in_dim)) for _ in range(_RANDOM_KRAUS_FACTORS)]
     whitener = mat_fun(sum(v @ v.T for v in raw), Power(-0.5), tol)
     return kraus_map([whitener @ v for v in raw], tol)
 

@@ -51,14 +51,17 @@ def dual(p: float, q: float) -> tuple[float, float]:
     return (-q, -p)
 
 
-def _direct_case(p: float, q: float) -> Case | None:
-    if p == 0.0 and q > 0.0:
-        return Case.LOG_EUCLIDEAN
-    if -1.0 < p < 0.5 and p != 0.0 and q > max(0.0, p):
-        return Case.PD_ROTATION
-    if 0.0 < p < q < 1.0:
-        return Case.RANK_ONE
-    return None
+#: Each counterexample family's exponent domain, in dispatch order.
+_FAMILY_DOMAINS = {
+    Case.LOG_EUCLIDEAN: lambda p, q: p == 0.0 and q > 0.0,
+    Case.PD_ROTATION: lambda p, q: -1.0 < p < 0.5 and p != 0.0 and q > max(0.0, p),
+    Case.RANK_ONE: lambda p, q: 0.0 < p < q < 1.0,
+}
+
+
+def in_family_domain(case: Case, p: float, q: float) -> bool:
+    """True iff the family of ``case`` applies directly at (p, q)."""
+    return _FAMILY_DOMAINS[case](p, q)
 
 
 def classify(p: float, q: float) -> CaseLabel:
@@ -74,10 +77,8 @@ def classify(p: float, q: float) -> CaseLabel:
         return CaseLabel(Case.IN_REGION)
     if p > q:
         return CaseLabel(Case.SCALAR_FAIL)
-    direct = _direct_case(p, q)
-    if direct is not None:
-        return CaseLabel(direct)
-    reflected = _direct_case(*dual(p, q))
-    if reflected is not None:
-        return CaseLabel(reflected, via_dual=True)
+    for base, via_dual in (((p, q), False), (dual(p, q), True)):
+        for case, holds in _FAMILY_DOMAINS.items():
+            if holds(*base):
+                return CaseLabel(case, via_dual)
     raise RuntimeError("classification gap at (%r, %r)" % (p, q))

@@ -29,11 +29,15 @@ WORKLOAD_CALLS = [
 ]
 
 #: Call shapes of workloads.py: the wide workload's order and map-order
-#: checks, and the scan workload's wrapper of the CLI's fuzz_point.
+#: checks, the scan workload's wrapper of the CLI's fuzz_point, and the
+#: lemma workload's difference functions and oracle.
 WORKLOAD_CALL_SHAPES = [
     ("fuzz", "fuzz_point", (0.5, 2.0, 1, 9), {"dims": (4,)}),
     ("fuzz", "fuzz_map_order", (1, 9), {"dims": (4,)}),
     ("cli", "fuzz_point", (0.5, 2.0, 50, 9), {"tol": DEFAULT_TOL}),
+    ("counterexamples", "rank_one_difference", (0.25, 0.5), {}),
+    ("counterexamples", "pd_rotation_difference", (0.5, 2.0, 0.25, 0.0625), {}),
+    ("expansions", "numeric_det_coeff", (abs,), {"orders": (1.0, 2.0, 4.0)}),
 ]
 
 
@@ -89,3 +93,25 @@ def test_fuzz_point_makes_one_order_margin_call_per_check(monkeypatch, trials, d
     monkeypatch.setattr(fuzz, "order_margin", counted)
     fuzz.fuzz_point(0.5, 2.0, trials, 3, dims=dims)
     assert calls == [(0.5, 2.0)] * (trials * len(dims))
+
+
+@pytest.mark.parametrize("p,q,name", [(0.3, 2.0, "det_coeff_power_pair"),
+                                      (-2.0, -0.25, "det_coeff_power_pair"),
+                                      (0.0, 3.0, "det_coeff_log_pair")])
+def test_rotation_walk_calls_the_coefficients_by_module_name(monkeypatch, p, q, name):
+    # spans.py counts expansions.det_coeff calls by replacing these names in
+    # counterexamples, so the walk must look them up there: one call per x.
+    ce = importlib.import_module("powmean.counterexamples")
+    calls = {}
+    for attr in ("det_coeff_power_pair", "det_coeff_log_pair"):
+        inner = getattr(ce, attr)
+        calls[attr] = []
+
+        def counted(*args, inner=inner, seen=calls[attr]):
+            seen.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(ce, attr, counted)
+    witness = ce.find_counterexample(p, q)
+    assert len(calls.pop(name)) == witness.k - ce._X_SCHEDULE[0] + 1
+    assert calls.popitem()[1] == []

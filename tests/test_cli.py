@@ -158,6 +158,7 @@ def test_counterexample_certified_exit(capsys):
     captured = capsys.readouterr().out
     assert "negative eigenvalue" in captured
     assert "pd-rotation" in captured
+    assert "schedule position: k = 4, j = 0" in captured
 
 
 def test_counterexample_in_region_exit(capsys):

@@ -207,15 +207,16 @@ def test_find_counterexample_dual_recertified(p, q):
     assert witness.p == p and witness.q == q
 
 
-#: (p, q) -> (x, y, theta, dual_applied) of the first certified schedule
-#: point: x = 2^-k, y = x^2, theta = 0.1 * 2^-j, so every value is exact.
+#: (p, q) -> (x, y, theta, dual_applied, k, j) of the first certified
+#: schedule point: x = 2^-k, y = x^2, theta = 0.1 * 2^-j, so every value is
+#: exact.
 _SEARCH_ORDER = {
-    "pd-rotation": ((0.3, 2.0), (2.0**-7, 2.0**-14, 0.1 * 2.0**-5, False)),
-    "log-euclidean": ((0.0, 3.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, False)),
-    "rank-one": ((0.9, 0.95), (None, None, 0.1 * 2.0**-13, False)),
-    "pd-rotation-dual": ((-2.0, -0.25), (2.0**-6, 2.0**-12, 0.1 * 2.0**-4, True)),
-    "log-euclidean-dual": ((-3.0, 0.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, True)),
-    "rank-one-dual": ((-0.9, -0.7), (None, None, 0.1 * 2.0**-2, True)),
+    "pd-rotation": ((0.3, 2.0), (2.0**-7, 2.0**-14, 0.1 * 2.0**-5, False, 7, 5)),
+    "log-euclidean": ((0.0, 3.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, False, 5, 4)),
+    "rank-one": ((0.9, 0.95), (None, None, 0.1 * 2.0**-13, False, None, 13)),
+    "pd-rotation-dual": ((-2.0, -0.25), (2.0**-6, 2.0**-12, 0.1 * 2.0**-4, True, 6, 4)),
+    "log-euclidean-dual": ((-3.0, 0.0), (2.0**-5, 2.0**-10, 0.1 * 2.0**-4, True, 5, 4)),
+    "rank-one-dual": ((-0.9, -0.7), (None, None, 0.1 * 2.0**-2, True, None, 2)),
 }
 
 
@@ -224,14 +225,15 @@ def test_find_counterexample_search_order(label):
     (p, q), expected = _SEARCH_ORDER[label]
     assert str(classify(p, q)) == label
     witness = find_counterexample(p, q)
-    assert (witness.x, witness.y, witness.theta, witness.dual_applied) == expected
+    assert (witness.x, witness.y, witness.theta, witness.dual_applied,
+            witness.k, witness.j) == expected
 
 
 @pytest.mark.parametrize("label", sorted(lab for lab in _SEARCH_ORDER if lab.endswith("-dual")))
 def test_dual_witness_is_the_closed_form_reciprocal(label):
     # A dual witness is the exact reciprocal of its base pair, built from
     # the base schedule point without a numerical inversion.
-    (p, q), (x, y, theta, _) = _SEARCH_ORDER[label]
+    (p, q), (x, y, theta, *_) = _SEARCH_ORDER[label]
     witness = find_counterexample(p, q)
     if label == "rank-one-dual":
         eps = ce._DUAL_RANK_ONE_SHIFT

@@ -6,7 +6,9 @@ the det/theta^2 extrapolation; each closed form is checked against at least
 one route that does not share its code path.
 """
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from powmean import (
     LOG,
     NonConvergenceError,
     Power,
+    PowerMeanError,
     PreconditionError,
     alpha_log,
     alpha_power,
@@ -311,6 +314,95 @@ def test_log_pair_is_small_exponent_limit():
         lim = det_coeff_power_pair(1e-6, q, x, y).total
         log_val = det_coeff_log_pair(q, x, y).total
         assert log_val == pytest.approx(lim, rel=1e-3)
+
+
+def _coeff_words(fn, *args):
+    """float.hex words of a breakdown, or the error's type and message.
+    Adding 0.0 folds the sign of a zero, which nothing reads."""
+    try:
+        out = fn(*args)
+    except PowerMeanError as exc:
+        return ["%s:%s" % (type(exc).__name__, exc)]
+    return [float.hex(v + 0.0) for v in (out.delta1, out.delta2, out.wp, out.wq)]
+
+
+def _coeff_pin_words(group):
+    """Every coefficient of one pinned input group, as words."""
+    words = []
+    if group.startswith("walk"):
+        # The counterexample walk's x = 2^-k, y = 4^-k, exponents on a grid.
+        grid = [0.5 * i for i in range(-6, 7)]
+        for k in range(4, 41):
+            x, y = 2.0**-k, 4.0**-k
+            for q in grid:
+                if group == "walk-log":
+                    words += _coeff_words(det_coeff_log_pair, q, x, y)
+                    continue
+                for p in grid:
+                    words += _coeff_words(det_coeff_power_pair, p, q, x, y)
+        return words
+    rng = random.Random(9)
+    for _ in range(2000):
+        p, q = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        x, y = math.exp(rng.uniform(-7.0, 7.0)), math.exp(rng.uniform(-7.0, 7.0))
+        words += _coeff_words(det_coeff_power_pair, p, q, x, y)
+        words += _coeff_words(det_coeff_log_pair, q, x, y)
+    return words
+
+
+# sha256 (first 32 hex digits) of the words above, recorded from the
+# per-family closed forms the shared terms replaced.
+_COEFF_PINS = {
+    "walk-power": "e63d6ff95e384f03ee18ffadf6eec6f1",
+    "walk-log": "9ca93b51c3a998c5ff801b1a633d9db8",
+    "random": "f5df432b4050040e8a0beceadbc94320",
+}
+
+
+@pytest.mark.parametrize("group", sorted(_COEFF_PINS))
+def test_det_coeff_values_pinned(group):
+    words = " ".join(_coeff_pin_words(group))
+    assert hashlib.sha256(words.encode()).hexdigest()[:32] == _COEFF_PINS[group]
+
+
+@pytest.mark.parametrize("fn,args,error,message", [
+    (det_coeff_power_pair, (0.0, 1.0, 0.5, 0.25), PreconditionError,
+     "power frame needs a nonzero exponent"),
+    (det_coeff_power_pair, (1.0, 0.0, 0.5, 0.25), PreconditionError,
+     "power frame needs a nonzero exponent"),
+    (det_coeff_log_pair, (0.0, 0.5, 0.25), PreconditionError,
+     "power frame needs a nonzero exponent"),
+    (det_coeff_power_pair, (1.0, 2.0, 0.0, 0.25), PreconditionError,
+     "x and y must be positive"),
+    (det_coeff_power_pair, (1.0, 2.0, 0.5, -0.25), PreconditionError,
+     "x and y must be positive"),
+    (det_coeff_log_pair, (1.0, -0.5, 0.25), PreconditionError,
+     "x and y must be positive"),
+    (det_coeff_log_pair, (1.0, 4.0, 0.25), DegenerateFrameError,
+     "x * y is too close to 1"),
+    (det_coeff_power_pair, (0.5, 1.0, 1.0, 1.0), DegenerateFrameError,
+     "x^p + y^p is too close to 2"),
+    (det_coeff_power_pair, (2.0, 1.0, 1.5, 0.5), DegenerateFrameError,
+     "x^p + y^p is too close to 2"),
+    (det_coeff_log_pair, (1.0, 1.5, 0.5), DegenerateFrameError,
+     "x^p + y^p is too close to 2"),
+    # error order: the first exponent's frame, then the second's
+    (det_coeff_power_pair, (0.5, 0.0, -1.0, 0.25), PreconditionError,
+     "x and y must be positive"),
+    (det_coeff_power_pair, (0.0, 0.5, -1.0, 0.25), PreconditionError,
+     "power frame needs a nonzero exponent"),
+    (det_coeff_power_pair, (1.0, 0.0, 1.5, 0.5), DegenerateFrameError,
+     "x^p + y^p is too close to 2"),
+    (det_coeff_log_pair, (0.0, 4.0, 0.25), DegenerateFrameError,
+     "x * y is too close to 1"),
+    (det_coeff_log_pair, (0.0, -4.0, 0.25), PreconditionError,
+     "x and y must be positive"),
+])
+def test_det_coeff_errors(fn, args, error, message):
+    with pytest.raises(PowerMeanError) as info:
+        fn(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_rank_one_coefficient_values():
