@@ -45,6 +45,7 @@ from .region import Case, classify
 CSV_HEADER = "p,q,label,verdict,detail,x,y,theta,seed"
 _LEMMA_GAP_BOUND = 1e-4
 _CHOI_POWERS = (-2.0, -0.5, 0.5, 1.5, 3.0)
+_SLACK_TARGETS = ("map-order", "region")  # the fuzz targets that make order verdicts
 
 
 def _fmt(value) -> str:
@@ -122,7 +123,7 @@ def cmd_scan(args) -> int:
                 consistent &= passed
             else:
                 try:
-                    witness = find_counterexample(p, q, args.tol_cert, args.tol)
+                    witness = find_counterexample(p, q, args.tol_cert)
                 except PowerMeanError as exc:
                     verdict, detail = "uncertified", type(exc).__name__
                     consistent = False
@@ -225,7 +226,10 @@ def cmd_verify_lemma(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
-    report = FUZZ_TARGETS[args.target](args.trials, args.seed, args.tol)
+    slack = () if args.tol is None else (args.tol,)
+    if slack and args.target not in _SLACK_TARGETS:
+        _usage_error("--tol-order applies only to the %s targets" % " and ".join(_SLACK_TARGETS))
+    report = FUZZ_TARGETS[args.target](args.trials, args.seed, *slack)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -240,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=os.environ.get("POWMEAN_SEED", "0"),
                       help="master seed (default: $POWMEAN_SEED, else 0)")
-    tol_order = argparse.ArgumentParser(add_help=False)
-    tol_order.add_argument("--tol-order", dest="tol", metavar="SLACK", default=DEFAULT_TOL,
-                           type=_checked(lambda order: Tolerances(order=order)))
+    order_slack = _checked(lambda order: Tolerances(order=order))
     tol_cert = argparse.ArgumentParser(add_help=False)
     tol_cert.add_argument("--tol-cert", default=CERT_TOL, type=_checked(_checked_cert_tol))
 
-    scan = sub.add_parser("scan", parents=[seed, tol_order, tol_cert],
+    scan = sub.add_parser("scan", parents=[seed, tol_cert],
                           help="classify a (p, q) grid and emit a CSV report")
+    scan.add_argument("--tol-order", dest="tol", metavar="SLACK", default=DEFAULT_TOL,
+                      type=order_slack)
     scan.add_argument("--pmin", type=_checked(float), default=-2.0)
     scan.add_argument("--pmax", type=_checked(float), default=2.0)
     scan.add_argument("--qmin", type=_checked(float), default=-2.0)
@@ -277,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     lemma.add_argument("--y", type=_checked(float), default=None)
     lemma.set_defaults(func=cmd_verify_lemma)
 
-    fuzz = sub.add_parser("fuzz", parents=[seed, tol_order], help="randomized property suites")
+    fuzz = sub.add_parser("fuzz", parents=[seed], help="randomized property suites")
     fuzz.add_argument("target", choices=sorted(FUZZ_TARGETS))
+    fuzz.add_argument("--tol-order", dest="tol", metavar="SLACK", type=order_slack,
+                      help="order slack of the %s targets" % " and ".join(_SLACK_TARGETS))
     fuzz.add_argument("--trials", type=int, default=200)
     fuzz.set_defaults(func=cmd_fuzz)
 

@@ -34,38 +34,33 @@ from .functions import Exp, Log, Power, ScalarFunction
 MAX_DIM = 8
 _MAX_ASYMMETRY = 1e-13
 _JACOBI_SWEEP_CAP = 100
+_JACOBI_THRESHOLD = 1e-12  # off-diagonal stop, relative to the Frobenius norm
+#: Floor below which an eigenvalue counts as non-positive in the spectral
+#: functions' domain checks, relative to the largest |eigenvalue|; also the
+#: unitality slack of maps.
+PSD_FLOOR = 1e-10
+#: Node separation (relative to 1 + the nodes' magnitude) below which divided
+#: differences take their derivative-based confluent form; also the margin
+#: by which an expansion frame's denominators must avoid zero.
+CONFLUENT_GAP = 1e-7
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Dimensionless relative scales used throughout the package.
+    """The slack of every Loewner-order verdict, the one tolerance callers set.
 
     Attributes
     ----------
-    eig : float
-        Spectral decomposition accuracy (reconstruction, orthogonality).
-    psd : float
-        Floor below which an eigenvalue counts as non-positive for domain
-        checks, relative to the matrix norm; also the unitality slack.
     order : float
-        Slack of every Loewner-order verdict, in the library, the fuzz and
-        ``scan``: D >= 0 holds iff lambda_min(D) + order * (1 + max|D|) >= 0.
-    confluent : float
-        Node separation below which divided differences switch to their
-        derivative-based confluent form.
+        Used in the library, the fuzz and ``scan``: D >= 0 holds iff
+        lambda_min(D) + order * (1 + max|D|) >= 0.
     """
 
-    eig: float = 1e-12
-    psd: float = 1e-10
     order: float = 1e-10
-    confluent: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in ("eig", "psd", "order", "confluent"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise PreconditionError("tolerance %r must be positive and finite" % name)
-        if not self.confluent > self.eig:
-            raise PreconditionError("confluent tolerance must exceed eig tolerance")
+        if not 0.0 < self.order < math.inf:
+            raise PreconditionError("tolerance 'order' must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()
@@ -187,14 +182,14 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([mid - r, mid + r]), np.array([[x0, x1], [y0, y1]]))
 
 
-def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
+def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
     with np.errstate(over="ignore"):
         frob2 = float((m * m).sum())
     if not math.isfinite(frob2):
         # Entries above ~1e154 overflow the squares (an infinite threshold
         # would stop the sweeps after one pass), and near the top of the
         # range the rotations overflow too.
-        return _rescaled(m, lambda scaled: _eig_jacobi(scaled, tol))
+        return _rescaled(m, _eig_jacobi)
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do, so results
@@ -202,7 +197,7 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
     n = m.shape[0]
     a = m.tolist()
     vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
-    thresh = tol.eig * math.sqrt(frob2)
+    thresh = _JACOBI_THRESHOLD * math.sqrt(frob2)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     idx = range(n)
     # One extra sweep after crossing the threshold: clustered spectra need
@@ -246,14 +241,14 @@ def _eig_jacobi(m: np.ndarray, tol: Tolerances) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([a[i][i] for i in order]), basis)
 
 
-def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def eig_sym(m) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
     The input is validated and averaged by :func:`symmetrize` here, once;
     this is the one validating entry point for every decomposition.  Uses
     the closed-form rotation for 2x2 and cyclic Jacobi sweeps above, with
-    the off-diagonal threshold ``tol.eig`` times the Frobenius norm and a
-    hard cap on sweeps.  Deterministic for fixed input.
+    the off-diagonal threshold 1e-12 times the Frobenius norm and a hard
+    cap on sweeps.  Deterministic for fixed input.
 
     Returns
     -------
@@ -276,14 +271,14 @@ def eig_sym(m, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
         return _eig_1x1(m)
     if n == 2:
         return _eig_2x2(m)
-    return _eig_jacobi(m, tol)
+    return _eig_jacobi(m)
 
 
-def _spectrum_values(f: ScalarFunction, eigs: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
     if isinstance(f, Exp):
         return np.exp(eigs)
     # The spectrum ascends (NaN sorts last), so its ends hold the largest |value|.
-    floor = tol.psd * max(abs(float(eigs[-1])), abs(float(eigs[0])))
+    floor = PSD_FLOOR * max(abs(float(eigs[-1])), abs(float(eigs[0])))
     if isinstance(f, Log):
         if eigs[0] <= floor:
             raise DomainError(
@@ -310,20 +305,18 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray, tol: Tolerances) -> np
     return eigs**r
 
 
-def spectral_fun(
-    dec: SpectralDecomposition, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def spectral_fun(dec: SpectralDecomposition, f: ScalarFunction) -> np.ndarray:
     """``f`` applied to a matrix already decomposed by :func:`eig_sym`.
 
     Computes V diag(f(lambda_i)) V^T, exactly symmetric, under the domain
     rules of :func:`mat_fun`; one decomposition can serve several functions.
     """
-    vals = _spectrum_values(f, dec.eigenvalues, tol)
+    vals = _spectrum_values(f, dec.eigenvalues)
     out = (dec.basis * vals) @ dec.basis.T
     return (out + out.T) / 2.0
 
 
-def mat_fun(m, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def mat_fun(m, f: ScalarFunction) -> np.ndarray:
     """Spectral matrix function: apply a scalar function to the eigenvalues.
 
     Parameters
@@ -333,7 +326,7 @@ def mat_fun(m, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     f : Power | Log | Exp
         Scalar function tag.  ``Power(r)`` with r a nonnegative integer is
         unrestricted; with r > 0 fractional it admits positive semidefinite
-        input, treating eigenvalues within ``tol.psd * norm(m)`` of zero as
+        input, treating eigenvalues within ``PSD_FLOOR * norm(m)`` of zero as
         exact zeros (0 ** r = 0); ``Power(r <= 0)`` and ``Log`` require all
         eigenvalues above that floor.
 
@@ -342,7 +335,7 @@ def mat_fun(m, f: ScalarFunction, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     DomainError
         If an eigenvalue violates the function's domain as above.
     """
-    return spectral_fun(eig_sym(m, tol), f, tol)
+    return spectral_fun(eig_sym(m), f)
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:
@@ -361,7 +354,7 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:
 
 def _order_verdict(d, tol: Tolerances) -> OrderVerdict:
     """The verdict 0 <= D under ``tol.order``; :func:`eig_sym` validates ``d``."""
-    dec = eig_sym(d, tol)
+    dec = eig_sym(d)
     lam = float(dec.eigenvalues[0])
     margin = lam + tol.order * (1.0 + float(np.abs(d).max()))
     return OrderVerdict(margin, lam, dec.basis[:, 0].copy())

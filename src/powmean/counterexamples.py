@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, eig_sym, mat_fun, symmetrize
+from .core import PSD_FLOOR, eig_sym, mat_fun, symmetrize
 from .errors import (
     DegenerateFrameError,
     DomainError,
@@ -119,27 +119,25 @@ def rank_one_pair(theta: float, eps_shift: float = 0.0) -> tuple[np.ndarray, np.
 
 
 def pd_rotation_difference(
-    p: float, q: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
+    p: float, q: float, x: float, y: float
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q(A, B_theta) - M_p(A, B_theta) for the rotated family."""
-    return lambda theta: power_mean_gap(p, q, *pd_rotation_pair(x, y, theta), tol=tol)
+    return lambda theta: power_mean_gap(p, q, *pd_rotation_pair(x, y, theta))
 
 
-def rank_one_difference(
-    p: float, q: float, tol: Tolerances = DEFAULT_TOL
-) -> Callable[[float], np.ndarray]:
+def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
     """theta -> M_q - M_p for the singular rank-one family."""
-    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta), tol=tol)
+    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta))
 
 
-def _certify(p, q, a, b, cert_tol, tol):
+def _certify(p, q, a, b, cert_tol):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
     ``-cert_tol``.  The closed form's mid - r is good to a few eps times the
     top eigenvalue; where that is coarser than ``cert_tol`` (the large gaps
     of reciprocal pairs), det / top, which does not cancel, replaces it.
     """
-    gap = power_mean_gap(p, q, a, b, tol=tol)
-    dec = eig_sym(gap, tol)
+    gap = power_mean_gap(p, q, a, b)
+    dec = eig_sym(gap)
     lam, top = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     if top > -lam and 4.0 * _EPS * top > cert_tol:
         (g00, g01), (_, g11) = gap.tolist()
@@ -155,7 +153,7 @@ def _theta_walk(pair, k=None, x=None, y=None):
         yield k, j, x, y, theta, pair(theta)
 
 
-def _rotation_walk(p, q, tol, via_dual):
+def _rotation_walk(p, q, via_dual):
     """Candidates x = 2^-k, y = x^2 whose closed-form t^2 coefficient at
     (p, q) (the log-Euclidean one at p = 0) is negative, each walking its
     thetas.  With ``via_dual`` the pairs are the exact reciprocals
@@ -164,7 +162,7 @@ def _rotation_walk(p, q, tol, via_dual):
 
     Where the smaller certified exponent (p, or -q when dual) is <= 0, the
     walk stops once y, B_t's smallest eigenvalue relative to its norm (in
-    both pairs), lies certainly below the domain floor ``tol.psd``: that
+    both pairs), lies certainly below the domain floor ``PSD_FLOOR``: that
     candidate and every later one (y only falls) raise ``DomainError``.
     """
     low = -q if via_dual else p
@@ -172,14 +170,14 @@ def _rotation_walk(p, q, tol, via_dual):
         x = 2.0**-k
         y = x * x
         # Computed, y and the floor are each off by a few eps; the margins
-        # keep the stop sound for every tol.psd, down to where it never fires.
-        if low <= 0.0 and y + 16.0 * _EPS <= 0.5 * tol.psd:
+        # keep the stop sound: every candidate it skips lies below the floor.
+        if low <= 0.0 and y + 16.0 * _EPS <= 0.5 * PSD_FLOOR:
             break
         try:
             if p == 0.0:
-                coeff = det_coeff_log_pair(q, x, y, tol)
+                coeff = det_coeff_log_pair(q, x, y)
             else:
-                coeff = det_coeff_power_pair(p, q, x, y, tol)
+                coeff = det_coeff_power_pair(p, q, x, y)
             if coeff.total >= 0.0:
                 continue
         except DegenerateFrameError:
@@ -188,7 +186,7 @@ def _rotation_walk(p, q, tol, via_dual):
         yield from _theta_walk(partial(pd_rotation_pair, *pair), k, x, y)
 
 
-def _first_witness(p, q, candidates, cert_tol, tol, exhausted: str, via_dual) -> Witness:
+def _first_witness(p, q, candidates, cert_tol, exhausted: str, via_dual) -> Witness:
     """The first candidate that ``_certify`` accepts at (p, q), as a witness.
 
     Candidates outside the means' domain are skipped; running out raises
@@ -196,7 +194,7 @@ def _first_witness(p, q, candidates, cert_tol, tol, exhausted: str, via_dual) ->
     """
     for k, j, x, y, theta, (a, b) in candidates:
         try:
-            hit = _certify(p, q, a, b, cert_tol, tol)
+            hit = _certify(p, q, a, b, cert_tol)
         except DomainError:
             continue
         if hit is not None:
@@ -213,7 +211,7 @@ def _checked_cert_tol(cert_tol: float) -> float:
     return cert_tol
 
 
-def _search(case, p, q, cert_tol, tol, via_dual=False, eps_shift=0.0) -> Witness:
+def _search(case, p, q, cert_tol, via_dual=False, eps_shift=0.0) -> Witness:
     """Certified witness at (p, q) from the family of ``case``, walked at
     its base pair: (p, q), or (-q, -p) on reciprocal pairs with ``via_dual``.
     """
@@ -226,20 +224,15 @@ def _search(case, p, q, cert_tol, tol, via_dual=False, eps_shift=0.0) -> Witness
         walk = _theta_walk(pair)
         exhausted = "rank-one schedule exhausted at (%g, %g)" % (bp, bq)
     elif case is Case.LOG_EUCLIDEAN:
-        walk = _rotation_walk(0.0, bq, tol, via_dual)
+        walk = _rotation_walk(0.0, bq, via_dual)
         exhausted = "log-euclidean schedule exhausted at q=%g" % bq
     else:
-        walk = _rotation_walk(bp, bq, tol, via_dual)
+        walk = _rotation_walk(bp, bq, via_dual)
         exhausted = "pd-rotation schedule exhausted at (%g, %g)" % (bp, bq)
-    return _first_witness(p, q, walk, _checked_cert_tol(cert_tol), tol, exhausted, via_dual)
+    return _first_witness(p, q, walk, _checked_cert_tol(cert_tol), exhausted, via_dual)
 
 
-def construct_pd_rotation(
-    p: float,
-    q: float,
-    cert_tol: float = CERT_TOL,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Witness:
+def construct_pd_rotation(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
     """Certified witness for -1 < p < 1/2, p != 0 and q > max(0, p).
 
     Walks x = 2^-k (y = x^2) until the closed-form determinant coefficient
@@ -251,14 +244,10 @@ def construct_pd_rotation(
         raise PreconditionError(
             "pd-rotation family needs -1 < p < 1/2, p != 0 and q > max(0, p)"
         )
-    return _search(Case.PD_ROTATION, p, q, cert_tol, tol)
+    return _search(Case.PD_ROTATION, p, q, cert_tol)
 
 
-def construct_log_euclidean(
-    q: float,
-    cert_tol: float = CERT_TOL,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Witness:
+def construct_log_euclidean(q: float, cert_tol: float = CERT_TOL) -> Witness:
     """Certified witness for p = 0 (log-Euclidean mean) against q > 0.
 
     The pd-rotation search at p = 0, guided by the log-Euclidean
@@ -266,15 +255,11 @@ def construct_log_euclidean(
     """
     if not in_family_domain(Case.LOG_EUCLIDEAN, 0.0, q):
         raise PreconditionError("log-euclidean family needs q > 0")
-    return _search(Case.LOG_EUCLIDEAN, 0.0, q, cert_tol, tol)
+    return _search(Case.LOG_EUCLIDEAN, 0.0, q, cert_tol)
 
 
 def construct_rank_one(
-    p: float,
-    q: float,
-    eps_shift: float = 0.0,
-    cert_tol: float = CERT_TOL,
-    tol: Tolerances = DEFAULT_TOL,
+    p: float, q: float, eps_shift: float = 0.0, cert_tol: float = CERT_TOL
 ) -> Witness:
     """Certified witness for 0 < p < q < 1 from the singular rank-one pair.
 
@@ -284,15 +269,10 @@ def construct_rank_one(
     """
     if not in_family_domain(Case.RANK_ONE, p, q):
         raise PreconditionError("rank-one family needs 0 < p < q < 1")
-    return _search(Case.RANK_ONE, p, q, cert_tol, tol, eps_shift=eps_shift)
+    return _search(Case.RANK_ONE, p, q, cert_tol, eps_shift=eps_shift)
 
 
-def construct_scalar_fail(
-    p: float,
-    q: float,
-    cert_tol: float = CERT_TOL,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Witness:
+def construct_scalar_fail(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
     """Witness for p > q: scalar power means are strictly monotone.
 
     With A = I and B = 4 I the difference M_q - M_p is the negative scalar
@@ -303,7 +283,7 @@ def construct_scalar_fail(
         raise PreconditionError("scalar failure needs p > q")
     a = np.eye(2)
     b = 4.0 * np.eye(2)
-    hit = _certify(p, q, a, b, _checked_cert_tol(cert_tol), tol)
+    hit = _certify(p, q, a, b, _checked_cert_tol(cert_tol))
     if hit is None:
         raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
     lam, vec = hit
@@ -313,12 +293,7 @@ def construct_scalar_fail(
     return Witness(p, q, a, b, lam, vec)
 
 
-def find_counterexample(
-    p: float,
-    q: float,
-    cert_tol: float = CERT_TOL,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Witness:
+def find_counterexample(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
     """Dispatch an exponent pair to its family and certify a witness.
 
     Pairs inside the sufficiency region raise ``InRegionError``.  Labels
@@ -337,13 +312,11 @@ def find_counterexample(
     if label.case is Case.IN_REGION:
         raise InRegionError("(%g, %g) lies in the sufficiency region" % (p, q))
     if label.case is Case.SCALAR_FAIL:
-        return construct_scalar_fail(p, q, cert_tol, tol)
-    return _search(label.case, p, q, cert_tol, tol, label.via_dual)
+        return construct_scalar_fail(p, q, cert_tol)
+    return _search(label.case, p, q, cert_tol, label.via_dual)
 
 
-def choi_sign_table(
-    p_values, tol: Tolerances = DEFAULT_TOL
-) -> list[tuple[float, tuple[str, str]]]:
+def choi_sign_table(p_values) -> list[tuple[float, tuple[str, str]]]:
     """Eigenvalue sign patterns of C(B^p) - C(B)^p for the Choi example.
 
     ``B`` is ``CHOI_MATRIX`` and ``C`` the compression onto the top-left
@@ -358,10 +331,9 @@ def choi_sign_table(
         p = float(p)
         if p == 0.0:
             raise PreconditionError("the sign table is over nonzero powers")
-        gap = comp.apply(mat_fun(CHOI_MATRIX, Power(p), tol)) - mat_fun(
-            comp.apply(CHOI_MATRIX), Power(p), tol
-        )
-        dec = eig_sym(gap, tol)
+        f = Power(p)
+        gap = comp.apply(mat_fun(CHOI_MATRIX, f)) - mat_fun(comp.apply(CHOI_MATRIX), f)
+        dec = eig_sym(gap)
         signs = tuple(
             "+" if lam > _CHOI_SIGN_THRESHOLD else "-" if lam < -_CHOI_SIGN_THRESHOLD else "0"
             for lam in dec.eigenvalues

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, eig_sym, symmetrize
+from .core import CONFLUENT_GAP, eig_sym, symmetrize
 from .errors import DegenerateFrameError, DomainError, NonConvergenceError, PreconditionError
 from .functions import EXP, Power, ScalarFunction
 
@@ -38,27 +38,19 @@ _ORACLE_REL_TOL = 1e-5
 # Divided differences
 # ---------------------------------------------------------------------------
 
-def divided_diff_1(
-    f: ScalarFunction, l1: float, l2: float, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def divided_diff_1(f: ScalarFunction, l1: float, l2: float) -> float:
     """First divided difference f[l1, l2], confluent limit f'(l) at l1 = l2.
 
-    Nodes closer than ``tol.confluent`` (relative to 1 + their magnitude)
+    Nodes closer than ``CONFLUENT_GAP`` (relative to 1 + their magnitude)
     use the analytic derivative; the result is symmetric in the arguments.
     """
     scale = 1.0 + max(abs(l1), abs(l2))
-    if abs(l1 - l2) <= tol.confluent * scale:
+    if abs(l1 - l2) <= CONFLUENT_GAP * scale:
         return f.deriv(0.5 * (l1 + l2), 1)
     return (f(l1) - f(l2)) / (l1 - l2)
 
 
-def divided_diff_2(
-    f: ScalarFunction,
-    l1: float,
-    l2: float,
-    l3: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def divided_diff_2(f: ScalarFunction, l1: float, l2: float, l3: float) -> float:
     """Second divided difference f[l1, l2, l3] with confluent limits.
 
     Invariant under every permutation of the nodes; coincident nodes use
@@ -66,25 +58,23 @@ def divided_diff_2(
     """
     x0, x1, x2 = sorted((float(l1), float(l2), float(l3)))
     scale = 1.0 + max(abs(x0), abs(x2))
-    gap = tol.confluent * scale
+    gap = CONFLUENT_GAP * scale
     if x2 - x0 <= gap:
         return 0.5 * f.deriv((x0 + x1 + x2) / 3.0, 2)
     if x1 - x0 <= gap:
         node = 0.5 * (x0 + x1)
-        return (divided_diff_1(f, node, x2, tol) - f.deriv(node, 1)) / (x2 - node)
+        return (divided_diff_1(f, node, x2) - f.deriv(node, 1)) / (x2 - node)
     if x2 - x1 <= gap:
         node = 0.5 * (x1 + x2)
-        return (f.deriv(node, 1) - divided_diff_1(f, x0, node, tol)) / (node - x0)
-    return (divided_diff_1(f, x0, x1, tol) - divided_diff_1(f, x1, x2, tol)) / (x0 - x2)
+        return (f.deriv(node, 1) - divided_diff_1(f, x0, node)) / (node - x0)
+    return (divided_diff_1(f, x0, x1) - divided_diff_1(f, x1, x2)) / (x0 - x2)
 
 
 # ---------------------------------------------------------------------------
 # Frechet derivatives (Daleckii-Krein)
 # ---------------------------------------------------------------------------
 
-def frechet_d1(
-    f: ScalarFunction, base, h, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def frechet_d1(f: ScalarFunction, base, h) -> np.ndarray:
     """First Frechet derivative of X -> f(X) at ``base`` in direction ``h``.
 
     In the eigenbasis of the base point this is the Schur product of the
@@ -92,7 +82,7 @@ def frechet_d1(
 
         D f(base)(h) = V ( f[l_i, l_j] o (V^T h V) ) V^T.
     """
-    dec = eig_sym(base, tol)
+    dec = eig_sym(base)
     h = symmetrize(h)
     if dec.basis.shape != h.shape:
         raise PreconditionError("base and direction need equal dimensions")
@@ -101,15 +91,13 @@ def frechet_d1(
     dd = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            dd[i, j] = dd[j, i] = divided_diff_1(f, lam[i], lam[j], tol)
+            dd[i, j] = dd[j, i] = divided_diff_1(f, lam[i], lam[j])
     ht = dec.basis.T @ h @ dec.basis
     out = dec.basis @ (dd * ht) @ dec.basis.T
     return (out + out.T) / 2.0
 
 
-def frechet_d2(
-    f: ScalarFunction, base, h, k, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def frechet_d2(f: ScalarFunction, base, h, k) -> np.ndarray:
     """Second Frechet derivative D^2 f(base)(h, k), symmetric bilinear.
 
     With H, K rotated to the eigenbasis,
@@ -119,7 +107,7 @@ def frechet_d2(
     so the Taylor expansion reads
     f(base + h) = f(base) + D f(h) + (1/2) D^2 f(h, h) + o(|h|^2).
     """
-    dec = eig_sym(base, tol)
+    dec = eig_sym(base)
     h = symmetrize(h)
     k = symmetrize(k)
     if dec.basis.shape != h.shape or dec.basis.shape != k.shape:
@@ -133,7 +121,7 @@ def frechet_d2(
         for j in range(n):
             acc = 0.0
             for r in range(n):
-                acc += divided_diff_2(f, lam[i], lam[r], lam[j], tol) * (
+                acc += divided_diff_2(f, lam[i], lam[r], lam[j]) * (
                     ht[i, r] * kt[r, j] + kt[i, r] * ht[r, j]
                 )
             out[i, j] = acc
@@ -192,7 +180,7 @@ class _Terms(NamedTuple):
     a: float
 
 
-def _terms(r: float | None, x: float, y: float, tol: Tolerances) -> _Terms:
+def _terms(r: float | None, x: float, y: float) -> _Terms:
     """The terms of exponent ``r``; ``r=None`` gives their r -> 0 limits
     sqrt(xy), -log x log y / log xy and log y / log xy.
 
@@ -205,13 +193,13 @@ def _terms(r: float | None, x: float, y: float, tol: Tolerances) -> _Terms:
         raise PreconditionError("x and y must be positive")
     if r is None:
         lxy = math.log(x * y)
-        if abs(lxy) <= tol.confluent:
+        if abs(lxy) <= CONFLUENT_GAP:
             raise DegenerateFrameError("x * y is too close to 1")
         ly = math.log(y)
         return _Terms(math.sqrt(x * y), -math.log(x) * ly / lxy, ly / lxy)
     xr, yr = x**r, y**r
     s = xr + yr
-    if abs(s - 2.0) <= tol.confluent:
+    if abs(s - 2.0) <= CONFLUENT_GAP:
         raise DegenerateFrameError("x^p + y^p is too close to 2")
     return _Terms((s / 2.0) ** (1.0 / r), (1.0 - xr) * (1.0 - yr) / (r * (2.0 - s)),
                   (1.0 - yr) / (2.0 - s))
@@ -224,16 +212,14 @@ def _det_coeff(tp: _Terms, tq: _Terms) -> DetCoefficientBreakdown:
     return DetCoefficientBreakdown(delta1, delta2, wp, wq)
 
 
-def taylor_frame_power(
-    p: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
-) -> TaylorFrame:
+def taylor_frame_power(p: float, x: float, y: float) -> TaylorFrame:
     """Frame of A^p + B_t^p around t = 0 for the rotated-diagonal family.
 
     Expanding entries of A^p + B_t^p in the rotation angle gives
     base = diag(2, x^p + y^p), first with off-diagonal 1 - y^p, and
     second = diag(-(1 - y^p), 1 - y^p).
     """
-    _terms(p, x, y, tol)
+    _terms(p, x, y)
     hy = 1.0 - y**p
     return TaylorFrame(
         base=np.diag([2.0, x**p + y**p]),
@@ -242,13 +228,13 @@ def taylor_frame_power(
     )
 
 
-def taylor_frame_log(x: float, y: float, tol: Tolerances = DEFAULT_TOL) -> TaylorFrame:
+def taylor_frame_log(x: float, y: float) -> TaylorFrame:
     """Frame of log A + log B_t around t = 0 (the p -> 0 family).
 
     base = diag(0, log xy), first with off-diagonal -log y, and
     second = diag(log y, -log y); requires xy away from 1.
     """
-    _terms(None, x, y, tol)
+    _terms(None, x, y)
     lxy, ly = math.log(x * y), math.log(y)
     return TaylorFrame(
         base=np.diag([0.0, lxy]),
@@ -257,24 +243,20 @@ def taylor_frame_log(x: float, y: float, tol: Tolerances = DEFAULT_TOL) -> Taylo
     )
 
 
-def _second_order_matrix(
-    f: ScalarFunction, frame: TaylorFrame, tol: Tolerances
-) -> np.ndarray:
+def _second_order_matrix(f: ScalarFunction, frame: TaylorFrame) -> np.ndarray:
     base = frame.base / 2.0
-    return frechet_d1(f, base, frame.second / 2.0, tol) + 0.5 * frechet_d2(
-        f, base, frame.first / 2.0, frame.first / 2.0, tol
+    return frechet_d1(f, base, frame.second / 2.0) + 0.5 * frechet_d2(
+        f, base, frame.first / 2.0, frame.first / 2.0
     )
 
 
-def _alpha(t: _Terms, f: ScalarFunction, frame: TaylorFrame, tol: Tolerances):
+def _alpha(t: _Terms, f: ScalarFunction, frame: TaylorFrame):
     w = 1.0 - t.m
-    alpha22 = float(_second_order_matrix(f, frame, tol)[1, 1])
+    alpha22 = float(_second_order_matrix(f, frame)[1, 1])
     return ExpansionCoefficients(-0.5 * t.c - t.a**2 * w, t.a * w, alpha22)
 
 
-def alpha_power(
-    p: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
-) -> ExpansionCoefficients:
+def alpha_power(p: float, x: float, y: float) -> ExpansionCoefficients:
     """Expansion coefficients of M_p(A, B_t) for the rotated-diagonal family.
 
     ``alpha11 = -c_p/2 - a_p^2 w_p`` and ``alpha12 = a_p w_p`` come from the
@@ -282,22 +264,20 @@ def alpha_power(
     machinery (its closed form is never needed for the determinant
     coefficient).
     """
-    return _alpha(_terms(p, x, y, tol), Power(1.0 / p), taylor_frame_power(p, x, y, tol), tol)
+    return _alpha(_terms(p, x, y), Power(1.0 / p), taylor_frame_power(p, x, y))
 
 
-def alpha_log(x: float, y: float, tol: Tolerances = DEFAULT_TOL) -> ExpansionCoefficients:
+def alpha_log(x: float, y: float) -> ExpansionCoefficients:
     """Expansion coefficients of the log-Euclidean mean of (A, B_t), from
     the r -> 0 terms."""
-    return _alpha(_terms(None, x, y, tol), EXP, taylor_frame_log(x, y, tol), tol)
+    return _alpha(_terms(None, x, y), EXP, taylor_frame_log(x, y))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form determinant coefficients
 # ---------------------------------------------------------------------------
 
-def det_coeff_power_pair(
-    p: float, q: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
-) -> DetCoefficientBreakdown:
+def det_coeff_power_pair(p: float, q: float, x: float, y: float) -> DetCoefficientBreakdown:
     """t^2 coefficient of det(M_q - M_p) for the rotated-diagonal family.
 
     With m_r = ((x^r + y^r)/2)^(1/r), w_r = 1 - m_r,
@@ -309,19 +289,17 @@ def det_coeff_power_pair(
     Raises ``DegenerateFrameError`` when x^r + y^r is too close to 2 for
     either exponent (the divided-difference denominators degenerate).
     """
-    return _det_coeff(_terms(p, x, y, tol), _terms(q, x, y, tol))
+    return _det_coeff(_terms(p, x, y), _terms(q, x, y))
 
 
-def det_coeff_log_pair(
-    q: float, x: float, y: float, tol: Tolerances = DEFAULT_TOL
-) -> DetCoefficientBreakdown:
+def det_coeff_log_pair(q: float, x: float, y: float) -> DetCoefficientBreakdown:
     """t^2 coefficient of det(M_q - log-Euclidean mean), the p -> 0 limit.
 
     The ``det_coeff_power_pair`` combination with the r -> 0 terms
     m_0 = sqrt(xy), c_0 = -log x log y / log xy and a_0 = log y / log xy
     in place of p's.  Requires xy away from 1 and x^q + y^q away from 2.
     """
-    return _det_coeff(_terms(None, x, y, tol), _terms(q, x, y, tol))
+    return _det_coeff(_terms(None, x, y), _terms(q, x, y))
 
 
 def det_coeff_rank_one(p: float, q: float) -> float:

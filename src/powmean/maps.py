@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MAX_DIM, Tolerances, eig_sym, mat_fun, spectral_fun, symmetrize
+from .core import CONFLUENT_GAP, MAX_DIM, PSD_FLOOR, eig_sym, mat_fun, spectral_fun, symmetrize
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -54,9 +54,9 @@ class LinearMatrixMap:
         y = (self.action @ x.ravel()).reshape(self.out_dim, self.out_dim)
         return (y + y.T) / 2.0
 
-    def is_unital(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def is_unital(self) -> bool:
         image = self.apply(np.eye(self.in_dim))
-        return float(np.abs(image - np.eye(self.out_dim)).max()) <= tol.psd
+        return float(np.abs(image - np.eye(self.out_dim)).max()) <= PSD_FLOOR
 
 
 def _check_dims(in_dim: int, out_dim: int) -> None:
@@ -74,10 +74,10 @@ def _action_from_factors(factors, weights=None) -> np.ndarray:
     return action
 
 
-def kraus_map(factors, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
+def kraus_map(factors) -> LinearMatrixMap:
     """Unital completely positive map Z -> sum_i V_i Z V_i^T.
 
-    The factors must satisfy sum_i V_i V_i^T = I within ``tol.psd``;
+    The factors must satisfy sum_i V_i V_i^T = I within ``PSD_FLOOR``;
     otherwise ``NotUnitalError`` is raised (the caller normalizes).
     """
     factors = tuple(np.asarray(v, dtype=float) for v in factors)
@@ -89,7 +89,7 @@ def kraus_map(factors, tol: Tolerances = DEFAULT_TOL) -> LinearMatrixMap:
         if v.shape != (out_dim, in_dim):
             raise DimensionMismatchError("kraus factors must share one shape")
     total = sum(v @ v.T for v in factors)
-    if float(np.abs(total - np.eye(out_dim)).max()) > tol.psd:
+    if float(np.abs(total - np.eye(out_dim)).max()) > PSD_FLOOR:
         raise NotUnitalError("kraus factors do not sum to the identity")
     return LinearMatrixMap(
         in_dim,
@@ -162,12 +162,7 @@ def rotated_pinch(pair_a, pair_b, theta: float) -> LinearMatrixMap:
     )
 
 
-def random_kraus_map(
-    in_dim: int,
-    out_dim: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> LinearMatrixMap:
+def random_kraus_map(in_dim: int, out_dim: int, seed: int) -> LinearMatrixMap:
     """Seeded random unital completely positive map.
 
     Three Gaussian factors are normalized on the left by (sum V V^T)^(-1/2),
@@ -176,28 +171,26 @@ def random_kraus_map(
     _check_dims(in_dim, out_dim)
     rng = np.random.default_rng(seed)
     raw = [rng.standard_normal((out_dim, in_dim)) for _ in range(_RANDOM_KRAUS_FACTORS)]
-    whitener = mat_fun(sum(v @ v.T for v in raw), Power(-0.5), tol)
-    return kraus_map([whitener @ v for v in raw], tol)
+    whitener = mat_fun(sum(v @ v.T for v in raw), Power(-0.5))
+    return kraus_map([whitener @ v for v in raw])
 
 
-def apply_power_affine_2x2(
-    phi: LinearMatrixMap, p: float, a, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def apply_power_affine_2x2(phi: LinearMatrixMap, p: float, a) -> np.ndarray:
     """Evaluate phi(A^p) for 2x2 A via the affine spectral identity.
 
     For A with distinct eigenvalues l1 > l2, A^p interpolates as
     c1 * A - c0 * I with c1 = (l1^p - l2^p)/(l1 - l2) and
     c0 = (l2 l1^p - l1 l2^p)/(l1 - l2), so for a unital linear map
     phi(A^p) = c1 * phi(A) - c0 * I.  Falls back to the direct route when
-    the eigenvalues coincide within ``tol.confluent``.
+    the eigenvalues coincide within ``CONFLUENT_GAP``.
     """
-    dec = eig_sym(a, tol)
+    dec = eig_sym(a)
     if dec.eigenvalues.size != 2 or phi.in_dim != 2:
         raise DimensionMismatchError("affine route needs a 2x2 domain")
     f = Power(p)
     l2, l1 = float(dec.eigenvalues[0]), float(dec.eigenvalues[1])
-    if abs(l1 - l2) <= tol.confluent * (1.0 + max(abs(l1), abs(l2))):
-        return phi.apply(spectral_fun(dec, f, tol))
+    if abs(l1 - l2) <= CONFLUENT_GAP * (1.0 + max(abs(l1), abs(l2))):
+        return phi.apply(spectral_fun(dec, f))
     c1 = (f(l1) - f(l2)) / (l1 - l2)
     c0 = (l2 * f(l1) - l1 * f(l2)) / (l1 - l2)
     return symmetrize(c1 * phi.apply(a) - c0 * np.eye(phi.out_dim))

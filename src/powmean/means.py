@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, eig_sym, mat_fun, spectral_fun
+from .core import eig_sym, mat_fun, spectral_fun
 from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
@@ -47,14 +47,14 @@ def scalar_power_mean(p: float, a: float, b: float, weight: float = 0.5) -> floa
     return ((1.0 - weight) * a**p + weight * b**p) ** (1.0 / p)
 
 
-def _decompose_pair(a, b, weight: float, tol: Tolerances):
+def _decompose_pair(a, b, weight: float):
     """Validate a mean's matrix arguments and decompose each once.
 
     ``eig_sym`` validates A, then B, before the shape and weight checks, as
     two ``symmetrize`` calls up front would.
     """
-    dec_a = eig_sym(a, tol)
-    dec_b = eig_sym(b, tol)
+    dec_a = eig_sym(a)
+    dec_b = eig_sym(b)
     if dec_a.basis.shape != dec_b.basis.shape:
         raise DimensionMismatchError("means need equal dimensions")
     if not 0.0 < weight < 1.0:
@@ -62,20 +62,14 @@ def _decompose_pair(a, b, weight: float, tol: Tolerances):
     return dec_a, dec_b
 
 
-def _mean_of(p: float, dec_a, dec_b, weight: float, tol: Tolerances) -> np.ndarray:
+def _mean_of(p: float, dec_a, dec_b, weight: float) -> np.ndarray:
     p = normalize_exponent(p)
     f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
-    combo = (1.0 - weight) * spectral_fun(dec_a, f, tol) + weight * spectral_fun(dec_b, f, tol)
-    return mat_fun(combo, inverse, tol)
+    combo = (1.0 - weight) * spectral_fun(dec_a, f) + weight * spectral_fun(dec_b, f)
+    return mat_fun(combo, inverse)
 
 
-def power_mean(
-    p: float,
-    a,
-    b,
-    weight: float = 0.5,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def power_mean(p: float, a, b, weight: float = 0.5) -> np.ndarray:
     """Weighted p-power mean of two symmetric positive definite matrices.
 
     Parameters
@@ -95,27 +89,21 @@ def power_mean(
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    return _mean_of(p, *_decompose_pair(a, b, weight, tol), weight, tol)
+    return _mean_of(p, *_decompose_pair(a, b, weight), weight)
 
 
-def power_mean_gap(
-    p: float,
-    q: float,
-    a,
-    b,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
     """Equal-weight M_q(A, B) - M_p(A, B) from one decomposition of A and of B.
 
     Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
     q-mean evaluated first, so errors are those of that two-call form.
     """
-    dec_a, dec_b = _decompose_pair(a, b, 0.5, tol)
-    high = _mean_of(q, dec_a, dec_b, 0.5, tol)
-    return high - _mean_of(p, dec_a, dec_b, 0.5, tol)
+    dec_a, dec_b = _decompose_pair(a, b, 0.5)
+    high = _mean_of(q, dec_a, dec_b, 0.5)
+    return high - _mean_of(p, dec_a, dec_b, 0.5)
 
 
-def map_power(phi, p: float, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def map_power(phi, p: float, a) -> np.ndarray:
     """Evaluate phi(A^p)^(1/p) for a unital positive linear map phi.
 
     At p = 0 (after normalization) this is exp(phi(log A)), the operator-norm
@@ -124,14 +112,14 @@ def map_power(phi, p: float, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Raises
     ------
     NotUnitalError
-        If ``phi`` is not unital within ``tol.psd``.
+        If ``phi`` is not unital within ``core.PSD_FLOOR``.
     DomainError
-        If phi(A^p) is not positive definite within ``tol.psd``, which
+        If phi(A^p) is not positive definite above ``core.PSD_FLOOR``, which
         signals a non-positive map.
     """
-    if not phi.is_unital(tol):
+    if not phi.is_unital():
         raise NotUnitalError("map_power requires a unital map")
-    dec = eig_sym(a, tol)
+    dec = eig_sym(a)
     n = dec.basis.shape[0]
     if n != phi.in_dim:
         raise DimensionMismatchError(
@@ -139,11 +127,11 @@ def map_power(phi, p: float, a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         )
     p = normalize_exponent(p)
     if p == 0.0:
-        return mat_fun(phi.apply(spectral_fun(dec, LOG, tol)), EXP, tol)
-    return mat_fun(phi.apply(spectral_fun(dec, Power(p), tol)), Power(1.0 / p), tol)
+        return mat_fun(phi.apply(spectral_fun(dec, LOG)), EXP)
+    return mat_fun(phi.apply(spectral_fun(dec, Power(p))), Power(1.0 / p))
 
 
-def limit_slope_check(phi, a, p_sequence, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def limit_slope_check(phi, a, p_sequence) -> np.ndarray:
     """Deviations of phi(A^p)^(1/p) from its p -> 0 limit along a sequence.
 
     Returns ``|map_power(phi, p, a) - map_power(phi, 0, a)|_inf`` for each p.
@@ -155,7 +143,5 @@ def limit_slope_check(phi, a, p_sequence, tol: Tolerances = DEFAULT_TOL) -> np.n
         raise PreconditionError("p_sequence must be a non-empty 1-d sequence")
     if not np.all(ps > 0.0) or not np.all(np.diff(ps) < 0.0):
         raise PreconditionError("p_sequence must be positive and strictly descending")
-    base = map_power(phi, 0.0, a, tol)
-    return np.array(
-        [float(np.abs(map_power(phi, p, a, tol) - base).max()) for p in ps]
-    )
+    base = map_power(phi, 0.0, a)
+    return np.array([float(np.abs(map_power(phi, p, a) - base).max()) for p in ps])

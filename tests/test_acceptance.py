@@ -230,7 +230,7 @@ def test_criterion_duality_and_limit():
             out_dim = int(rng.integers(2, 4))
             phi = pm.random_kraus_map(in_dim, out_dim, int(rng.integers(2**63)))
             a = pm.random_pd(in_dim, int(rng.integers(2**63)), 5.0)
-            assert check_limit_slope(phi, a, ps=[1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+            assert check_limit_slope(phi, a)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from powmean import DEFAULT_TOL
+from powmean import DEFAULT_TOL, Power
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,9 +29,10 @@ WORKLOAD_CALLS = [
     ("counterexamples", "find_counterexample"),
 ]
 
-#: Call shapes of workloads.py: the wide workload's order and map-order
-#: checks, the scan workload's wrapper of the CLI's fuzz_point, and the
-#: lemma workload's difference functions and oracle.
+#: Call shapes of workloads.py: the wide workload's order, map-order and
+#: duality checks, the scan workload's wrapper of the CLI's fuzz_point, the
+#: certify workload's re-verification, and the lemma workload's closed
+#: forms, difference functions and oracle.
 WORKLOAD_CALL_SHAPES = [
     ("fuzz", "fuzz_point", (0.5, 2.0, 1, 9), {"dims": (4,)}),
     ("fuzz", "fuzz_map_order", (1, 9), {"dims": (4,)}),
@@ -38,6 +40,13 @@ WORKLOAD_CALL_SHAPES = [
     ("counterexamples", "rank_one_difference", (0.25, 0.5), {}),
     ("counterexamples", "pd_rotation_difference", (0.5, 2.0, 0.25, 0.0625), {}),
     ("expansions", "numeric_det_coeff", (abs,), {"orders": (1.0, 2.0, 4.0)}),
+    ("core", "mat_fun", (np.eye(4), Power(-1.0)), {}),
+    ("means", "power_mean", (0.5, np.eye(4), np.eye(4)), {}),
+    ("means", "power_mean", (2.0, np.eye(2), np.eye(2)), {}),
+    ("expansions", "det_coeff_power_pair", (0.5, 2.0, 0.25, 0.0625), {}),
+    ("expansions", "det_coeff_log_pair", (2.0, 0.25, 0.0625), {}),
+    ("expansions", "det_coeff_rank_one", (0.25, 0.5), {}),
+    ("expansions", "rank_one_remainder_orders", (0.25, 0.5), {}),
 ]
 
 

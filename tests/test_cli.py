@@ -153,6 +153,26 @@ def test_fuzz_verdicts_read_tol_order(capsys):
     assert worst >= 10.0
 
 
+def test_map_order_fuzz_reads_tol_order(capsys):
+    # At the default slack an order check is the worst margin (about 1e-10);
+    # at slack 10 every order margin exceeds 10, so an affine-route margin is.
+    argv = ["fuzz", "map-order", "--trials", "20", "--seed", "7"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--tol-order", "10"]) == 0
+    assert capsys.readouterr().out != default
+
+
+@pytest.mark.parametrize("target", ["duality", "limit"])
+def test_tol_order_is_usage_error_for_fuzz_without_order_verdicts(target, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", target, "--trials", "5", "--seed", "7", "--tol-order", "10"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "region" in captured.err and "map-order" in captured.err
+
+
 def test_counterexample_certified_exit(capsys):
     assert main(["counterexample", "--p", "0.25", "--q", "1"]) == 0
     captured = capsys.readouterr().out

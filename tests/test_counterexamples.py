@@ -17,7 +17,6 @@ from powmean import (
     InRegionError,
     PreconditionError,
     SearchExhaustedError,
-    Tolerances,
     choi_sign_table,
     classify,
     construct_log_euclidean,
@@ -283,19 +282,17 @@ def test_coefficient_guidance_becomes_and_stays_negative():
         assert all(signs[first_negative:])
 
 
-@pytest.mark.parametrize("psd", [1e-6, 1e-10, 1e-13, 1e-15, 1e-16, 1e-17])
-def test_rotation_walk_stops_only_where_every_candidate_fails(monkeypatch, psd):
+@pytest.mark.parametrize("q", [0.6, 1.0, 1.5, 2.0, 2.5, 2.9])
+def test_rotation_walk_stops_only_where_every_candidate_fails(monkeypatch, q):
     # The walk computes a coefficient at every x it reaches, so the x values
     # it never evaluates are the ones its domain-floor stop skipped.  Each
     # skipped (x, theta) candidate must raise DomainError from the gap, as
     # the search would have found by certifying it.
-    tol = Tolerances(psd=psd)
-    q = 1.5
     reached = set()
 
     def reaching(fn):
         def wrapped(*args):
-            reached.add(args[-3])  # x, in both coefficient signatures
+            reached.add(args[-2])  # x, in both coefficient signatures
             return fn(*args)
 
         return wrapped
@@ -307,16 +304,15 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(monkeypatch, psd):
     walks += [(p, True) for p in (-0.7, 0.0, 0.3, 0.45)]
     for p, via_dual in walks:
         reached.clear()
-        list(ce._rotation_walk(p, q, tol, via_dual))
+        list(ce._rotation_walk(p, q, via_dual))
         skipped = [2.0**-k for k in ce._X_SCHEDULE if 2.0**-k not in reached]
-        if psd >= 1e-10:
-            assert skipped
+        assert skipped
         for x in skipped:
             pair = (1.0 / x, 1.0 / (x * x)) if via_dual else (x, x * x)
             exponents = (-q, -p) if via_dual else (p, q)
             for theta in ce._THETA_SCHEDULE:
                 with pytest.raises(DomainError):
-                    power_mean_gap(*exponents, *pd_rotation_pair(*pair, theta), tol=tol)
+                    power_mean_gap(*exponents, *pd_rotation_pair(*pair, theta))
 
 
 @pytest.mark.parametrize("p, q", [(-0.99, 1.5), (-0.98, 1.9)])
