@@ -31,10 +31,6 @@ from .counterexamples import (
     CHOI_MATRIX,
     Witness,
     choi_sign_table,
-    construct_log_euclidean,
-    construct_pd_rotation,
-    construct_rank_one,
-    construct_scalar_fail,
     find_counterexample,
     pd_rotation_difference,
     pd_rotation_pair,
@@ -84,8 +80,6 @@ from .maps import (
     rotated_pinch,
 )
 from .means import (
-    LOG_EUCLIDEAN_THRESHOLD,
-    is_log_euclidean,
     limit_slope_check,
     map_power,
     normalize_exponent,
@@ -113,7 +107,6 @@ __all__ = [
     "InRegionError",
     "IndexOutOfRangeError",
     "LOG",
-    "LOG_EUCLIDEAN_THRESHOLD",
     "LinearMatrixMap",
     "Log",
     "NonConvergenceError",
@@ -134,10 +127,6 @@ __all__ = [
     "choi_sign_table",
     "classify",
     "compression",
-    "construct_log_euclidean",
-    "construct_pd_rotation",
-    "construct_rank_one",
-    "construct_scalar_fail",
     "det_coeff_log_pair",
     "det_coeff_power_pair",
     "det_coeff_rank_one",
@@ -150,7 +139,6 @@ __all__ = [
     "frechet_d2",
     "identity_map",
     "in_sufficient_region",
-    "is_log_euclidean",
     "kraus_map",
     "limit_slope_check",
     "loewner_leq",

@@ -9,7 +9,9 @@ oracle), and ``fuzz`` (randomized property suites).
 Exit codes: 0 success, 1 inconsistency, uncertified pair or property
 failure, 2 usage error, 3 counterexample requested inside the sufficiency
 region, 4 degenerate expansion hypotheses.  The master seed defaults to the
-POWMEAN_SEED environment variable.
+POWMEAN_SEED environment variable.  ``scan`` and ``counterexample`` certify
+through ``find_counterexample`` at its fixed threshold ``CERT_TOL`` (1e-12);
+``--tol-order`` sets only the Loewner-order slack.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances
 from .counterexamples import (
-    CERT_TOL,
-    _checked_cert_tol,
     choi_sign_table,
     find_counterexample,
     pd_rotation_difference,
@@ -123,7 +123,7 @@ def cmd_scan(args) -> int:
                 consistent &= passed
             else:
                 try:
-                    witness = find_counterexample(p, q, args.tol_cert)
+                    witness = find_counterexample(p, q)
                 except PowerMeanError as exc:
                     verdict, detail = "uncertified", type(exc).__name__
                     consistent = False
@@ -141,7 +141,7 @@ def cmd_scan(args) -> int:
 
 def cmd_counterexample(args) -> int:
     try:
-        witness = find_counterexample(args.p, args.q, args.tol_cert)
+        witness = find_counterexample(args.p, args.q)
     except InRegionError:
         print("(%g, %g) lies in the sufficiency region; the order inequality holds"
               % (args.p, args.q))
@@ -245,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=os.environ.get("POWMEAN_SEED", "0"),
                       help="master seed (default: $POWMEAN_SEED, else 0)")
     order_slack = _checked(lambda order: Tolerances(order=order))
-    tol_cert = argparse.ArgumentParser(add_help=False)
-    tol_cert.add_argument("--tol-cert", default=CERT_TOL, type=_checked(_checked_cert_tol))
 
-    scan = sub.add_parser("scan", parents=[seed, tol_cert],
+    scan = sub.add_parser("scan", parents=[seed],
                           help="classify a (p, q) grid and emit a CSV report")
     scan.add_argument("--tol-order", dest="tol", metavar="SLACK", default=DEFAULT_TOL,
                       type=order_slack)
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", default="scan.csv")
     scan.set_defaults(func=cmd_scan)
 
-    ce = sub.add_parser("counterexample", parents=[tol_cert], help="certify one exponent pair")
+    ce = sub.add_parser("counterexample", help="certify one exponent pair")
     ce.add_argument("--p", type=_checked(float), required=True)
     ce.add_argument("--q", type=_checked(float), required=True)
     ce.add_argument("--out", default=None, help="optional CSV witness dump")

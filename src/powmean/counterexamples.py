@@ -19,8 +19,11 @@ reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
 M_{-p}(A, B)^-1 those violate the order at (p, q) iff the base pairs do at
 (-q, -p).
 
-Every witness is certified directly: the returned negative eigenvalue and
-unit vector come from an eigendecomposition of M_q - M_p on the actual
+``find_counterexample`` is the one public search: it classifies (p, q),
+walks the family of its label and certifies the first candidate whose
+smallest eigenvalue lies below -``CERT_TOL`` (a fixed 1e-12).  Every
+witness is certified directly: the returned negative eigenvalue and unit
+vector come from an eigendecomposition of M_q - M_p on the actual
 returned matrices, never from the expansion that guided the search.
 """
 
@@ -45,7 +48,7 @@ from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
 from .means import normalize_exponent, power_mean_gap, scalar_power_mean
-from .region import Case, classify, dual, in_family_domain
+from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
@@ -130,19 +133,19 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
     return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta))
 
 
-def _certify(p, q, a, b, cert_tol):
+def _certify(p, q, a, b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-cert_tol``.  The closed form's mid - r is good to a few eps times the
-    top eigenvalue; where that is coarser than ``cert_tol`` (the large gaps
+    ``-CERT_TOL``.  The closed form's mid - r is good to a few eps times the
+    top eigenvalue; where that is coarser than ``CERT_TOL`` (the large gaps
     of reciprocal pairs), det / top, which does not cancel, replaces it.
     """
     gap = power_mean_gap(p, q, a, b)
     dec = eig_sym(gap)
     lam, top = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
-    if top > -lam and 4.0 * _EPS * top > cert_tol:
+    if top > -lam and 4.0 * _EPS * top > CERT_TOL:
         (g00, g01), (_, g11) = gap.tolist()
         lam = (g00 * g11 - g01 * g01) / top
-    if lam < -cert_tol:
+    if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()
     return None
 
@@ -186,7 +189,7 @@ def _rotation_walk(p, q, via_dual):
         yield from _theta_walk(partial(pd_rotation_pair, *pair), k, x, y)
 
 
-def _first_witness(p, q, candidates, cert_tol, exhausted: str, via_dual) -> Witness:
+def _first_witness(p, q, candidates, exhausted: str, via_dual) -> Witness:
     """The first candidate that ``_certify`` accepts at (p, q), as a witness.
 
     Candidates outside the means' domain are skipped; running out raises
@@ -194,7 +197,7 @@ def _first_witness(p, q, candidates, cert_tol, exhausted: str, via_dual) -> Witn
     """
     for k, j, x, y, theta, (a, b) in candidates:
         try:
-            hit = _certify(p, q, a, b, cert_tol)
+            hit = _certify(p, q, a, b)
         except DomainError:
             continue
         if hit is not None:
@@ -204,20 +207,13 @@ def _first_witness(p, q, candidates, cert_tol, exhausted: str, via_dual) -> Witn
     raise SearchExhaustedError(exhausted)
 
 
-def _checked_cert_tol(cert_tol: float) -> float:
-    """``cert_tol``, if finite and >= 0: a negative one certifies positive spectra."""
-    if not 0.0 <= cert_tol < np.inf:
-        raise PreconditionError("cert_tol must be finite and >= 0, got %r" % (cert_tol,))
-    return cert_tol
-
-
-def _search(case, p, q, cert_tol, via_dual=False, eps_shift=0.0) -> Witness:
+def _search(case, p, q, via_dual) -> Witness:
     """Certified witness at (p, q) from the family of ``case``, walked at
     its base pair: (p, q), or (-q, -p) on reciprocal pairs with ``via_dual``.
     """
     bp, bq = dual(p, q) if via_dual else (p, q)
     if case is Case.RANK_ONE:
-        pair = partial(rank_one_pair, eps_shift=eps_shift)
+        pair = rank_one_pair
         if via_dual:  # the inverse of the pair shifted by e, in closed form
             e = _DUAL_RANK_ONE_SHIFT
             pair = partial(_rotated_pair, [1 / (2 + e), 1 / e], [1 / (1 + e), 1 / e])
@@ -229,79 +225,19 @@ def _search(case, p, q, cert_tol, via_dual=False, eps_shift=0.0) -> Witness:
     else:
         walk = _rotation_walk(bp, bq, via_dual)
         exhausted = "pd-rotation schedule exhausted at (%g, %g)" % (bp, bq)
-    return _first_witness(p, q, walk, _checked_cert_tol(cert_tol), exhausted, via_dual)
+    return _first_witness(p, q, walk, exhausted, via_dual)
 
 
-def construct_pd_rotation(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
-    """Certified witness for -1 < p < 1/2, p != 0 and q > max(0, p).
-
-    Walks x = 2^-k (y = x^2) until the closed-form determinant coefficient
-    is negative, then scans theta = 0.1 * 2^-j until the direct eigenvalue
-    check certifies.
-    """
-    p = normalize_exponent(p)
-    if not in_family_domain(Case.PD_ROTATION, p, q):
-        raise PreconditionError(
-            "pd-rotation family needs -1 < p < 1/2, p != 0 and q > max(0, p)"
-        )
-    return _search(Case.PD_ROTATION, p, q, cert_tol)
-
-
-def construct_log_euclidean(q: float, cert_tol: float = CERT_TOL) -> Witness:
-    """Certified witness for p = 0 (log-Euclidean mean) against q > 0.
-
-    The pd-rotation search at p = 0, guided by the log-Euclidean
-    coefficient.
-    """
-    if not in_family_domain(Case.LOG_EUCLIDEAN, 0.0, q):
-        raise PreconditionError("log-euclidean family needs q > 0")
-    return _search(Case.LOG_EUCLIDEAN, 0.0, q, cert_tol)
-
-
-def construct_rank_one(
-    p: float, q: float, eps_shift: float = 0.0, cert_tol: float = CERT_TOL
-) -> Witness:
-    """Certified witness for 0 < p < q < 1 from the singular rank-one pair.
-
-    The pair is used directly (powers of a semidefinite matrix follow the
-    0 ** r = 0 convention); ``eps_shift`` optionally replaces it by the
-    eps-shifted positive definite pair.
-    """
-    if not in_family_domain(Case.RANK_ONE, p, q):
-        raise PreconditionError("rank-one family needs 0 < p < q < 1")
-    return _search(Case.RANK_ONE, p, q, cert_tol, eps_shift=eps_shift)
-
-
-def construct_scalar_fail(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
-    """Witness for p > q: scalar power means are strictly monotone.
-
-    With A = I and B = 4 I the difference M_q - M_p is the negative scalar
-    gap times the identity, so any unit vector certifies.
-    """
-    p, q = normalize_exponent(p), normalize_exponent(q)
-    if not p > q:
-        raise PreconditionError("scalar failure needs p > q")
-    a = np.eye(2)
-    b = 4.0 * np.eye(2)
-    hit = _certify(p, q, a, b, _checked_cert_tol(cert_tol))
-    if hit is None:
-        raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
-    lam, vec = hit
-    expected = scalar_power_mean(q, 1.0, 4.0) - scalar_power_mean(p, 1.0, 4.0)
-    if abs(lam - expected) > 1e-9 * (1.0 + abs(expected)):
-        raise SearchExhaustedError("scalar witness inconsistent with the scalar mean")
-    return Witness(p, q, a, b, lam, vec)
-
-
-def find_counterexample(p: float, q: float, cert_tol: float = CERT_TOL) -> Witness:
+def find_counterexample(p: float, q: float) -> Witness:
     """Dispatch an exponent pair to its family and certify a witness.
 
-    Pairs inside the sufficiency region raise ``InRegionError``.  Labels
-    reached through the dual reflection walk the family at (-q, -p) on the
-    closed-form reciprocals of its pairs (the singular rank-one pair is
-    first shifted by a small multiple of the identity); the duality
-    identity guides the search but is never trusted for the certificate,
-    which comes from the returned pair at (p, q).
+    Pairs inside the sufficiency region raise ``InRegionError``; a pair
+    whose family's schedule yields no certified candidate raises
+    ``SearchExhaustedError``.  Labels reached through the dual reflection
+    walk the family at (-q, -p) on the closed-form reciprocals of its pairs
+    (the singular rank-one pair is first shifted by a small multiple of the
+    identity); the duality identity guides the search but is never trusted
+    for the certificate, which comes from the returned pair at (p, q).
 
     Exponents are normalized first (near-zero values go to the
     log-Euclidean branch) so the dispatch matches what the means actually
@@ -311,9 +247,19 @@ def find_counterexample(p: float, q: float, cert_tol: float = CERT_TOL) -> Witne
     label = classify(p, q)
     if label.case is Case.IN_REGION:
         raise InRegionError("(%g, %g) lies in the sufficiency region" % (p, q))
-    if label.case is Case.SCALAR_FAIL:
-        return construct_scalar_fail(p, q, cert_tol)
-    return _search(label.case, p, q, cert_tol, label.via_dual)
+    if label.case is not Case.SCALAR_FAIL:
+        return _search(label.case, p, q, label.via_dual)
+    # p > q fails for scalars already: with A = I and B = 4 I, M_q - M_p is
+    # the negative scalar gap times the identity, so any unit vector certifies.
+    a, b = np.eye(2), 4.0 * np.eye(2)
+    hit = _certify(p, q, a, b)
+    if hit is None:
+        raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
+    lam, vec = hit
+    expected = scalar_power_mean(q, 1.0, 4.0) - scalar_power_mean(p, 1.0, 4.0)
+    if abs(lam - expected) > 1e-9 * (1.0 + abs(expected)):
+        raise SearchExhaustedError("scalar witness inconsistent with the scalar mean")
+    return Witness(p, q, a, b, lam, vec)
 
 
 def choi_sign_table(p_values) -> list[tuple[float, tuple[str, str]]]:

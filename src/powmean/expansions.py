@@ -32,6 +32,10 @@ from .functions import EXP, Power, ScalarFunction
 
 DEFAULT_THETAS = tuple(0.1 * 2.0**-k for k in range(8))
 _ORACLE_REL_TOL = 1e-5
+#: |log xy| at or below which the r -> 0 terms are rejected.  Their sum
+#: cancels terms of size 1/log xy and keeps a relative error of about
+#: 2e-13 / (log xy)^2 against 60-digit arithmetic: 2e-7 at this guard.
+_LOG_XY_GAP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ def _terms(r: float | None, x: float, y: float) -> _Terms:
         raise PreconditionError("x and y must be positive")
     if r is None:
         lxy = math.log(x * y)
-        if abs(lxy) <= CONFLUENT_GAP:
+        if abs(lxy) <= _LOG_XY_GAP:
             raise DegenerateFrameError("x * y is too close to 1")
         ly = math.log(y)
         return _Terms(math.sqrt(x * y), -math.log(x) * ly / lxy, ly / lxy)

@@ -33,10 +33,6 @@ def normalize_exponent(p: float) -> float:
     return 0.0 if abs(p) < LOG_EUCLIDEAN_THRESHOLD else p
 
 
-def is_log_euclidean(p: float) -> bool:
-    return normalize_exponent(p) == 0.0
-
-
 def scalar_power_mean(p: float, a: float, b: float, weight: float = 0.5) -> float:
     """Power mean of two positive scalars (geometric mean at p = 0)."""
     if a <= 0.0 or b <= 0.0:

@@ -59,11 +59,6 @@ _FAMILY_DOMAINS = {
 }
 
 
-def in_family_domain(case: Case, p: float, q: float) -> bool:
-    """True iff the family of ``case`` applies directly at (p, q)."""
-    return _FAMILY_DOMAINS[case](p, q)
-
-
 def classify(p: float, q: float) -> CaseLabel:
     """Send an exponent pair to its verdict or counterexample family.
 

@@ -31,8 +31,8 @@ WORKLOAD_CALLS = [
 
 #: Call shapes of workloads.py: the wide workload's order, map-order and
 #: duality checks, the scan workload's wrapper of the CLI's fuzz_point, the
-#: certify workload's re-verification, and the lemma workload's closed
-#: forms, difference functions and oracle.
+#: certify workload's search and re-verification, and the lemma workload's
+#: closed forms, difference functions and oracle.
 WORKLOAD_CALL_SHAPES = [
     ("fuzz", "fuzz_point", (0.5, 2.0, 1, 9), {"dims": (4,)}),
     ("fuzz", "fuzz_map_order", (1, 9), {"dims": (4,)}),
@@ -47,6 +47,7 @@ WORKLOAD_CALL_SHAPES = [
     ("expansions", "det_coeff_log_pair", (2.0, 0.25, 0.0625), {}),
     ("expansions", "det_coeff_rank_one", (0.25, 0.5), {}),
     ("expansions", "rank_one_remainder_orders", (0.25, 0.5), {}),
+    ("counterexamples", "find_counterexample", (0.25, 1.0), {}),
 ]
 
 

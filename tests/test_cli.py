@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, CSV schema, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def test_scan_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_scan_bytes_pinned(tmp_path):
+    # The default grid at 2 trials a cell; a change to any cell's bytes must
+    # re-record this deliberately.
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a254e846bebccdf178af6fdf7cf864b77926fe4f88e7104b88b1801ce3831ae5"
+
+
 def test_scan_seed_changes_output(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -75,10 +86,10 @@ _NEG_SPECTRUM_PAIR = ["--p", "-1.9176636524619972", "--q", "-0.05991928785813627
 @pytest.mark.parametrize("argv", [
     ["scan", "--tol-order", "0"],
     ["scan", "--tol-order", "inf"],
-    ["scan", "--tol-cert", "-1"],
+    ["scan", "--tol-order=-1e-10"],
     ["fuzz", "region", "--tol-order", "nan"],
-    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "-1"],
-    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "inf"],
+    ["fuzz", "map-order", "--tol-order", "0"],
+    ["fuzz", "map-order", "--tol-order=-inf"],
 ])
 def test_bad_tolerance_option_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -138,6 +149,10 @@ def test_verify_lemma_outside_family_domain_is_usage_error(argv, reason, capsys)
     ["verify-lemma", "--family", "rank-one", "--p", "0.25", "--q", "0.5",
      "--tol-order", "1e-10"],
     ["fuzz", "region", "--tol-cert", "1e-12"],
+    # the certification threshold is the fixed CERT_TOL
+    ["scan", "--tol-cert", "-1"],
+    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "-1"],
+    ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "inf"],
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -154,13 +169,15 @@ def test_fuzz_verdicts_read_tol_order(capsys):
 
 
 def test_map_order_fuzz_reads_tol_order(capsys):
-    # At the default slack an order check is the worst margin (about 1e-10);
-    # at slack 10 every order margin exceeds 10, so an affine-route margin is.
+    # The worst margin is an order margin, at least the slack times
+    # 1 + max|D|; the affine-route checks report no margin.
     argv = ["fuzz", "map-order", "--trials", "20", "--seed", "7"]
     assert main(argv) == 0
     default = capsys.readouterr().out
     assert main(argv + ["--tol-order", "10"]) == 0
-    assert capsys.readouterr().out != default
+    out = capsys.readouterr().out
+    assert out != default
+    assert float(out.split("worst margin ")[1].split(")")[0]) >= 10.0
 
 
 @pytest.mark.parametrize("target", ["duality", "limit"])

@@ -308,6 +308,32 @@ def test_log_pair_rejects_reciprocal_arguments():
         det_coeff_log_pair(1.0, 4.0, 0.25)
 
 
+#: (q, x, d) -> det_coeff_log_pair(q, x, (1 + d) / x).total, from a 60-digit
+#: mpmath evaluation of the same closed form on the same floats.
+_LOG_PAIR_NEAR_XY_ONE = {
+    (1.5, 3.0, 1.5e-3): 0.0043367641392842819,
+    (1.5, 3.0, -2e-3): 0.0043536384456065802,
+    (-2.0, 0.1, 1.5e-3): 0.037342538865019705,
+    (0.5, 10.0, -5e-3): -0.20559100541720236,
+    (-0.5, 0.01, 2e-3): -1.0132889602872425,
+    (2.5, 0.25, -1.5e-3): 0.12413434743634658,
+}
+
+
+@pytest.mark.parametrize("q,x,d", sorted(_LOG_PAIR_NEAR_XY_ONE))
+def test_log_pair_keeps_its_digits_near_xy_one(q, x, d):
+    got = det_coeff_log_pair(q, x, (1.0 + d) / x).total
+    assert got == pytest.approx(_LOG_PAIR_NEAR_XY_ONE[q, x, d], rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1.5e-7, 1e-6, 1e-5, 1e-4, 5e-4, -5e-4])
+def test_log_pair_rejects_xy_where_digits_are_lost(d):
+    # Against 60 digits the value here was off by 0.86, 2.6e-2, 1.7e-4,
+    # 2.4e-6 and 1.1e-7 relative at d = 1.5e-7 ... 5e-4.
+    with pytest.raises(DegenerateFrameError, match="x \\* y is too close to 1"):
+        det_coeff_log_pair(1.5, 3.0, (1.0 + d) / 3.0)
+
+
 def test_log_pair_is_small_exponent_limit():
     for q, x, y in [(1.0, 0.01, 0.0001), (0.5, 0.2, 0.04), (2.0, 0.3, 0.6)]:
         lim = det_coeff_power_pair(1e-6, q, x, y).total
@@ -350,11 +376,13 @@ def _coeff_pin_words(group):
 
 
 # sha256 (first 32 hex digits) of the words above, recorded from the
-# per-family closed forms the shared terms replaced.
+# per-family closed forms the shared terms replaced.  "random" was
+# re-recorded when the log guard widened to |log xy| <= 1e-3: its one
+# input inside (|log xy| = 9.5e-4) now raises DegenerateFrameError.
 _COEFF_PINS = {
     "walk-power": "e63d6ff95e384f03ee18ffadf6eec6f1",
     "walk-log": "9ca93b51c3a998c5ff801b1a633d9db8",
-    "random": "f5df432b4050040e8a0beceadbc94320",
+    "random": "05c03c66ef050774915c73eb4084b848",
 }
 
 

@@ -22,7 +22,6 @@ from powmean import (
     frechet_d1,
     frechet_d2,
     identity_map,
-    is_log_euclidean,
     limit_slope_check,
     map_power,
     mat_fun,
@@ -44,7 +43,7 @@ def test_normalize_exponent_threshold():
     assert normalize_exponent(1e-9) == 0.0
     assert normalize_exponent(-1e-9) == 0.0
     assert normalize_exponent(1e-7) == 1e-7
-    assert is_log_euclidean(0.0)
+    assert normalize_exponent(0.0) == 0.0
     with pytest.raises(PreconditionError):
         normalize_exponent(float("inf"))
 
