@@ -289,8 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv) -> list[str]:
+    """``--opt -1e-9`` as ``--opt=-1e-9``: argparse reads a token starting
+    with "-" as a flag unless it is a plain decimal, so values such as
+    ``-1e-9`` or ``-inf`` would never reach their option's own check."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and prev != "--" and "=" not in prev:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = prev + "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

@@ -18,6 +18,7 @@ in place once returned.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,9 +139,9 @@ def _fix_sign(x: float, y: float, *rest: float) -> tuple[float, ...]:
 def _rescaled(m: np.ndarray, decompose) -> SpectralDecomposition:
     """Decompose ``m`` through m / 2^e with max |entry| below 1.
 
-    For matrices near the top of the float range.  A power-of-two scale
-    rounds no normal number, so the basis serves ``m`` as it is and only the
-    eigenvalues scale back, unless they exceed the float range.
+    For matrices whose entry products leave the normal range.  A power-of-two
+    scale rounds no normal number, so the basis serves ``m`` as it is and
+    only the eigenvalues scale back, unless they exceed the float range.
     """
     e = math.frexp(float(np.abs(m).max()))[1]
     dec = decompose(np.ldexp(m, -e))
@@ -168,18 +169,22 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     half = 0.5 * (a - d)
     r = math.hypot(half, b)
     mid = 0.5 * (a + d)
+    # The eigenvalue of larger magnitude is mid +- r (the sign of mid), the
+    # other det / big, so neither cancels.  big^2 bounds det's products.
+    big = mid + math.copysign(r, mid)
+    if not sys.float_info.min <= big * big < math.inf:
+        return _rescaled(m, _eig_2x2)
+    other = (a * d - b * b) / big  # clamped below: rounding may cross big
+    lo, hi = (min(other, big), big) if big > 0.0 else (big, max(other, big))
     # Cancellation-free eigenvector for the larger eigenvalue.
     if half >= 0.0:
         ux, uy = r + half, b
     else:
         ux, uy = b, r - half
     nrm = math.hypot(ux, uy)
-    # nrm >= r, so a finite |mid| + nrm bounds both eigenvalues as well.
-    if math.isinf(abs(mid) + nrm):
-        return _rescaled(m, _eig_2x2)
     c, s = ux / nrm, uy / nrm
     (x0, y0), (x1, y1) = _fix_sign(-s, c), _fix_sign(c, s)
-    return SpectralDecomposition(np.array([mid - r, mid + r]), np.array([[x0, x1], [y0, y1]]))
+    return SpectralDecomposition(np.array([lo, hi]), np.array([[x0, x1], [y0, y1]]))
 
 
 def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
@@ -245,10 +250,12 @@ def eig_sym(m) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
     The input is validated and averaged by :func:`symmetrize` here, once;
-    this is the one validating entry point for every decomposition.  Uses
-    the closed-form rotation for 2x2 and cyclic Jacobi sweeps above, with
-    the off-diagonal threshold 1e-12 times the Frobenius norm and a hard
-    cap on sweeps.  Deterministic for fixed input.
+    this is the one validating entry point for every decomposition.  A 2x2
+    takes the closed-form rotation: its eigenvalue of larger magnitude is
+    mid +- r, the other det / that one, so neither cancels.  Larger input
+    takes cyclic Jacobi sweeps, with the off-diagonal threshold 1e-12 times
+    the Frobenius norm and a hard cap on sweeps.  Deterministic for fixed
+    input.
 
     Returns
     -------

@@ -53,8 +53,7 @@ from .region import Case, classify, dual
 CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
 _THETA_SCHEDULE = tuple(0.1 * 2.0**-j for j in range(21))
-_DUAL_RANK_ONE_SHIFT = 1e-6
-_EPS = sys.float_info.epsilon
+_DUAL_RANK_ONE_SHIFT = 1e-9
 
 #: Classic 3x3 positive definite matrix (due to Choi) whose top-left 2x2
 #: compression violates the Jensen power inequality outside 1 <= p <= 2 and
@@ -135,16 +134,9 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
 
 def _certify(p, q, a, b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``.  The closed form's mid - r is good to a few eps times the
-    top eigenvalue; where that is coarser than ``CERT_TOL`` (the large gaps
-    of reciprocal pairs), det / top, which does not cancel, replaces it.
-    """
-    gap = power_mean_gap(p, q, a, b)
-    dec = eig_sym(gap)
-    lam, top = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
-    if top > -lam and 4.0 * _EPS * top > CERT_TOL:
-        (g00, g01), (_, g11) = gap.tolist()
-        lam = (g00 * g11 - g01 * g01) / top
+    ``-CERT_TOL``, as :func:`eig_sym` returns them."""
+    dec = eig_sym(power_mean_gap(p, q, a, b))
+    lam = float(dec.eigenvalues[0])
     if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()
     return None
@@ -174,7 +166,7 @@ def _rotation_walk(p, q, via_dual):
         y = x * x
         # Computed, y and the floor are each off by a few eps; the margins
         # keep the stop sound: every candidate it skips lies below the floor.
-        if low <= 0.0 and y + 16.0 * _EPS <= 0.5 * PSD_FLOOR:
+        if low <= 0.0 and y + 16.0 * sys.float_info.epsilon <= 0.5 * PSD_FLOOR:
             break
         try:
             if p == 0.0:
@@ -235,9 +227,9 @@ def find_counterexample(p: float, q: float) -> Witness:
     whose family's schedule yields no certified candidate raises
     ``SearchExhaustedError``.  Labels reached through the dual reflection
     walk the family at (-q, -p) on the closed-form reciprocals of its pairs
-    (the singular rank-one pair is first shifted by a small multiple of the
-    identity); the duality identity guides the search but is never trusted
-    for the certificate, which comes from the returned pair at (p, q).
+    (the singular rank-one pair is first shifted by 1e-9 I); the duality
+    identity guides the search but is never trusted for the certificate,
+    :func:`eig_sym`'s smallest eigenvalue of M_q - M_p on the returned pair.
 
     Exponents are normalized first (near-zero values go to the
     log-Euclidean branch) so the dispatch matches what the means actually

@@ -48,7 +48,7 @@ def test_scan_bytes_pinned(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "a254e846bebccdf178af6fdf7cf864b77926fe4f88e7104b88b1801ce3831ae5"
+    assert digest == "ed8272e1ffc9cf33d2adff1d85580df9f1a90bed658ff3b5315e2d6a8a98253d"
 
 
 def test_scan_seed_changes_output(tmp_path):
@@ -217,8 +217,7 @@ def test_counterexample_csv_dump(tmp_path):
 
 
 #: Pairs outside the region whose search fails, and the error it ends in.
-_UNCERTIFIED = [((-0.9, -0.8), "SearchExhaustedError"),
-                ((-1.425, -0.473), "SearchExhaustedError")]
+_UNCERTIFIED = [((-1.425, -0.473), "SearchExhaustedError")]
 
 
 @pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
@@ -240,6 +239,22 @@ def test_counterexample_uncertified_exit(pair, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "uncertified: %s" % reason in captured.err
+
+
+def test_negative_exponent_notation_reads_as_a_value(capsys):
+    assert main(["counterexample", "--p", "-1e-9", "--q", "0.5"]) == 0
+    assert "family: log-euclidean\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--tol-order", "-1e-10"], "must be positive"),
+    (["--pmax", "-inf"], "must be finite"),
+])
+def test_negative_exponent_notation_reaches_the_value_check(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_near_zero_exponent_labelled_log_euclidean(tmp_path, capsys):

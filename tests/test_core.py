@@ -293,6 +293,25 @@ def test_eig_2x2_basis_finite_where_its_sum_overflows():
     assert np.abs(recon - m / 8.9e307).max() <= 1e-15
 
 
+def test_eig_2x2_small_eigenvalue_does_not_cancel():
+    # det = 1e6 and the top eigenvalue 1e9 + 9e-3 give 9.99999999991e-4;
+    # mid - r would be off by a few eps times 1e9, about 1.3e-5 relative
+    small = float(eig_sym(np.array([[1e9, 3e3], [3e3, 1e-2]])).eigenvalues[0])
+    assert abs(small - 9.99999999991e-4) <= 1e-12 * 9.99999999991e-4
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_eig_2x2_commutes_with_power_of_two_scaling(shift):
+    # entry products overflow (or underflow) at 2^+-600, so the scaled input
+    # takes the rescaled route, which must round nothing
+    rnd = random.Random(3)
+    for _ in range(20):
+        a, b, d = (rnd.uniform(-4.0, 4.0) for _ in range(3))
+        m = np.array([[a, b], [b, d]])
+        scaled = eig_sym(m * 2.0**shift).eigenvalues
+        assert np.array_equal(scaled, eig_sym(m).eigenvalues * 2.0**shift)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_eig_rejects_spectrum_beyond_float_range():
     # top eigenvalue 4 * 5e307 = 2e308 exceeds the largest double

@@ -129,6 +129,17 @@ def test_random_kraus_maps_unital():
         assert np.allclose(phi.apply(np.eye(2)), np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("in_dim,out_dim", [(i, o) for i in range(1, 9) for o in range(1, 9)
+                                             if 3 * i < o])
+def test_random_kraus_maps_unital_where_three_factors_lack_rank(in_dim, out_dim):
+    # sum V V^T of three in_dim-column factors has rank <= 3 in_dim < out_dim
+    for seed in range(100):
+        phi = random_kraus_map(in_dim, out_dim, seed)
+        assert phi.is_unital()
+        assert phi.tag == "kraus(%d)" % (-(-out_dim // in_dim) + 1)
+    assert random_kraus_map(in_dim, 3 * in_dim, 0).tag == "kraus(3)"
+
+
 def test_every_structural_map_unital():
     for phi in ALL_STRUCTURAL:
         assert phi.is_unital()
