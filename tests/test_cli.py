@@ -217,7 +217,8 @@ def test_counterexample_csv_dump(tmp_path):
 
 
 #: Pairs outside the region whose search fails, and the error it ends in.
-_UNCERTIFIED = [((-1.425, -0.473), "SearchExhaustedError")]
+_UNCERTIFIED = [((-0.987, -0.92), "SearchExhaustedError"),
+                ((-1.425, -0.473), "SearchExhaustedError")]
 
 
 @pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
