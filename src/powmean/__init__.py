@@ -16,10 +16,8 @@ The package is organized as a small numpy library:
 """
 
 from .core import (
-    DEFAULT_TOL,
     OrderVerdict,
     SpectralDecomposition,
-    Tolerances,
     eig_sym,
     loewner_leq,
     mat_fun,
@@ -96,7 +94,6 @@ __all__ = [
     "CHOI_MATRIX",
     "Case",
     "CaseLabel",
-    "DEFAULT_TOL",
     "DegenerateFrameError",
     "DetCoefficientBreakdown",
     "DimensionMismatchError",
@@ -118,7 +115,6 @@ __all__ = [
     "SearchExhaustedError",
     "SpectralDecomposition",
     "TaylorFrame",
-    "Tolerances",
     "Witness",
     "alpha_log",
     "alpha_power",

@@ -8,10 +8,11 @@ oracle), and ``fuzz`` (randomized property suites).
 
 Exit codes: 0 success, 1 inconsistency, uncertified pair or property
 failure, 2 usage error, 3 counterexample requested inside the sufficiency
-region, 4 degenerate expansion hypotheses.  The master seed defaults to the
-POWMEAN_SEED environment variable.  ``scan`` and ``counterexample`` certify
-through ``find_counterexample`` at its fixed threshold ``CERT_TOL`` (1e-12);
-``--tol-order`` sets only the Loewner-order slack.
+region, 4 degenerate expansion hypotheses.  The master seed, a non-negative
+integer, defaults to the POWMEAN_SEED environment variable.  No numerical
+threshold is an option: ``scan`` and ``counterexample`` certify through
+``find_counterexample`` at its fixed ``CERT_TOL`` (1e-12), and every order
+verdict of ``scan`` and ``fuzz`` uses the fixed ``core.ORDER_SLACK`` (1e-10).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances
 from .counterexamples import (
     choi_sign_table,
     find_counterexample,
@@ -45,7 +45,6 @@ from .region import Case, classify
 CSV_HEADER = "p,q,label,verdict,detail,x,y,theta,seed"
 _LEMMA_GAP_BOUND = 1e-4
 _CHOI_POWERS = (-2.0, -0.5, 0.5, 1.5, 3.0)
-_SLACK_TARGETS = ("map-order", "region")  # the fuzz targets that make order verdicts
 
 
 def _fmt(value) -> str:
@@ -75,6 +74,16 @@ def _checked(check):
         except ValueError as exc:  # PreconditionError is a ValueError
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: ``SeedSequence`` takes only non-negative integers."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a non-negative integer, got %s" % text)
 
 
 def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
@@ -110,6 +119,10 @@ def cmd_scan(args) -> int:
         _usage_error("--step must be positive")
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
+    if args.pmin > args.pmax:
+        _usage_error("--pmin must not exceed --pmax")
+    if args.qmin > args.qmax:
+        _usage_error("--qmin must not exceed --qmax")
     rows = []
     consistent = True
     for pi, p in enumerate(_grid(args.pmin, args.pmax, args.step)):
@@ -118,7 +131,7 @@ def cmd_scan(args) -> int:
             seed = _cell_seed(args.seed, pi, qi)
             witness = None
             if label.case is Case.IN_REGION:
-                passed, detail = fuzz_point(p, q, args.trials, seed, tol=args.tol)
+                passed, detail = fuzz_point(p, q, args.trials, seed)
                 verdict = "fuzz-pass" if passed else "in-region"
                 consistent &= passed
             else:
@@ -226,10 +239,7 @@ def cmd_verify_lemma(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
-    slack = () if args.tol is None else (args.tol,)
-    if slack and args.target not in _SLACK_TARGETS:
-        _usage_error("--tol-order applies only to the %s targets" % " and ".join(_SLACK_TARGETS))
-    report = FUZZ_TARGETS[args.target](args.trials, args.seed, *slack)
+    report = FUZZ_TARGETS[args.target](args.trials, args.seed)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -242,14 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=os.environ.get("POWMEAN_SEED", "0"),
+    seed.add_argument("--seed", type=_seed, default=os.environ.get("POWMEAN_SEED", "0"),
                       help="master seed (default: $POWMEAN_SEED, else 0)")
-    order_slack = _checked(lambda order: Tolerances(order=order))
 
     scan = sub.add_parser("scan", parents=[seed],
                           help="classify a (p, q) grid and emit a CSV report")
-    scan.add_argument("--tol-order", dest="tol", metavar="SLACK", default=DEFAULT_TOL,
-                      type=order_slack)
     scan.add_argument("--pmin", type=_checked(float), default=-2.0)
     scan.add_argument("--pmax", type=_checked(float), default=2.0)
     scan.add_argument("--qmin", type=_checked(float), default=-2.0)
@@ -281,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", parents=[seed], help="randomized property suites")
     fuzz.add_argument("target", choices=sorted(FUZZ_TARGETS))
-    fuzz.add_argument("--tol-order", dest="tol", metavar="SLACK", type=order_slack,
-                      help="order slack of the %s targets" % " and ".join(_SLACK_TARGETS))
     fuzz.add_argument("--trials", type=int, default=200)
     fuzz.set_defaults(func=cmd_fuzz)
 

@@ -44,27 +44,10 @@ PSD_FLOOR = 1e-10
 #: differences take their derivative-based confluent form; also the margin
 #: by which an expansion frame's denominators must avoid zero.
 CONFLUENT_GAP = 1e-7
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The slack of every Loewner-order verdict, the one tolerance callers set.
-
-    Attributes
-    ----------
-    order : float
-        Used in the library, the fuzz and ``scan``: D >= 0 holds iff
-        lambda_min(D) + order * (1 + max|D|) >= 0.
-    """
-
-    order: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.order < math.inf:
-            raise PreconditionError("tolerance 'order' must be positive and finite")
-
-
-DEFAULT_TOL = Tolerances()
+#: Slack of every Loewner-order verdict: D >= 0 holds iff
+#: lambda_min(D) + ORDER_SLACK * (1 + max|D|) >= 0.  It absorbs rounding
+#: only; the library, the fuzz and ``scan`` all read this one value.
+ORDER_SLACK = 1e-10
 
 
 class SpectralDecomposition(NamedTuple):
@@ -79,8 +62,9 @@ class OrderVerdict:
     """Outcome of a Loewner comparison A <= B, which holds iff ``margin`` >= 0.
 
     ``min_eigenvalue`` is the smallest eigenvalue of B - A, ``margin`` that
-    plus tol.order * (1 + max|B - A|), and ``witness`` a unit vector achieving
-    it, so a failed verdict is certified by witness^T (B - A) witness < 0.
+    plus the fixed ``ORDER_SLACK * (1 + max|B - A|)``, and ``witness`` a unit
+    vector achieving it, so a failed verdict is certified by
+    witness^T (B - A) witness < 0.
     """
 
     margin: float
@@ -345,25 +329,25 @@ def mat_fun(m, f: ScalarFunction) -> np.ndarray:
     return spectral_fun(eig_sym(m), f)
 
 
-def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> OrderVerdict:
+def loewner_leq(a, b) -> OrderVerdict:
     """Decide A <= B in the Loewner order, with a witness.
 
     The verdict holds iff the smallest eigenvalue of B - A is at least
-    ``-tol.order * (1 + max|B - A|)``; the witness is the corresponding
+    ``-ORDER_SLACK * (1 + max|B - A|)``; the witness is the corresponding
     unit eigenvector either way.
     """
     a = symmetrize(a)
     b = symmetrize(b)
     if a.shape != b.shape:
         raise DimensionMismatchError("cannot compare %r with %r" % (a.shape, b.shape))
-    return _order_verdict(b - a, tol)
+    return _order_verdict(b - a)
 
 
-def _order_verdict(d, tol: Tolerances) -> OrderVerdict:
-    """The verdict 0 <= D under ``tol.order``; :func:`eig_sym` validates ``d``."""
+def _order_verdict(d) -> OrderVerdict:
+    """The verdict 0 <= D under ``ORDER_SLACK``; :func:`eig_sym` validates ``d``."""
     dec = eig_sym(d)
     lam = float(dec.eigenvalues[0])
-    margin = lam + tol.order * (1.0 + float(np.abs(d).max()))
+    margin = lam + ORDER_SLACK * (1.0 + float(np.abs(d).max()))
     return OrderVerdict(margin, lam, dec.basis[:, 0].copy())
 
 

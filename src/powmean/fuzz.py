@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Tolerances, _order_verdict, _random_pd_stack, loewner_leq,
-                   mat_fun, random_pd)
+from .core import _order_verdict, _random_pd_stack, loewner_leq, mat_fun, random_pd
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import limit_slope_check, map_power, power_mean, power_mean_gap
@@ -59,24 +58,18 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def order_margin(p, q, a, b, tol=DEFAULT_TOL):
+def order_margin(p, q, a, b):
     """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B).
 
-    The margin is lambda_min(D) + tol.order * (1 + max|D|) for D = M_q - M_p,
-    the rule of :func:`~powmean.core.loewner_leq`: nonnegative iff it passes.
+    The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|) for D = M_q - M_p,
+    the rule of :func:`~powmean.core.loewner_leq` with the fixed
+    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.
     """
-    verdict = _order_verdict(power_mean_gap(p, q, a, b), tol)
+    verdict = _order_verdict(power_mean_gap(p, q, a, b))
     return verdict.margin, verdict.min_eigenvalue
 
 
-def fuzz_point(
-    p: float,
-    q: float,
-    trials: int,
-    seed: int,
-    dims=(2, 3),
-    tol: Tolerances = DEFAULT_TOL,
-):
+def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     """Random-pair order check at a fixed exponent pair.
 
     Returns (passed, worst raw min-eigenvalue) over ``trials`` seeded pairs
@@ -92,7 +85,7 @@ def fuzz_point(
             draws += [(int(rng.integers(2**63)), spread), (int(rng.integers(2**63)), spread)]
         pairs = _random_pd_stack(dim, draws)
         for a, b in zip(pairs[0::2], pairs[1::2]):
-            margin, lam = order_margin(p, q, a, b, tol)
+            margin, lam = order_margin(p, q, a, b)
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -116,7 +109,7 @@ def _sample_region_point(rng: np.random.Generator) -> tuple[float, float]:
     return float(rng.uniform(-4.0, -1.0)), float(rng.uniform(-0.99, -0.5))
 
 
-def fuzz_region(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> FuzzReport:
+def fuzz_region(trials: int, seed: int) -> FuzzReport:
     """Order inequality on random in-region exponent pairs and PD pairs."""
     rng = _spawn(seed, 1)
     report = FuzzReport("region", trials)
@@ -127,7 +120,7 @@ def fuzz_region(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> FuzzRe
         spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
         a = random_pd(dim, int(rng.integers(2**63)), spread)
         b = random_pd(dim, int(rng.integers(2**63)), spread)
-        margin, lam = order_margin(p, q, a, b, tol=tol)
+        margin, lam = order_margin(p, q, a, b)
         report.record(margin, "(p=%g, q=%g, dim=%d): min eig %.3e" % (p, q, dim, lam))
     return report
 
@@ -141,9 +134,7 @@ def _sample_exponent_pair(rng: np.random.Generator) -> tuple[float, float]:
             return p, q
 
 
-def fuzz_map_order(
-    trials: int, seed: int, tol: Tolerances = DEFAULT_TOL, dims=(2, 3, 4)
-) -> FuzzReport:
+def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
     """Order preservation under random unital CP maps with a 2x2 domain.
 
     For every unital positive map with 2-dimensional domain the inequality
@@ -158,7 +149,7 @@ def fuzz_map_order(
         phi = random_kraus_map(2, out_dim, int(rng.integers(2**63)))
         a = random_pd(2, int(rng.integers(2**63)), 10.0)
         p, q = _sample_exponent_pair(rng)
-        verdict = loewner_leq(map_power(phi, p, a), map_power(phi, q, a), tol)
+        verdict = loewner_leq(map_power(phi, p, a), map_power(phi, q, a))
         note = "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, verdict.min_eigenvalue)
         report.record(verdict.margin, note)
         direct = phi.apply(mat_fun(a, Power(p)))

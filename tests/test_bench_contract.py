@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from powmean import DEFAULT_TOL, Power
+from powmean import Power
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,13 +30,14 @@ WORKLOAD_CALLS = [
 ]
 
 #: Call shapes of workloads.py: the wide workload's order, map-order and
-#: duality checks, the scan workload's wrapper of the CLI's fuzz_point, the
-#: certify workload's search and re-verification, and the lemma workload's
-#: closed forms, difference functions and oracle.
+#: duality checks and its duality inputs, the certify workload's search and
+#: re-verification, and the lemma workload's closed forms, difference
+#: functions and oracle.  The scan workload's wrapper of the CLI's fuzz_point
+#: sees whatever the CLI passes; test_scan_calls_to_fuzz_point_bind records it.
 WORKLOAD_CALL_SHAPES = [
     ("fuzz", "fuzz_point", (0.5, 2.0, 1, 9), {"dims": (4,)}),
     ("fuzz", "fuzz_map_order", (1, 9), {"dims": (4,)}),
-    ("cli", "fuzz_point", (0.5, 2.0, 50, 9), {"tol": DEFAULT_TOL}),
+    ("core", "random_pd", (4, 9, 10.0), {}),
     ("counterexamples", "rank_one_difference", (0.25, 0.5), {}),
     ("counterexamples", "pd_rotation_difference", (0.5, 2.0, 0.25, 0.0625), {}),
     ("expansions", "numeric_det_coeff", (abs,), {"orders": (1.0, 2.0, 4.0)}),
@@ -88,6 +89,24 @@ def test_every_module_attribute_in_workloads_exists():
 @pytest.mark.parametrize("module,name,args,kwargs", WORKLOAD_CALL_SHAPES)
 def test_workload_call_shapes_bind(module, name, args, kwargs):
     inspect.signature(_attr(module, name)).bind(*args, **kwargs)
+
+
+def test_scan_calls_to_fuzz_point_bind(monkeypatch, tmp_path):
+    # The scan workload rebinds cli.fuzz_point to a wrapper that forwards
+    # *args and **kwargs: record what a one-cell scan passes and bind it.
+    cli = importlib.import_module("powmean.cli")
+    fuzz = importlib.import_module("powmean.fuzz")
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fuzz.fuzz_point(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fuzz_point", recorded)
+    assert cli.main(["scan", "--pmin", "1", "--pmax", "1", "--qmin", "2", "--qmax", "2",
+                     "--trials", "1", "--out", str(tmp_path / "scan.csv")]) == 0
+    [(args, kwargs)] = calls
+    inspect.signature(fuzz.fuzz_point).bind(*args, **kwargs)
 
 
 @pytest.mark.parametrize("trials,dims", [(7, (2, 3, 4)), (1, (3,)), (50, (2, 3))])

@@ -74,6 +74,48 @@ def test_scan_env_seed_override(tmp_path, monkeypatch):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+@pytest.mark.parametrize("bounds,message", [
+    (["--pmin", "1", "--pmax", "-1"], "--pmin must not exceed --pmax"),
+    (["--qmin", "1", "--qmax", "-1"], "--qmin must not exceed --qmax"),
+])
+def test_scan_rejects_reversed_bounds(bounds, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["scan", *bounds, "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_scan_equal_bounds_give_one_cell(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--pmin", "1", "--pmax", "1", "--qmin", "2", "--qmax", "2",
+                 "--trials", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["scan", "--seed", "-1"], None),
+    (["fuzz", "region", "--seed=-1"], None),
+    (["fuzz", "duality"], "-2"),
+])
+def test_negative_seed_is_usage_error(argv, env, tmp_path, monkeypatch, capsys):
+    # SeedSequence takes only non-negative seeds; a negative one must stop at
+    # the parser (SystemExit), not escape as a ValueError.
+    if env is not None:
+        monkeypatch.setenv("POWMEAN_SEED", env)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + (["--out", str(out)] if argv[0] == "scan" else []))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+    assert not out.exists()
+
+
 def test_scan_rejects_bad_step(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["scan", "--step", "-0.5", "--out", str(tmp_path / "x.csv")])
@@ -81,25 +123,6 @@ def test_scan_rejects_bad_step(tmp_path):
 
 
 _NEG_SPECTRUM_PAIR = ["--p", "-1.9176636524619972", "--q", "-0.05991928785813627"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["scan", "--tol-order", "0"],
-    ["scan", "--tol-order", "inf"],
-    ["scan", "--tol-order=-1e-10"],
-    ["fuzz", "region", "--tol-order", "nan"],
-    ["fuzz", "map-order", "--tol-order", "0"],
-    ["fuzz", "map-order", "--tol-order=-inf"],
-])
-def test_bad_tolerance_option_is_usage_error(argv, tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as info:
-        main(argv + (["--out", str(out)] if argv[0] != "fuzz" else []))
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be" in captured.err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -153,41 +176,21 @@ def test_verify_lemma_outside_family_domain_is_usage_error(argv, reason, capsys)
     ["scan", "--tol-cert", "-1"],
     ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "-1"],
     ["counterexample", *_NEG_SPECTRUM_PAIR, "--tol-cert", "inf"],
+    # the order slack is the fixed core.ORDER_SLACK
+    ["scan", "--tol-order", "0"],
+    ["scan", "--tol-order", "inf"],
+    ["scan", "--tol-order=-1e-10"],
+    ["fuzz", "region", "--tol-order", "nan"],
+    ["fuzz", "map-order", "--tol-order", "0"],
+    ["fuzz", "map-order", "--tol-order=-inf"],
+    ["fuzz", "duality", "--trials", "5", "--seed", "7", "--tol-order", "10"],
+    ["fuzz", "limit", "--trials", "5", "--seed", "7", "--tol-order", "10"],
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_fuzz_verdicts_read_tol_order(capsys):
-    # The margin of a passing check is at least the slack times 1 + max|D|.
-    assert main(["fuzz", "region", "--trials", "20", "--seed", "7", "--tol-order", "10"]) == 0
-    worst = float(capsys.readouterr().out.split("worst margin ")[1].split(")")[0])
-    assert worst >= 10.0
-
-
-def test_map_order_fuzz_reads_tol_order(capsys):
-    # The worst margin is an order margin, at least the slack times
-    # 1 + max|D|; the affine-route checks report no margin.
-    argv = ["fuzz", "map-order", "--trials", "20", "--seed", "7"]
-    assert main(argv) == 0
-    default = capsys.readouterr().out
-    assert main(argv + ["--tol-order", "10"]) == 0
-    out = capsys.readouterr().out
-    assert out != default
-    assert float(out.split("worst margin ")[1].split(")")[0]) >= 10.0
-
-
-@pytest.mark.parametrize("target", ["duality", "limit"])
-def test_tol_order_is_usage_error_for_fuzz_without_order_verdicts(target, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["fuzz", target, "--trials", "5", "--seed", "7", "--tol-order", "10"])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "region" in captured.err and "map-order" in captured.err
 
 
 def test_counterexample_certified_exit(capsys):
@@ -248,7 +251,7 @@ def test_negative_exponent_notation_reads_as_a_value(capsys):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--tol-order", "-1e-10"], "must be positive"),
+    (["--step", "-1e-9"], "must be positive"),
     (["--pmax", "-inf"], "must be finite"),
 ])
 def test_negative_exponent_notation_reaches_the_value_check(args, message, capsys):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from powmean import (
-    DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
     EXP,
@@ -21,7 +20,6 @@ from powmean import (
     NonConvergenceError,
     Power,
     PreconditionError,
-    Tolerances,
     eig_sym,
     loewner_leq,
     mat_fun,
@@ -97,26 +95,6 @@ def test_guard_rejects_overflowing_average():
     for validate in (symmetrize, eig_sym):
         with pytest.raises(PreconditionError, match="overflows"):
             validate(m)
-
-
-def test_tolerances_validated():
-    for order in (0.0, -0.0, -1.0, -math.inf):
-        with pytest.raises(PreconditionError, match="positive"):
-            Tolerances(order=order)
-    assert Tolerances(1e-9) == Tolerances(order=1e-9) != DEFAULT_TOL
-
-
-@pytest.mark.parametrize("name", ["eig", "psd", "order", "confluent"])
-@pytest.mark.parametrize("value", [math.inf, math.nan])
-def test_tolerances_reject_non_finite(name, value):
-    # An infinite order slack would let loewner_leq(2I, I) hold.  The other
-    # thresholds are fixed constants of core, not fields a caller can set.
-    if name == "order":
-        with pytest.raises(PreconditionError, match="finite"):
-            Tolerances(order=value)
-    else:
-        with pytest.raises(TypeError, match=name):
-            Tolerances(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +403,7 @@ def test_loewner_antisymmetry_forces_equality(rng):
     a, b = m, m + d
     if loewner_leq(a, b).holds and loewner_leq(b, a).holds:
         gap = np.abs(a - b).max()
-        assert gap <= 2.0 * DEFAULT_TOL.order * (1.0 + gap)
+        assert gap <= 2.0 * core.ORDER_SLACK * (1.0 + gap)
 
 
 def test_loewner_dimension_mismatch():

@@ -32,8 +32,8 @@ from powmean import (
     scalar_power_mean,
     symmetrize,
 )
-from powmean import Tolerances, core, find_counterexample, fuzz, random_kraus_map
-from powmean.fuzz import fuzz_point, fuzz_region, order_margin
+from powmean import core, find_counterexample, fuzz, random_kraus_map
+from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
 
 from conftest import sym_rand
@@ -206,16 +206,26 @@ def test_random_kraus_map_validates_once(monkeypatch):
     assert len(guards) == 1
 
 
-def test_order_verdicts_read_the_order_slack():
-    # A certified violation fails at the default slack and passes at a
-    # slack above any |lambda_min| / (1 + max|D|); so do the fuzz verdicts.
-    slack = Tolerances(order=10.0)
+def test_order_verdicts_fail_a_certified_violation():
+    # The fixed order slack is far below a certified negative eigenvalue, so
+    # both the single check and the fuzz verdict over random pairs fail.
     w = find_counterexample(0.25, 1.0)
     assert order_margin(0.25, 1.0, w.a, w.b)[0] < 0.0
-    assert order_margin(0.25, 1.0, w.a, w.b, tol=slack)[0] >= 0.0
     assert not fuzz_point(0.25, 1.0, 20, 0)[0]
-    assert fuzz_point(0.25, 1.0, 20, 0, tol=slack)[0]
-    assert fuzz_region(50, 7, slack).worst >= 10.0
+
+
+def test_map_order_worst_margin_comes_only_from_order_verdicts(monkeypatch):
+    # An affine-route mismatch counts as a failure but reports no margin.
+    trials, seed = 20, 7
+    clean = fuzz.fuzz_map_order(trials, seed)
+    assert clean.passed
+    inner = fuzz.apply_power_affine_2x2
+    monkeypatch.setattr(fuzz, "apply_power_affine_2x2",
+                        lambda phi, p, a: inner(phi, p, a) + 1.0)
+    report = fuzz.fuzz_map_order(trials, seed)
+    assert report.failures == trials
+    assert report.notes and all(n.startswith("affine route gap") for n in report.notes)
+    assert report.worst == clean.worst
 
 
 def _fuzz_point_reference(p, q, trials, seed, dims):
