@@ -45,6 +45,9 @@ from .region import Case, classify
 CSV_HEADER = "p,q,label,verdict,detail,x,y,theta,seed"
 _LEMMA_GAP_BOUND = 1e-4
 _CHOI_POWERS = (-2.0, -0.5, 0.5, 1.5, 3.0)
+#: Most cells a scan grid may have: far above the 0.1-step default grid's
+#: 1,681, far below a grid whose values alone would exhaust memory.
+_MAX_SCAN_CELLS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -55,9 +58,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _grid_size(lo: float, hi: float, step: float) -> float:
+    """Number of values of the grid from ``lo`` to ``hi``; a float, which a
+    huge or infinite count cannot overflow."""
+    return float(np.floor((hi - lo) / step + 1e-9)) + 1.0
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(max(count, 0))]
+    return [lo + i * step for i in range(int(_grid_size(lo, hi, step)))]
 
 
 def _cell_seed(master: int, pi: int, qi: int) -> int:
@@ -123,6 +131,11 @@ def cmd_scan(args) -> int:
         _usage_error("--pmin must not exceed --pmax")
     if args.qmin > args.qmax:
         _usage_error("--qmin must not exceed --qmax")
+    cells = (_grid_size(args.pmin, args.pmax, args.step)
+             * _grid_size(args.qmin, args.qmax, args.step))
+    if cells > _MAX_SCAN_CELLS:
+        _usage_error("the grid has %.3g cells, above the cap of %d: raise --step or "
+                     "narrow the bounds" % (cells, _MAX_SCAN_CELLS))
     rows = []
     consistent = True
     for pi, p in enumerate(_grid(args.pmin, args.pmax, args.step)):

@@ -171,63 +171,108 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([lo, hi]), np.array([[x0, x1], [y0, y1]]))
 
 
+def _jacobi_source(n: int) -> str:
+    """Source of ``sweeps(flat, thresh, cap)``, cyclic Jacobi at dimension ``n``.
+
+    The rotation loop unrolled over the (p, q) pairs in cyclic order: the
+    upper triangle of ``flat`` (the matrix, row-major) lives in locals
+    ``a{i}_{j}`` (i <= j) and the basis rows in ``v{i}_{j}``, so a rotation
+    touches no list.  Each statement keeps the loop's products and sums in
+    their order, so the results are those of a rotation loop over lists,
+    bit for bit.  The function returns the diagonal and the basis rows, or
+    raises ``NonConvergenceError`` after ``cap`` sweeps.  It exists for
+    speed only: when LAPACK replaces :func:`_eig_jacobi`, this generator
+    goes with it.
+    """
+    def a(i, j):
+        return "a%d_%d" % (min(i, j), max(i, j))
+
+    def rotate(x, y):
+        return "%s, %s = c * %s - s * %s, s * %s + c * %s" % (x, y, x, y, x, y)
+
+    idx = range(n)
+    pairs = [(p, q) for p in range(n - 1) for q in idx[p + 1:]]
+    upper = ", ".join(a(i, j) if j >= i else "_" for i in idx for j in idx)
+    ident = [("v%d_%d" % (i, j), i == j) for i in idx for j in idx]
+    lines = [
+        "def sweeps(flat, thresh, cap):",
+        "    %s = flat" % upper,
+        "    %s = 1.0" % " = ".join(v for v, diag in ident if diag),
+        "    %s = 0.0" % " = ".join(v for v, diag in ident if not diag),
+        # One extra sweep after crossing the threshold: clustered spectra
+        # need off-diagonals at machine level for accurate eigenvectors.
+        "    polish = 1",
+        "    for _ in range(cap):",
+        "        if %s:" % " and ".join("abs(%s) <= thresh" % a(p, q) for p, q in pairs),
+        "            if polish == 0:",
+        "                break",
+        "            polish -= 1",
+    ]
+    for p, q in pairs:
+        apq, app, aqq = a(p, q), a(p, p), a(q, q)
+        lines += [
+            "        if %s != 0.0:" % apq,
+            "            tau = (%s - %s) / (2.0 * %s)" % (aqq, app, apq),
+            "            t = copysign(1.0, tau) / (abs(tau) + sqrt(1.0 + tau * tau))",
+            "            c = 1.0 / sqrt(1.0 + t * t)",
+            "            s = t * c",
+        ]
+        lines += ["            " + rotate(a(p, j), a(q, j)) for j in idx if j != p and j != q]
+        lines += [
+            "            %s, %s = (c * (c * %s - s * %s) - s * (c * %s - s * %s),"
+            % (app, aqq, app, apq, apq, aqq),
+            "                s * (s * %s + c * %s) + c * (s * %s + c * %s))"
+            % (app, apq, apq, aqq),
+            "            %s = 0.0" % apq,
+        ]
+        lines += ["            " + rotate("v%d_%d" % (p, j), "v%d_%d" % (q, j)) for j in idx]
+    lines += [
+        "    else:",
+        "        raise NonConvergenceError('Jacobi sweeps exceeded the cap of %d' % cap)",
+        "    return [%s], [%s]" % (
+            ", ".join(a(i, i) for i in idx),
+            ", ".join("[%s]" % ", ".join("v%d_%d" % (i, j) for j in idx) for i in idx),
+        ),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+#: Compiled Jacobi sweeps by dimension, filled on first use: compiling all
+#: six at import would slow every start-up.
+_JACOBI_SWEEPS: dict = {}
+#: Below this max |entry| the squares summed into the Frobenius norm of an
+#: n <= 8 matrix cannot overflow.
+_SQUARES_SAFE = 1e150
+
+
 def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
-    with np.errstate(over="ignore"):
+    # The numpy sum keeps its pairwise order; the error-state context costs
+    # microseconds, so only entries large enough to overflow pay for it.
+    flat = m.ravel().tolist()
+    if -_SQUARES_SAFE < min(flat) and max(flat) < _SQUARES_SAFE:
         frob2 = float((m * m).sum())
-    if not math.isfinite(frob2):
-        # Entries above ~1e154 overflow the squares (an infinite threshold
-        # would stop the sweeps after one pass), and near the top of the
-        # range the rotations overflow too.
-        return _rescaled(m, _eig_jacobi)
+    else:
+        with np.errstate(over="ignore"):
+            frob2 = float((m * m).sum())
+        if not math.isfinite(frob2):
+            # Entries above ~1e154 overflow the squares (an infinite
+            # threshold would stop the sweeps after one pass), and near the
+            # top of the range the rotations overflow too.
+            return _rescaled(m, _eig_jacobi)
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
-    # once (no fused multiply-add), as separate numpy ufuncs do, so results
-    # match a vectorised sweep bit for bit.
+    # once (no fused multiply-add), as separate numpy ufuncs do.
     n = m.shape[0]
-    a = m.tolist()
-    vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
-    thresh = _JACOBI_THRESHOLD * math.sqrt(frob2)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    idx = range(n)
-    # One extra sweep after crossing the threshold: clustered spectra need
-    # off-diagonals at machine level for accurate eigenvectors.
-    polish = 1
-    for _ in range(_JACOBI_SWEEP_CAP):
-        if all(abs(a[p][q]) <= thresh for p, q in pairs):
-            if polish == 0:
-                break
-            polish -= 1
-        for p, q in pairs:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            rowp, rowq = a[p], a[q]
-            # a stays exactly symmetric: each off-block pair is computed once.
-            for j in idx:
-                if j != p and j != q:
-                    x, y = rowp[j], rowq[j]
-                    rowp[j] = a[j][p] = c * x - s * y
-                    rowq[j] = a[j][q] = s * x + c * y
-            app, aqq = rowp[p], rowq[q]
-            rowp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
-            rowq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
-            rowp[q] = rowq[p] = 0.0
-            vp, vq = vt[p], vt[q]
-            for j in idx:
-                x, y = vp[j], vq[j]
-                vp[j] = c * x - s * y
-                vq[j] = s * x + c * y
-    else:
-        raise NonConvergenceError(
-            "Jacobi sweeps exceeded the cap of %d" % _JACOBI_SWEEP_CAP
-        )
-    order = sorted(idx, key=lambda i: a[i][i])  # stable: ties keep their diagonal order
+    sweeps = _JACOBI_SWEEPS.get(n)
+    if sweeps is None:
+        namespace = {"copysign": math.copysign, "sqrt": math.sqrt,
+                     "NonConvergenceError": NonConvergenceError}
+        exec(compile(_jacobi_source(n), "<jacobi sweeps n=%d>" % n, "exec"), namespace)
+        sweeps = _JACOBI_SWEEPS[n] = namespace["sweeps"]
+    diag, vt = sweeps(flat, _JACOBI_THRESHOLD * math.sqrt(frob2), _JACOBI_SWEEP_CAP)
+    order = sorted(range(n), key=diag.__getitem__)  # stable: ties keep their diagonal order
     basis = np.array([_fix_sign(*vt[i]) for i in order]).T
-    return SpectralDecomposition(np.array([a[i][i] for i in order]), basis)
+    return SpectralDecomposition(np.array([diag[i] for i in order]), basis)
 
 
 def eig_sym(m) -> SpectralDecomposition:

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _order_verdict, _random_pd_stack, loewner_leq, mat_fun, random_pd
+from .core import (_order_verdict, _random_pd_stack, eig_sym, loewner_leq, mat_fun, random_pd,
+                   spectral_fun)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import limit_slope_check, map_power, power_mean, power_mean_gap
+from .means import _map_power_of, limit_slope_check, map_power, power_mean, power_mean_gap
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -149,10 +150,13 @@ def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
         phi = random_kraus_map(2, out_dim, int(rng.integers(2**63)))
         a = random_pd(2, int(rng.integers(2**63)), 10.0)
         p, q = _sample_exponent_pair(rng)
-        verdict = loewner_leq(map_power(phi, p, a), map_power(phi, q, a))
+        # One decomposition of A serves both powers and the direct route;
+        # random_kraus_map returns only maps kraus_map checked as unital.
+        dec = eig_sym(a)
+        verdict = loewner_leq(_map_power_of(phi, p, dec), _map_power_of(phi, q, dec))
         note = "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, verdict.min_eigenvalue)
         report.record(verdict.margin, note)
-        direct = phi.apply(mat_fun(a, Power(p)))
+        direct = phi.apply(spectral_fun(dec, Power(p)))
         affine = apply_power_affine_2x2(phi, p, a)
         gap = float(np.abs(affine - direct).max())
         if gap > 1e-9 * (1.0 + float(np.abs(direct).max())):

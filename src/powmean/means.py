@@ -115,7 +115,13 @@ def map_power(phi, p: float, a) -> np.ndarray:
     """
     if not phi.is_unital():
         raise NotUnitalError("map_power requires a unital map")
-    dec = eig_sym(a)
+    return _map_power_of(phi, p, eig_sym(a))
+
+
+def _map_power_of(phi, p: float, dec) -> np.ndarray:
+    """:func:`map_power` of A given as its decomposition ``dec`` by
+    :func:`~powmean.core.eig_sym`, for a map already known to be unital;
+    several exponents can share one decomposition."""
     n = dec.basis.shape[0]
     if n != phi.in_dim:
         raise DimensionMismatchError(

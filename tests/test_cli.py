@@ -122,6 +122,21 @@ def test_scan_rejects_bad_step(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--step", "1e-9"],  # 4e9 values per axis on the default bounds
+    ["--pmin", "-1e308", "--pmax", "1e308"],  # the count overflows to infinity
+])
+def test_scan_rejects_oversized_grid_before_building_it(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["scan", *argv, "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the cap of 1000000" in captured.err
+    assert not out.exists()
+
+
 _NEG_SPECTRUM_PAIR = ["--p", "-1.9176636524619972", "--q", "-0.05991928785813627"]
 
 

@@ -7,7 +7,10 @@ forms and algebraic identities.
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +307,112 @@ def test_eig_nonconvergence_when_sweep_cap_hit(rng, monkeypatch):
     m = sym_rand(rng, 4)
     with pytest.raises(NonConvergenceError):
         eig_sym(m)
+
+
+def _reference_jacobi(m):
+    """The cyclic Jacobi rotation loop over lists that the compiled sweeps
+    replaced, kept as the reference they must match bit for bit."""
+    with np.errstate(over="ignore"):
+        frob2 = float((m * m).sum())
+    if not math.isfinite(frob2):
+        return core._rescaled(m, _reference_jacobi)
+    n = m.shape[0]
+    a = m.tolist()
+    vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
+    thresh = core._JACOBI_THRESHOLD * math.sqrt(frob2)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    idx = range(n)
+    polish = 1
+    for _ in range(core._JACOBI_SWEEP_CAP):
+        if all(abs(a[p][q]) <= thresh for p, q in pairs):
+            if polish == 0:
+                break
+            polish -= 1
+        for p, q in pairs:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            rowp, rowq = a[p], a[q]
+            for j in idx:
+                if j != p and j != q:
+                    x, y = rowp[j], rowq[j]
+                    rowp[j] = a[j][p] = c * x - s * y
+                    rowq[j] = a[j][q] = s * x + c * y
+            app, aqq = rowp[p], rowq[q]
+            rowp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+            rowq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+            rowp[q] = rowq[p] = 0.0
+            vp, vq = vt[p], vt[q]
+            for j in idx:
+                x, y = vp[j], vq[j]
+                vp[j] = c * x - s * y
+                vq[j] = s * x + c * y
+    else:
+        raise NonConvergenceError(
+            "Jacobi sweeps exceeded the cap of %d" % core._JACOBI_SWEEP_CAP
+        )
+    order = sorted(idx, key=lambda i: a[i][i])
+    basis = np.array([core._fix_sign(*vt[i]) for i in order]).T
+    return core.SpectralDecomposition(np.array([a[i][i] for i in order]), basis)
+
+
+def _reference_inputs(dim, seed):
+    """Seeded symmetric matrices of every kind the sweeps must round alike."""
+    rng = np.random.default_rng([dim, seed])
+    g = rng.standard_normal((dim, dim))
+    t = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+    sparse = (g + g.T) * (rng.random((dim, dim)) < 0.5)
+    base = [
+        g @ g.T + 0.1 * np.eye(dim),  # positive definite
+        g + g.T,  # indefinite
+        t + t.T,  # integer-valued, with exact ties among entries and eigenvalues
+        np.diag(rng.integers(-2, 3, size=dim).astype(float)),  # no off-diagonal
+        (sparse + sparse.T) / 2.0,  # some zero off-diagonals
+    ]
+    for m in base:
+        yield from (m, m * 2.0**40, m * 2.0**-40)
+    # squares overflow: these take the rescaled route
+    yield from ((g + g.T) * 1e156, g @ g.T * 1e155)
+
+
+@pytest.mark.parametrize("dim", range(3, core.MAX_DIM + 1))
+def test_eig_sweeps_match_the_rotation_loop_bit_for_bit(dim):
+    for seed in range(8):
+        for m in _reference_inputs(dim, seed):
+            dec = eig_sym(m)
+            ref = _reference_jacobi(symmetrize(m))
+            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert dec.basis.tobytes() == ref.basis.tobytes()
+
+
+def test_eig_sweep_cap_message_matches_the_rotation_loop(rng, monkeypatch):
+    monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
+    m = sym_rand(rng, 5)
+    with pytest.raises(NonConvergenceError) as ref:
+        _reference_jacobi(symmetrize(m))
+    with pytest.raises(NonConvergenceError) as ours:
+        eig_sym(m)
+    assert str(ours.value) == str(ref.value) == "Jacobi sweeps exceeded the cap of 1"
+
+
+def test_eig_sweeps_compile_per_dimension_on_first_use():
+    # Compiling every dimension's sweeps at import would slow each start-up:
+    # importing compiles none, a 2x2 none, and a 3x3 only dimension 3.
+    code = (
+        "import numpy as np, powmean; from powmean import core; "
+        "print(sorted(core._JACOBI_SWEEPS)); powmean.eig_sym(np.eye(2)); "
+        "print(sorted(core._JACOBI_SWEEPS)); powmean.eig_sym(np.ones((3, 3))); "
+        "print(sorted(core._JACOBI_SWEEPS))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "[]", "[3]"]
 
 
 # ---------------------------------------------------------------------------
