@@ -240,25 +240,16 @@ def _jacobi_source(n: int) -> str:
 #: Compiled Jacobi sweeps by dimension, filled on first use: compiling all
 #: six at import would slow every start-up.
 _JACOBI_SWEEPS: dict = {}
-#: Below this max |entry| the squares summed into the Frobenius norm of an
-#: n <= 8 matrix cannot overflow.
-_SQUARES_SAFE = 1e150
 
 
 def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
-    # The numpy sum keeps its pairwise order; the error-state context costs
-    # microseconds, so only entries large enough to overflow pay for it.
-    flat = m.ravel().tolist()
-    if -_SQUARES_SAFE < min(flat) and max(flat) < _SQUARES_SAFE:
+    with np.errstate(over="ignore"):
         frob2 = float((m * m).sum())
-    else:
-        with np.errstate(over="ignore"):
-            frob2 = float((m * m).sum())
-        if not math.isfinite(frob2):
-            # Entries above ~1e154 overflow the squares (an infinite
-            # threshold would stop the sweeps after one pass), and near the
-            # top of the range the rotations overflow too.
-            return _rescaled(m, _eig_jacobi)
+    if not math.isfinite(frob2):
+        # Entries above ~1e154 overflow the squares (an infinite threshold
+        # would stop the sweeps after one pass), and near the top of the
+        # range the rotations overflow too.
+        return _rescaled(m, _eig_jacobi)
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
@@ -269,7 +260,7 @@ def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
                      "NonConvergenceError": NonConvergenceError}
         exec(compile(_jacobi_source(n), "<jacobi sweeps n=%d>" % n, "exec"), namespace)
         sweeps = _JACOBI_SWEEPS[n] = namespace["sweeps"]
-    diag, vt = sweeps(flat, _JACOBI_THRESHOLD * math.sqrt(frob2), _JACOBI_SWEEP_CAP)
+    diag, vt = sweeps(m.ravel().tolist(), _JACOBI_THRESHOLD * math.sqrt(frob2), _JACOBI_SWEEP_CAP)
     order = sorted(range(n), key=diag.__getitem__)  # stable: ties keep their diagonal order
     basis = np.array([_fix_sign(*vt[i]) for i in order]).T
     return SpectralDecomposition(np.array([diag[i] for i in order]), basis)
