@@ -105,19 +105,10 @@ def _rotated_pair(a_diag, b_diag, theta):
     return np.diag(a_diag), symmetrize(r @ np.diag(b_diag) @ r.T)
 
 
-def rank_one_pair(theta: float, eps_shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The pair A = diag(2, 0), B_t = rank-one projection at angle t.
-
-    ``eps_shift`` adds eps * I to both matrices; the shifted pair is
-    positive definite and within O(eps^p) of the singular one, which backs
-    the continuity argument and makes the pair invertible.
-    """
-    if eps_shift < 0.0:
-        raise PreconditionError("eps_shift must be nonnegative")
+def rank_one_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The singular pair A = diag(2, 0), B_t = rank-one projection at angle t."""
     c, s = np.cos(theta), np.sin(theta)
-    proj = np.array([[c * c, c * s], [c * s, s * s]])
-    shift = eps_shift * np.eye(2)
-    return np.diag([2.0, 0.0]) + shift, symmetrize(proj) + shift
+    return np.diag([2.0, 0.0]), np.array([[c * c, c * s], [c * s, s * s]])
 
 
 def pd_rotation_difference(

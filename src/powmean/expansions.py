@@ -30,7 +30,7 @@ from .core import CONFLUENT_GAP, eig_sym, symmetrize
 from .errors import DegenerateFrameError, DomainError, NonConvergenceError, PreconditionError
 from .functions import EXP, Power, ScalarFunction
 
-DEFAULT_THETAS = tuple(0.1 * 2.0**-k for k in range(8))
+_ORACLE_THETAS = tuple(0.1 * 2.0**-k for k in range(8))
 _ORACLE_REL_TOL = 1e-5
 #: |log xy| at or below which the r -> 0 terms are rejected.  Their sum
 #: cancels terms of size 1/log xy and keeps a relative error of about
@@ -356,15 +356,14 @@ def rank_one_remainder_orders(p: float, q: float) -> tuple[float, ...]:
 
 def numeric_det_coeff(
     difference_at: Callable[[float], np.ndarray],
-    thetas: Sequence[float] = DEFAULT_THETAS,
     orders: Sequence[float] = DEFAULT_REMAINDER_ORDERS,
 ) -> ExtrapolationResult:
     """Richardson-extrapolated limit of det(difference(t)) / t^2 as t -> 0.
 
     ``difference_at`` maps an angle to a symmetric 2x2 matrix whose
-    determinant is coeff * t^2 + o(t^2).  A descending angle sequence
-    (ratio 2 by default) feeds a Neville tableau that eliminates the tail
-    terms t^order for each entry of ``orders``; the default (2, 4) suits
+    determinant is coeff * t^2 + o(t^2).  One fixed ladder of eight angles,
+    0.1 * 2^-k for k = 0..7, feeds a Neville tableau that eliminates the
+    tail terms t^order for each entry of ``orders``; the default (2, 4) suits
     determinants that are even analytic functions of the angle, while
     singular families carry fractional orders (see
     ``rank_one_remainder_orders``).  The reported error is the gap between
@@ -375,11 +374,7 @@ def numeric_det_coeff(
     NonConvergenceError
         If successive extrapolants disagree by more than 1e-4 (1 + |value|).
     """
-    ts = np.asarray(thetas, dtype=float)
-    if ts.ndim != 1 or ts.size < 4:
-        raise PreconditionError("need at least 4 angles")
-    if not np.all(ts > 0.0) or not np.all(np.diff(ts) < 0.0):
-        raise PreconditionError("angles must be positive and strictly descending")
+    ts = np.asarray(_ORACLE_THETAS)
     orders = tuple(float(e) for e in orders)
     if not orders or any(e <= 0.0 for e in orders):
         raise PreconditionError("elimination orders must be positive")

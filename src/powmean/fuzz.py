@@ -15,7 +15,7 @@ from .core import (_order_verdict, _random_pd_stack, eig_sym, loewner_leq, mat_f
                    spectral_fun)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import _map_power_of, limit_slope_check, map_power, power_mean, power_mean_gap
+from .means import _limit_deviations, _map_power_of, power_mean, power_mean_gap
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -193,9 +193,8 @@ def check_limit_slope(phi, a) -> bool:
     the slope bound itself is read off the largest, floor-free exponent.
     """
     ps = np.array(_LIMIT_PS)
-    base_norm = float(np.abs(map_power(phi, 0.0, a)).max())
-    devs = limit_slope_check(phi, a, ps)
-    floors = 2e-13 * (1.0 + base_norm) / ps
+    base, devs = _limit_deviations(phi, a, ps)
+    floors = 2e-13 * (1.0 + float(np.abs(base).max())) / ps
     slope = devs[0] / ps[0]
     decreasing = bool(np.all(devs[1:] <= devs[:-1] + floors[1:]))
     bounded = bool(np.all(devs <= (2.0 * slope + 1e-6) * ps + floors))

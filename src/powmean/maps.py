@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONFLUENT_GAP, MAX_DIM, PSD_FLOOR, eig_sym, mat_fun, spectral_fun, symmetrize
+from .core import (CONFLUENT_GAP, MAX_DIM, PSD_FLOOR, _spectrum_values, eig_sym, mat_fun,
+                   spectral_fun, symmetrize)
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -186,7 +187,8 @@ def apply_power_affine_2x2(phi: LinearMatrixMap, p: float, a) -> np.ndarray:
     For A with distinct eigenvalues l1 > l2, A^p interpolates as
     c1 * A - c0 * I with c1 = (l1^p - l2^p)/(l1 - l2) and
     c0 = (l2 l1^p - l1 l2^p)/(l1 - l2), so for a unital linear map
-    phi(A^p) = c1 * phi(A) - c0 * I.  Falls back to the direct route when
+    phi(A^p) = c1 * phi(A) - c0 * I, with l^p under the domain rule of
+    :func:`~powmean.core.mat_fun`.  Falls back to the direct route when
     the eigenvalues coincide within ``CONFLUENT_GAP``.
     """
     dec = eig_sym(a)
@@ -196,6 +198,7 @@ def apply_power_affine_2x2(phi: LinearMatrixMap, p: float, a) -> np.ndarray:
     l2, l1 = float(dec.eigenvalues[0]), float(dec.eigenvalues[1])
     if abs(l1 - l2) <= CONFLUENT_GAP * (1.0 + max(abs(l1), abs(l2))):
         return phi.apply(spectral_fun(dec, f))
-    c1 = (f(l1) - f(l2)) / (l1 - l2)
-    c0 = (l2 * f(l1) - l1 * f(l2)) / (l1 - l2)
+    f2, f1 = map(float, _spectrum_values(f, dec.eigenvalues))
+    c1 = (f1 - f2) / (l1 - l2)
+    c0 = (l2 * f1 - l1 * f2) / (l1 - l2)
     return symmetrize(c1 * phi.apply(a) - c0 * np.eye(phi.out_dim))

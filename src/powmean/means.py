@@ -1,12 +1,12 @@
 """Two-matrix power means and their map-composed forms.
 
-The p-power mean of positive definite A, B with weight w is
+The p-power mean of positive definite A, B is
 
-    ((1 - w) A^p + w B^p)^(1/p),        p != 0,
+    ((A^p + B^p) / 2)^(1/p),        p != 0,
 
 and its p -> 0 limit is the log-Euclidean mean
 
-    exp((1 - w) log A + w log B).
+    exp((log A + log B) / 2).
 
 Exponents within 1e-8 of zero are normalized to the log-Euclidean branch:
 A^p^(1/p) amplifies rounding by ~1/|p|, while the limit formula is exact.
@@ -33,40 +33,38 @@ def normalize_exponent(p: float) -> float:
     return 0.0 if abs(p) < LOG_EUCLIDEAN_THRESHOLD else p
 
 
-def scalar_power_mean(p: float, a: float, b: float, weight: float = 0.5) -> float:
+def scalar_power_mean(p: float, a: float, b: float) -> float:
     """Power mean of two positive scalars (geometric mean at p = 0)."""
     if a <= 0.0 or b <= 0.0:
         raise PreconditionError("scalar power mean needs positive arguments")
     p = normalize_exponent(p)
     if p == 0.0:
-        return math.exp((1.0 - weight) * math.log(a) + weight * math.log(b))
-    return ((1.0 - weight) * a**p + weight * b**p) ** (1.0 / p)
+        return math.exp(0.5 * math.log(a) + 0.5 * math.log(b))
+    return (0.5 * a**p + 0.5 * b**p) ** (1.0 / p)
 
 
-def _decompose_pair(a, b, weight: float):
+def _decompose_pair(a, b):
     """Validate a mean's matrix arguments and decompose each once.
 
-    ``eig_sym`` validates A, then B, before the shape and weight checks, as
-    two ``symmetrize`` calls up front would.
+    ``eig_sym`` validates A, then B, before the shape check, as two
+    ``symmetrize`` calls up front would.
     """
     dec_a = eig_sym(a)
     dec_b = eig_sym(b)
     if dec_a.basis.shape != dec_b.basis.shape:
         raise DimensionMismatchError("means need equal dimensions")
-    if not 0.0 < weight < 1.0:
-        raise PreconditionError("weight must lie strictly in (0, 1)")
     return dec_a, dec_b
 
 
-def _mean_of(p: float, dec_a, dec_b, weight: float) -> np.ndarray:
+def _mean_of(p: float, dec_a, dec_b) -> np.ndarray:
     p = normalize_exponent(p)
     f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
-    combo = (1.0 - weight) * spectral_fun(dec_a, f) + weight * spectral_fun(dec_b, f)
+    combo = 0.5 * spectral_fun(dec_a, f) + 0.5 * spectral_fun(dec_b, f)
     return mat_fun(combo, inverse)
 
 
-def power_mean(p: float, a, b, weight: float = 0.5) -> np.ndarray:
-    """Weighted p-power mean of two symmetric positive definite matrices.
+def power_mean(p: float, a, b) -> np.ndarray:
+    """p-power mean of two symmetric positive definite matrices.
 
     Parameters
     ----------
@@ -76,8 +74,6 @@ def power_mean(p: float, a, b, weight: float = 0.5) -> np.ndarray:
         Positive definite matrices of equal dimension.  When p > 0,
         positive semidefinite input is admitted via the 0 ** r = 0
         convention.
-    weight : float
-        Weight on ``b``, strictly between 0 and 1 (default 1/2).
 
     Raises
     ------
@@ -85,18 +81,18 @@ def power_mean(p: float, a, b, weight: float = 0.5) -> np.ndarray:
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    return _mean_of(p, *_decompose_pair(a, b, weight), weight)
+    return _mean_of(p, *_decompose_pair(a, b))
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
-    """Equal-weight M_q(A, B) - M_p(A, B) from one decomposition of A and of B.
+    """M_q(A, B) - M_p(A, B) from one decomposition of A and of B.
 
     Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
     q-mean evaluated first, so errors are those of that two-call form.
     """
-    dec_a, dec_b = _decompose_pair(a, b, 0.5)
-    high = _mean_of(q, dec_a, dec_b, 0.5)
-    return high - _mean_of(p, dec_a, dec_b, 0.5)
+    dec_a, dec_b = _decompose_pair(a, b)
+    high = _mean_of(q, dec_a, dec_b)
+    return high - _mean_of(p, dec_a, dec_b)
 
 
 def map_power(phi, p: float, a) -> np.ndarray:
@@ -113,9 +109,14 @@ def map_power(phi, p: float, a) -> np.ndarray:
         If phi(A^p) is not positive definite above ``core.PSD_FLOOR``, which
         signals a non-positive map.
     """
+    return _map_power_of(phi, p, _unital_decomposition(phi, a))
+
+
+def _unital_decomposition(phi, a):
+    """``eig_sym(a)`` once ``phi`` is checked unital, for map powers to share."""
     if not phi.is_unital():
         raise NotUnitalError("map_power requires a unital map")
-    return _map_power_of(phi, p, eig_sym(a))
+    return eig_sym(a)
 
 
 def _map_power_of(phi, p: float, dec) -> np.ndarray:
@@ -145,5 +146,12 @@ def limit_slope_check(phi, a, p_sequence) -> np.ndarray:
         raise PreconditionError("p_sequence must be a non-empty 1-d sequence")
     if not np.all(ps > 0.0) or not np.all(np.diff(ps) < 0.0):
         raise PreconditionError("p_sequence must be positive and strictly descending")
-    base = map_power(phi, 0.0, a)
-    return np.array([float(np.abs(map_power(phi, p, a) - base).max()) for p in ps])
+    return _limit_deviations(phi, a, ps)[1]
+
+
+def _limit_deviations(phi, a, ps):
+    """``map_power(phi, 0, a)`` and the deviations of :func:`limit_slope_check`
+    along valid ``ps``, from one unital check and one decomposition of A."""
+    dec = _unital_decomposition(phi, a)
+    base = _map_power_of(phi, 0.0, dec)
+    return base, np.array([float(np.abs(_map_power_of(phi, p, dec) - base).max()) for p in ps])

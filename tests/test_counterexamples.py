@@ -69,12 +69,6 @@ def test_rank_one_pair_is_projection():
     assert np.allclose(np.sort(np.linalg.eigvalsh(a)), [0.0, 2.0])
 
 
-def test_rank_one_pair_shift():
-    a, b = rank_one_pair(0.4, eps_shift=1e-3)
-    assert np.linalg.eigvalsh(a)[0] == pytest.approx(1e-3)
-    assert np.linalg.eigvalsh(b)[0] == pytest.approx(1e-3)
-
-
 # ---------------------------------------------------------------------------
 # witnesses of each family, through the one public search
 # ---------------------------------------------------------------------------
@@ -108,7 +102,8 @@ def test_rank_one_shifted_pair_cross_check():
     # continuity: at the witness's angle the eps-shifted positive definite
     # pair violates the order by about as much
     witness = find_counterexample(0.6, 0.8)
-    gap = power_mean_gap(0.6, 0.8, *rank_one_pair(witness.theta, 1e-10))
+    a, b = (m + 1e-10 * np.eye(2) for m in rank_one_pair(witness.theta))
+    gap = power_mean_gap(0.6, 0.8, a, b)
     lam = float(np.linalg.eigvalsh(gap)[0])
     assert lam < -1e-10
     assert lam == pytest.approx(witness.neg_eigenvalue, rel=1e-3)

@@ -97,7 +97,7 @@ def test_rotated_pinch_second_configuration():
     phi = rotated_pinch((0, 2), (1, 2), theta)
     z = np.diag([2.0, 1.0, 0.0]) + eps * np.eye(3)
     lhs = map_power(phi, 0.5, z)
-    a, b = rank_one_pair(theta, eps)
+    a, b = (m + eps * np.eye(2) for m in rank_one_pair(theta))
     rhs = power_mean(0.5, a, b)
     assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -192,6 +192,20 @@ def test_affine_matches_direct_over_seeded_cases():
         direct = phi.apply(mat_fun(a, Power(p)))
         affine = apply_power_affine_2x2(phi, p, a)
         assert np.abs(affine - direct).max() <= 1e-9 * (1.0 + np.abs(direct).max())
+
+
+def test_affine_matches_direct_on_singular_input():
+    # The rank-one projection's zero eigenvalue computes as +-1e-19 or so;
+    # both routes must count it as 0 under the fractional power, not raise
+    # on a negative one or map a positive one to ~3e-10.
+    from powmean import rank_one_pair
+
+    phi = random_kraus_map(2, 3, 5)
+    for k in range(200):
+        b = rank_one_pair(0.003 + 0.01 * k)[1]
+        direct = phi.apply(mat_fun(b, Power(0.5)))
+        affine = apply_power_affine_2x2(phi, 0.5, b)
+        assert np.abs(affine - direct).max() <= 1e-14
 
 
 def test_order_preserved_by_maps_with_2x2_domain():

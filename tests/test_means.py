@@ -156,19 +156,17 @@ def test_power_mean_gap_errors_match_two_calls(p, q):
 
 
 @pytest.mark.parametrize(
-    "a, b, weight, error",
+    "a, b, p, error",
     [
         ([[1.0, 2.0], [0.0, 1.0]], np.ones((9, 9)), 2.0, "asymmetry 2.000e+00 exceeds the construction guard"),
         (np.eye(3), np.ones((9, 9)), 2.0, "dimension 9 outside 1..8"),
         (np.eye(2), np.eye(3), 2.0, "means need equal dimensions"),
-        (np.eye(2), np.eye(2), 1.0, "weight must lie strictly in (0, 1)"),
     ],
 )
-def test_argument_errors_keep_their_order(a, b, weight, error):
-    # A is validated before B, both before the shape check, and that
-    # before the weight check
+def test_argument_errors_keep_their_order(a, b, p, error):
+    # A is validated before B, and both before the shape check
     with pytest.raises(PowerMeanError) as err:
-        power_mean(1.0, a, b, weight=weight)
+        power_mean(p, a, b)
     assert str(err.value) == error
 
 
@@ -195,6 +193,20 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     # eig of A and of B, one per mean, and one of M_q - M_p
     assert len(eigs) == 5
     assert len(guards) == 5
+
+
+def test_limit_check_decomposes_its_input_once(monkeypatch):
+    phi = random_kraus_map(3, 2, 77)
+    a = random_pd(3, 78, 5.0)
+    eigs = _count_calls(monkeypatch, core.eig_sym)
+    unital_checks = []
+    is_unital = LinearMatrixMap.is_unital
+    monkeypatch.setattr(LinearMatrixMap, "is_unital",
+                        lambda self: unital_checks.append(self) or is_unital(self))
+    assert fuzz.check_limit_slope(phi, a)
+    # eig of A, then one of phi(f(A)) for p = 0 and each of the five p > 0
+    assert len(eigs) == 7
+    assert len(unital_checks) == 1
 
 
 def test_random_kraus_map_validates_once(monkeypatch):
@@ -253,21 +265,6 @@ def test_fuzz_point_matches_per_trial_reference(p, q, dims):
         got = fuzz_point(p, q, 25, seed, dims=dims)
         assert got == _fuzz_point_reference(p, q, 25, seed, dims)
     assert fuzz_point(p, q, 0, 0, dims=dims) == (True, float("inf"))
-
-
-def test_weighted_arithmetic_mean():
-    a = random_pd(2, 51, 4.0)
-    b = random_pd(2, 52, 4.0)
-    out = power_mean(1.0, a, b, weight=0.25)
-    assert np.abs(out - (0.75 * a + 0.25 * b)).max() <= 1e-12
-
-
-def test_weight_validation():
-    a = np.eye(2)
-    with pytest.raises(PreconditionError):
-        power_mean(1.0, a, a, weight=0.0)
-    with pytest.raises(PreconditionError):
-        power_mean(1.0, a, a, weight=1.0)
 
 
 def test_dimension_mismatch():
