@@ -50,7 +50,6 @@ from .errors import (
 from .expansions import (
     DetCoefficientBreakdown,
     ExpansionCoefficients,
-    TaylorFrame,
     alpha_log,
     alpha_power,
     det_coeff_log_pair,
@@ -62,8 +61,6 @@ from .expansions import (
     frechet_d2,
     numeric_det_coeff,
     rank_one_remainder_orders,
-    taylor_frame_log,
-    taylor_frame_power,
 )
 from .functions import EXP, LOG, Exp, Log, Power
 from .maps import (
@@ -114,7 +111,6 @@ __all__ = [
     "PreconditionError",
     "SearchExhaustedError",
     "SpectralDecomposition",
-    "TaylorFrame",
     "Witness",
     "alpha_log",
     "alpha_power",
@@ -155,6 +151,4 @@ __all__ = [
     "rotated_pinch",
     "scalar_power_mean",
     "symmetrize",
-    "taylor_frame_log",
-    "taylor_frame_power",
 ]

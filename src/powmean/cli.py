@@ -72,16 +72,14 @@ def _cell_seed(master: int, pi: int, qi: int) -> int:
     return int(np.random.SeedSequence([master, pi, qi]).generate_state(1)[0])
 
 
-def _checked(check):
-    """argparse type: a finite float through ``check``; a value rejected exits 2."""
-    def parse(text: str):
-        try:
-            if not np.isfinite(value := float(text)):
-                raise ValueError("must be finite, got %s" % text)
-            return check(value)
-        except ValueError as exc:  # PreconditionError is a ValueError
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return parse
+def _finite(text: str) -> float:
+    """argparse type: a finite float; a value rejected exits 2."""
+    try:
+        if not np.isfinite(value := float(text)):
+            raise ValueError("must be finite, got %s" % text)
+        return value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed(text: str) -> int:
@@ -103,6 +101,11 @@ def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
 def _csv_row(p, q, label, verdict, detail, witness, seed) -> str:
     params = (witness.x, witness.y, witness.theta) if witness else (None, None, None)
     return ",".join(_fmt(v) for v in (float(p), float(q), label, verdict, detail, *params, seed))
+
+
+def _witness_verdict(label) -> str:
+    """CSV verdict of a certified witness: a scalar failure is its own verdict."""
+    return "scalar-fail" if label.case is Case.SCALAR_FAIL else "certified-counterexample"
 
 
 def _write_csv(path: str, rows: list[str]) -> bool:
@@ -154,9 +157,7 @@ def cmd_scan(args) -> int:
                     verdict, detail = "uncertified", type(exc).__name__
                     consistent = False
                 else:
-                    verdict = ("scalar-fail" if label.case is Case.SCALAR_FAIL
-                               else "certified-counterexample")
-                    detail = witness.neg_eigenvalue
+                    verdict, detail = _witness_verdict(label), witness.neg_eigenvalue
             rows.append(_csv_row(p, q, label, verdict, detail, witness, seed))
     if not _write_csv(args.out, rows):
         return 1
@@ -194,7 +195,7 @@ def cmd_counterexample(args) -> int:
     lines.append("witness vector: %s" % np.array2string(witness.witness, precision=17))
     print("\n".join(lines))
     if args.out:
-        row = _csv_row(args.p, args.q, label, "certified-counterexample",
+        row = _csv_row(args.p, args.q, label, _witness_verdict(label),
                        witness.neg_eigenvalue, witness, 0)
         if not _write_csv(args.out, [row]):
             return 1
@@ -270,19 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", parents=[seed],
                           help="classify a (p, q) grid and emit a CSV report")
-    scan.add_argument("--pmin", type=_checked(float), default=-2.0)
-    scan.add_argument("--pmax", type=_checked(float), default=2.0)
-    scan.add_argument("--qmin", type=_checked(float), default=-2.0)
-    scan.add_argument("--qmax", type=_checked(float), default=2.0)
-    scan.add_argument("--step", type=_checked(float), default=0.5)
+    scan.add_argument("--pmin", type=_finite, default=-2.0)
+    scan.add_argument("--pmax", type=_finite, default=2.0)
+    scan.add_argument("--qmin", type=_finite, default=-2.0)
+    scan.add_argument("--qmax", type=_finite, default=2.0)
+    scan.add_argument("--step", type=_finite, default=0.5)
     scan.add_argument("--trials", type=int, default=50,
                       help="random pairs per in-region grid point")
     scan.add_argument("--out", default="scan.csv")
     scan.set_defaults(func=cmd_scan)
 
     ce = sub.add_parser("counterexample", help="certify one exponent pair")
-    ce.add_argument("--p", type=_checked(float), required=True)
-    ce.add_argument("--q", type=_checked(float), required=True)
+    ce.add_argument("--p", type=_finite, required=True)
+    ce.add_argument("--q", type=_finite, required=True)
     ce.add_argument("--out", default=None, help="optional CSV witness dump")
     ce.set_defaults(func=cmd_counterexample)
 
@@ -293,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="closed-form determinant coefficient vs oracle")
     lemma.add_argument("--family", required=True,
                        choices=("pd-rotation", "log-euclidean", "rank-one"))
-    lemma.add_argument("--p", type=_checked(float), default=None)
-    lemma.add_argument("--q", type=_checked(float), default=None)
-    lemma.add_argument("--x", type=_checked(float), default=None)
-    lemma.add_argument("--y", type=_checked(float), default=None)
+    lemma.add_argument("--p", type=_finite, default=None)
+    lemma.add_argument("--q", type=_finite, default=None)
+    lemma.add_argument("--x", type=_finite, default=None)
+    lemma.add_argument("--y", type=_finite, default=None)
     lemma.set_defaults(func=cmd_verify_lemma)
 
     fuzz = sub.add_parser("fuzz", parents=[seed], help="randomized property suites")

@@ -12,10 +12,12 @@ generic power family, its log-Euclidean (p = 0) limit, and a singular
 rank-one family.  A Richardson-extrapolation oracle computes the same
 coefficient numerically and independently.
 
-The machinery is built from two layers: confluent divided differences of
-scalar functions, and Daleckii-Krein Frechet derivatives of matrix
-functions (Schur products against divided-difference matrices in the
-eigenbasis of the base point).
+The entries a11, a12, a22 and the coefficient of the first two families
+are closed forms in each exponent's scalar terms (``_terms``); none of them
+decomposes a matrix.  Confluent divided differences of scalar functions and
+Daleckii-Krein Frechet derivatives of matrix functions (Schur products
+against divided-difference matrices in the eigenbasis of the base point)
+stay as general tools, and as an independent route to the entries.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import CONFLUENT_GAP, eig_sym, symmetrize
 from .errors import DegenerateFrameError, DomainError, NonConvergenceError, PreconditionError
-from .functions import EXP, Power, ScalarFunction
+from .functions import ScalarFunction
 
 _ORACLE_THETAS = tuple(0.1 * 2.0**-k for k in range(8))
 _ORACLE_REL_TOL = 1e-5
@@ -134,17 +136,8 @@ def frechet_d2(f: ScalarFunction, base, h, k) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Taylor frames and expansion coefficients
+# Expansion coefficients
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TaylorFrame:
-    """Base point with first- and second-order directions of an expansion."""
-
-    base: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
@@ -176,8 +169,9 @@ class DetCoefficientBreakdown:
 
 
 class _Terms(NamedTuple):
-    """One exponent's share of the t^2 coefficient: the scalar mean m_r,
-    c_r = (1-x^r)(1-y^r)/(r (2-x^r-y^r)) and a_r = (1-y^r)/(2-x^r-y^r)."""
+    """One exponent's share of the t^2 coefficient and of the expansion
+    entries: the scalar mean m_r, c_r = (1-x^r)(1-y^r)/(r (2-x^r-y^r)) and
+    a_r = (1-y^r)/(2-x^r-y^r)."""
 
     m: float
     c: float
@@ -216,65 +210,35 @@ def _det_coeff(tp: _Terms, tq: _Terms) -> DetCoefficientBreakdown:
     return DetCoefficientBreakdown(delta1, delta2, wp, wq)
 
 
-def taylor_frame_power(p: float, x: float, y: float) -> TaylorFrame:
-    """Frame of A^p + B_t^p around t = 0 for the rotated-diagonal family.
-
-    Expanding entries of A^p + B_t^p in the rotation angle gives
-    base = diag(2, x^p + y^p), first with off-diagonal 1 - y^p, and
-    second = diag(-(1 - y^p), 1 - y^p).
-    """
-    _terms(p, x, y)
-    hy = 1.0 - y**p
-    return TaylorFrame(
-        base=np.diag([2.0, x**p + y**p]),
-        first=np.array([[0.0, hy], [hy, 0.0]]),
-        second=np.diag([-hy, hy]),
-    )
-
-
-def taylor_frame_log(x: float, y: float) -> TaylorFrame:
-    """Frame of log A + log B_t around t = 0 (the p -> 0 family).
-
-    base = diag(0, log xy), first with off-diagonal -log y, and
-    second = diag(log y, -log y); requires xy away from 1.
-    """
-    _terms(None, x, y)
-    lxy, ly = math.log(x * y), math.log(y)
-    return TaylorFrame(
-        base=np.diag([0.0, lxy]),
-        first=np.array([[0.0, -ly], [-ly, 0.0]]),
-        second=np.diag([ly, -ly]),
-    )
-
-
-def _second_order_matrix(f: ScalarFunction, frame: TaylorFrame) -> np.ndarray:
-    base = frame.base / 2.0
-    return frechet_d1(f, base, frame.second / 2.0) + 0.5 * frechet_d2(
-        f, base, frame.first / 2.0, frame.first / 2.0
-    )
-
-
-def _alpha(t: _Terms, f: ScalarFunction, frame: TaylorFrame):
+def _alpha(t: _Terms, r: float) -> ExpansionCoefficients:
+    """The expansion entries from exponent ``r``'s terms (``r = 0`` for the
+    log limit); c_r m_r / s_r with s_r = x^r + y^r is c_r m_r^(1-r) / 2."""
     w = 1.0 - t.m
-    alpha22 = float(_second_order_matrix(f, frame)[1, 1])
-    return ExpansionCoefficients(-0.5 * t.c - t.a**2 * w, t.a * w, alpha22)
+    a2w = t.a**2 * w
+    return ExpansionCoefficients(-0.5 * t.c - a2w, t.a * w, 0.5 * t.c * t.m ** (1.0 - r) + a2w)
 
 
 def alpha_power(p: float, x: float, y: float) -> ExpansionCoefficients:
     """Expansion coefficients of M_p(A, B_t) for the rotated-diagonal family.
 
-    ``alpha11 = -c_p/2 - a_p^2 w_p`` and ``alpha12 = a_p w_p`` come from the
-    terms of ``det_coeff_power_pair``; ``alpha22`` is read off the Frechet
-    machinery (its closed form is never needed for the determinant
-    coefficient).
+    With the terms of ``det_coeff_power_pair``, w_p = 1 - m_p and
+    s_p = x^p + y^p:
+
+        alpha11 = -c_p/2 - a_p^2 w_p,  alpha12 = a_p w_p,
+        alpha22 = c_p m_p / s_p + a_p^2 w_p.
+
+    Raises ``DegenerateFrameError`` when s_p is too close to 2.
     """
-    return _alpha(_terms(p, x, y), Power(1.0 / p), taylor_frame_power(p, x, y))
+    return _alpha(_terms(p, x, y), p)
 
 
 def alpha_log(x: float, y: float) -> ExpansionCoefficients:
-    """Expansion coefficients of the log-Euclidean mean of (A, B_t), from
-    the r -> 0 terms."""
-    return _alpha(_terms(None, x, y), EXP, taylor_frame_log(x, y))
+    """Expansion coefficients of the log-Euclidean mean of (A, B_t): the
+    ``alpha_power`` closed forms with the r -> 0 terms and s_0 = 2.
+
+    Raises ``DegenerateFrameError`` when xy is too close to 1.
+    """
+    return _alpha(_terms(None, x, y), 0.0)
 
 
 # ---------------------------------------------------------------------------

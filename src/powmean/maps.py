@@ -168,12 +168,13 @@ def random_kraus_map(in_dim: int, out_dim: int, seed: int) -> LinearMatrixMap:
 
     Three Gaussian factors are normalized on the left by (sum V V^T)^(-1/2),
     which makes the map unital exactly up to rounding.  sum V V^T has rank
-    at most in_dim per factor, so where three cannot reach out_dim,
-    ceil(out_dim / in_dim) + 1 factors are drawn instead.
+    at most in_dim per factor, and is often ill-conditioned when the factors
+    have out_dim columns in all, so where three have out_dim columns or
+    fewer, ceil(out_dim / in_dim) + 1 factors are drawn instead.
     """
     _check_dims(in_dim, out_dim)
     count = _RANDOM_KRAUS_FACTORS
-    if count * in_dim < out_dim:
+    if count * in_dim <= out_dim:
         count = -(-out_dim // in_dim) + 1
     rng = np.random.default_rng(seed)
     raw = [rng.standard_normal((out_dim, in_dim)) for _ in range(count)]

@@ -234,6 +234,17 @@ def test_counterexample_csv_dump(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("p,q", [("1", "0.5"), ("0.25", "1")])
+def test_counterexample_dump_matches_scan_row(p, q, tmp_path):
+    # the same witness row as a one-cell scan, verdict included; only the seed differs
+    dump, scan = tmp_path / "w.csv", tmp_path / "scan.csv"
+    assert main(["counterexample", "--p", p, "--q", q, "--out", str(dump)]) == 0
+    assert main(["scan", "--pmin", p, "--pmax", p, "--qmin", q, "--qmax", q,
+                 "--out", str(scan)]) == 0
+    dumped = dump.read_text().splitlines()[1].split(",")
+    assert dumped[:8] == scan.read_text().splitlines()[1].split(",")[:8]
+
+
 #: Pairs outside the region whose search fails, and the error it ends in.
 _UNCERTIFIED = [((-0.987, -0.92), "SearchExhaustedError"),
                 ((-1.425, -0.473), "SearchExhaustedError")]

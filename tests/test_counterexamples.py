@@ -245,6 +245,19 @@ def test_direct_pd_rotation_witness_is_true_or_uncertified(p, q):
     assert _gap_min_eigenvalue_80_digits(witness) < 0
 
 
+@pytest.mark.xfail(strict=True, raises=InRegionError, reason="exponents below "
+                   "LOG_EUCLIDEAN_THRESHOLD snap to 0, so the pair reads as in-region")
+def test_near_zero_pairs_outside_region_never_read_in_region():
+    for p, q in [(-5e-9, 5e-9), (1e-9, 2e-9), (0.0, 9e-9)]:
+        assert classify(p, q).case is not Case.IN_REGION
+        try:
+            find_counterexample(p, q)
+        except InRegionError:
+            raise
+        except PowerMeanError:
+            pass  # uncertified with a reason is allowed; in-region is not
+
+
 @pytest.mark.parametrize("p,q", [(-2.655226064792961, 0.9333437257235069),
                                  (-1.8326540717642337, 0.9602683036174384)])
 def test_dual_search_walks_past_candidates_that_fail(p, q):

@@ -38,11 +38,10 @@ from powmean import (
     power_mean,
     random_pd,
     rank_one_difference,
-    taylor_frame_log,
-    taylor_frame_power,
 )
+from powmean import core
 
-from conftest import sym_rand
+from conftest import count_calls, sym_rand
 
 
 # ---------------------------------------------------------------------------
@@ -172,41 +171,17 @@ def test_frechet_vs_finite_difference(f, rng):
 
 
 # ---------------------------------------------------------------------------
-# Taylor frames
+# expansion coefficients
 # ---------------------------------------------------------------------------
-
-def test_power_frame_displayed_values():
-    frame = taylor_frame_power(1.0, 2.0, 3.0)
-    assert np.allclose(frame.base, np.diag([2.0, 5.0]))
-    assert np.allclose(frame.first, [[0.0, -2.0], [-2.0, 0.0]])
-    assert np.allclose(frame.second, np.diag([2.0, -2.0]))
-
-
-def test_power_frame_trivial_at_unit_y():
-    frame = taylor_frame_power(0.7, 3.0, 1.0)
-    assert np.allclose(frame.first, 0.0)
-    assert np.allclose(frame.second, 0.0)
-
-
-def test_log_frame_displayed_values():
-    frame = taylor_frame_log(math.e**2, math.e**-1)
-    assert np.allclose(frame.base, np.diag([0.0, 1.0]))
-    assert np.allclose(frame.first, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(frame.second, np.diag([-1.0, 1.0]))
-
 
 def test_frames_degenerate_hypotheses():
     with pytest.raises(DegenerateFrameError):
-        taylor_frame_power(0.5, 1.0, 1.0)  # x^p + y^p = 2
+        alpha_power(0.5, 1.0, 1.0)  # x^p + y^p = 2
     with pytest.raises(DegenerateFrameError):
-        taylor_frame_log(2.0, 0.5)  # x * y = 1
+        alpha_log(2.0, 0.5)  # x * y = 1
     with pytest.raises(PreconditionError):
-        taylor_frame_power(0.0, 2.0, 3.0)
+        alpha_power(0.0, 2.0, 3.0)
 
-
-# ---------------------------------------------------------------------------
-# expansion coefficients
-# ---------------------------------------------------------------------------
 
 def test_alpha_power_vanishes_at_unit_y():
     coeffs = alpha_power(0.3, 2.0, 1.0)
@@ -214,13 +189,43 @@ def test_alpha_power_vanishes_at_unit_y():
     assert coeffs.alpha12 == pytest.approx(0.0, abs=1e-14)
 
 
-def test_alpha_power_closed_forms_match_frechet_route():
-    from powmean.expansions import _second_order_matrix
+def _frechet_alphas(f, base, first, second):
+    """alpha11, alpha12, alpha22 of f((base + t first + t^2 second) / 2) by
+    the Daleckii-Krein route: the t and t^2 coefficients of its Taylor series."""
+    half = base / 2.0
+    slope = frechet_d1(f, half, first / 2.0)
+    curve = frechet_d1(f, half, second / 2.0) + 0.5 * frechet_d2(f, half, first / 2.0,
+                                                                  first / 2.0)
+    return float(curve[0, 0]), float(slope[0, 1]), float(curve[1, 1])
 
-    for p, x, y in [(1.0, 2.0, 3.0), (0.25, 0.5, 0.25), (-0.5, 0.3, 0.09)]:
-        coeffs = alpha_power(p, x, y)
-        c2 = _second_order_matrix(Power(1.0 / p), taylor_frame_power(p, x, y))
-        assert coeffs.alpha11 == pytest.approx(float(c2[0, 0]), rel=1e-9)
+
+def test_alpha_power_closed_forms_match_frechet_route():
+    # A^p + B_t^p = diag(2, x^p + y^p) + t [[0, h], [h, 0]] + t^2 diag(-h, h)
+    # + o(t^2) with h = 1 - y^p; log A + log B_t is the same with
+    # diag(0, log xy) and h = -log y, under EXP instead of Power(1/p).
+    cases = []
+    for p, x, y in [(1.0, 2.0, 3.0), (0.25, 0.5, 0.25), (-0.5, 0.3, 0.09),
+                    (3.0, 0.05, 0.02), (-3.5, 0.02, 0.1)]:
+        h = 1.0 - y**p
+        frame = (Power(1.0 / p), np.diag([2.0, x**p + y**p]),
+                 np.array([[0.0, h], [h, 0.0]]), np.diag([-h, h]))
+        cases.append((alpha_power(p, x, y), frame))
+    for x, y in [(0.3, 0.8), (math.e**2, math.e**-1), (0.05, 0.02)]:
+        h = -math.log(y)
+        frame = (EXP, np.diag([0.0, math.log(x * y)]),
+                 np.array([[0.0, h], [h, 0.0]]), np.diag([-h, h]))
+        cases.append((alpha_log(x, y), frame))
+    for coeffs, frame in cases:
+        closed = (coeffs.alpha11, coeffs.alpha12, coeffs.alpha22)
+        for value, reference in zip(closed, _frechet_alphas(*frame)):
+            assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
+
+
+def test_alpha_makes_no_decomposition(monkeypatch):
+    eigs = count_calls(monkeypatch, core.eig_sym)
+    alpha_power(3.0, 0.05, 0.02)
+    alpha_log(0.3, 0.8)
+    assert eigs == []
 
 
 def test_alpha_model_matches_direct_mean_to_second_order():

@@ -130,14 +130,26 @@ def test_random_kraus_maps_unital():
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(i, o) for i in range(1, 9) for o in range(1, 9)
-                                             if 3 * i < o])
+                                             if 3 * i <= o])
 def test_random_kraus_maps_unital_where_three_factors_lack_rank(in_dim, out_dim):
-    # sum V V^T of three in_dim-column factors has rank <= 3 in_dim < out_dim
+    # sum V V^T of three in_dim-column factors has rank <= 3 in_dim <= out_dim,
+    # and at 3 in_dim = out_dim it is a square Gram matrix, often ill-conditioned
     for seed in range(100):
         phi = random_kraus_map(in_dim, out_dim, seed)
         assert phi.is_unital()
         assert phi.tag == "kraus(%d)" % (-(-out_dim // in_dim) + 1)
-    assert random_kraus_map(in_dim, 3 * in_dim, 0).tag == "kraus(3)"
+    assert random_kraus_map(in_dim, 3 * in_dim, 0).tag == "kraus(4)"
+
+
+@pytest.mark.parametrize("in_dim,out_dim,seed", [
+    (2, 6, 1748), (2, 6, 2732), (2, 6, 2828), (2, 6, 3601),
+    (1, 3, 1062), (1, 3, 1370), (1, 3, 1921), (1, 3, 2257), (1, 3, 3928), (1, 3, 3948),
+])
+def test_random_kraus_map_square_gram_seeds(in_dim, out_dim, seed):
+    # every seed in 0..3999 at which three factors of 3 in_dim = out_dim
+    # columns gave a near-singular sum V V^T: the whitener raised or the map
+    # missed unitality
+    assert random_kraus_map(in_dim, out_dim, seed).is_unital()
 
 
 def test_every_structural_map_unital():

@@ -1,7 +1,6 @@
 """Power means, the log-Euclidean branch, and map-composed forms."""
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from powmean import core, find_counterexample, fuzz, random_kraus_map
 from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
 
-from conftest import sym_rand
+from conftest import count_calls, sym_rand
 
 
 def test_normalize_exponent_threshold():
@@ -170,25 +169,11 @@ def test_argument_errors_keep_their_order(a, b, p, error):
     assert str(err.value) == error
 
 
-def _count_calls(monkeypatch, fn):
-    """Count calls to ``fn`` through every powmean module that binds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "powmean" and getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
-
-
 def test_order_check_validates_once_per_decomposition(monkeypatch):
     a = random_pd(3, 71, 10.0)
     b = random_pd(3, 72, 10.0)
-    eigs = _count_calls(monkeypatch, core.eig_sym)
-    guards = _count_calls(monkeypatch, core.symmetrize)
+    eigs = count_calls(monkeypatch, core.eig_sym)
+    guards = count_calls(monkeypatch, core.symmetrize)
     order_margin(0.5, 2.0, a, b)
     # eig of A and of B, one per mean, and one of M_q - M_p
     assert len(eigs) == 5
@@ -198,7 +183,7 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
 def test_limit_check_decomposes_its_input_once(monkeypatch):
     phi = random_kraus_map(3, 2, 77)
     a = random_pd(3, 78, 5.0)
-    eigs = _count_calls(monkeypatch, core.eig_sym)
+    eigs = count_calls(monkeypatch, core.eig_sym)
     unital_checks = []
     is_unital = LinearMatrixMap.is_unital
     monkeypatch.setattr(LinearMatrixMap, "is_unital",
@@ -210,8 +195,8 @@ def test_limit_check_decomposes_its_input_once(monkeypatch):
 
 
 def test_random_kraus_map_validates_once(monkeypatch):
-    eigs = _count_calls(monkeypatch, core.eig_sym)
-    guards = _count_calls(monkeypatch, core.symmetrize)
+    eigs = count_calls(monkeypatch, core.eig_sym)
+    guards = count_calls(monkeypatch, core.symmetrize)
     random_kraus_map(2, 3, 73)
     # the whitener's one decomposition, guarded inside eig_sym
     assert len(eigs) == 1
@@ -321,7 +306,7 @@ def test_map_power_validates_its_input_once(monkeypatch, p):
     phi = compression((0, 1), 3)
     f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
     two_step = mat_fun(phi.apply(mat_fun(symmetrize(a), f)), inverse)
-    guards = _count_calls(monkeypatch, core.symmetrize)
+    guards = count_calls(monkeypatch, core.symmetrize)
     out = map_power(phi, p, a)
     assert sum(np.array_equal(args[0], a) for args in guards) == 1
     assert np.array_equal(out, two_step)
@@ -341,8 +326,8 @@ def test_affine_map_power_validates_its_input_once(monkeypatch, a):
     phi = compression((0, 1), 2)
     drift = a + np.array([[0.0, 1e-15], [0.0, 0.0]])
     expected = apply_power_affine_2x2(phi, 0.5, symmetrize(drift))
-    eigs = _count_calls(monkeypatch, core.eig_sym)
-    guards = _count_calls(monkeypatch, core.symmetrize)
+    eigs = count_calls(monkeypatch, core.eig_sym)
+    guards = count_calls(monkeypatch, core.symmetrize)
     out = apply_power_affine_2x2(phi, 0.5, drift)
     assert len(eigs) == 1
     assert _validations_of(drift, guards) == (1 if a[0, 1] == 0.0 else 2)
@@ -356,7 +341,7 @@ def test_frechet_derivatives_validate_the_base_once(monkeypatch):
     drift = base + np.triu(np.full((3, 3), 1e-15), 1)
     sym = symmetrize(drift)
     expected = (frechet_d1(LOG, sym, h), frechet_d2(LOG, sym, h, k))
-    guards = _count_calls(monkeypatch, core.symmetrize)
+    guards = count_calls(monkeypatch, core.symmetrize)
     out = (frechet_d1(LOG, drift, h), frechet_d2(LOG, drift, h, k))
     assert _validations_of(drift, guards) == 2
     assert all(np.array_equal(x, y) for x, y in zip(out, expected))
