@@ -402,8 +402,8 @@ def _random_pd_stack(dim: int, draws) -> np.ndarray:
     """:func:`random_pd` of each (seed, condition_spread) in ``draws``, as one stack."""
     if not 1 <= dim <= MAX_DIM:
         raise PreconditionError("dimension %d outside 1..%d" % (dim, MAX_DIM))
-    if any(spread < 1.0 for _, spread in draws):
-        raise PreconditionError("condition_spread must be >= 1")
+    if not all(1.0 <= spread < math.inf for _, spread in draws):
+        raise PreconditionError("condition_spread must be finite and >= 1")
     rngs = [np.random.default_rng(seed) for seed, _ in draws]
     logs = [g.uniform(-1.0, 1.0, size=dim) * math.log(sp) for g, (_, sp) in zip(rngs, draws)]
     gauss = [g.standard_normal((dim, dim)) for g in rngs]

@@ -11,8 +11,8 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 * rank-one:      A = diag(2, 0) against the rank-one projection at angle t,
   whose coefficient is negative for every 0 < p < q < 1.
 
-The families only generate candidate pairs, tagged with their schedule
-position; one walker certifies them in order and returns the first hit.
+The families generate theta walks of candidate pairs; one walker certifies
+them in order, returns the first hit and ends a walk at a ``DomainError``.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
 family of the reflected pair, guided at (-q, -p), but yield the exact
 reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
@@ -29,14 +29,13 @@ returned matrices, never from the expansion that guided the search.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import PSD_FLOOR, eig_sym, mat_fun, symmetrize
+from .core import eig_sym, mat_fun, symmetrize
 from .errors import (
     DegenerateFrameError,
     DomainError,
@@ -139,26 +138,16 @@ def _theta_walk(pair, k=None, x=None, y=None):
         yield k, j, x, y, theta, pair(theta)
 
 
-def _rotation_walk(p, q, via_dual):
-    """Candidates x = 2^-k, y = x^2 whose closed-form t^2 coefficient at
-    (p, q) (the log-Euclidean one at p = 0) is negative, each walking its
-    thetas.  With ``via_dual`` the pairs are the exact reciprocals
+def _rotation_walks(p, q, via_dual):
+    """A theta walk for each x = 2^-k, y = x^2 whose closed-form t^2
+    coefficient at (p, q) (the log-Euclidean one at p = 0) is negative.
+    With ``via_dual`` the pairs are the exact reciprocals
     diag(1, 1/x), R_t diag(1, 1/y) R_t^T (1/x = 2^k rounds nothing), to be
     certified at (-q, -p).
-
-    Where the smaller certified exponent (p, or -q when dual) is <= 0, the
-    walk stops once y, B_t's smallest eigenvalue relative to its norm (in
-    both pairs), lies certainly below the domain floor ``PSD_FLOOR``: that
-    candidate and every later one (y only falls) raise ``DomainError``.
     """
-    low = -q if via_dual else p
     for k in _X_SCHEDULE:
         x = 2.0**-k
         y = x * x
-        # Computed, y and the floor are each off by a few eps; the margins
-        # keep the stop sound: every candidate it skips lies below the floor.
-        if low <= 0.0 and y + 16.0 * sys.float_info.epsilon <= 0.5 * PSD_FLOOR:
-            break
         try:
             if p == 0.0:
                 coeff = det_coeff_log_pair(q, x, y)
@@ -169,24 +158,31 @@ def _rotation_walk(p, q, via_dual):
         except DegenerateFrameError:
             continue
         pair = (1.0 / x, 1.0 / y) if via_dual else (x, y)
-        yield from _theta_walk(partial(pd_rotation_pair, *pair), k, x, y)
+        yield _theta_walk(partial(pd_rotation_pair, *pair), k, x, y)
 
 
-def _first_witness(p, q, candidates, exhausted: str, via_dual) -> Witness:
-    """The first candidate that ``_certify`` accepts at (p, q), as a witness.
+def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
+    """The first candidate of ``walks`` that ``_certify`` accepts at (p, q),
+    as a witness; running out raises ``SearchExhaustedError`` with the
+    message ``exhausted``.
 
-    Candidates outside the means' domain are skipped; running out raises
-    ``SearchExhaustedError`` with the message ``exhausted``.
+    A candidate outside the means' domain (``DomainError``) ends its walk,
+    and ends the search if it is the walk's first (j = 0): the eigenvalue
+    that fails the floor, y = 4^-k of B_t or about sin^2(theta)/4 for the
+    inner mean of a dual pair, only falls as k and j grow.
     """
-    for k, j, x, y, theta, (a, b) in candidates:
-        try:
-            hit = _certify(p, q, a, b)
-        except DomainError:
-            continue
-        if hit is not None:
-            lam, vec = hit
-            return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta,
-                           dual_applied=via_dual, k=k, j=j)
+    for walk in walks:
+        for k, j, x, y, theta, (a, b) in walk:
+            try:
+                hit = _certify(p, q, a, b)
+            except DomainError:
+                if j == 0:
+                    raise SearchExhaustedError(exhausted) from None
+                break
+            if hit is not None:
+                lam, vec = hit
+                return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta,
+                               dual_applied=via_dual, k=k, j=j)
     raise SearchExhaustedError(exhausted)
 
 
@@ -200,15 +196,11 @@ def _search(case, p, q, via_dual) -> Witness:
         if via_dual:  # the inverse of the pair shifted by e, in closed form
             e = _DUAL_RANK_ONE_SHIFT
             pair = partial(_rotated_pair, [1 / (2 + e), 1 / e], [1 / (1 + e), 1 / e])
-        walk = _theta_walk(pair)
-        exhausted = "rank-one schedule exhausted at (%g, %g)" % (bp, bq)
-    elif case is Case.LOG_EUCLIDEAN:
-        walk = _rotation_walk(0.0, bq, via_dual)
-        exhausted = "log-euclidean schedule exhausted at q=%g" % bq
+        walks = [_theta_walk(pair)]
     else:
-        walk = _rotation_walk(bp, bq, via_dual)
-        exhausted = "pd-rotation schedule exhausted at (%g, %g)" % (bp, bq)
-    return _first_witness(p, q, walk, exhausted, via_dual)
+        walks = _rotation_walks(bp, bq, via_dual)
+    exhausted = "%s schedule exhausted at (%g, %g)" % (case.value, bp, bq)
+    return _first_witness(p, q, walks, exhausted, via_dual)
 
 
 def find_counterexample(p: float, q: float) -> Witness:
@@ -234,15 +226,12 @@ def find_counterexample(p: float, q: float) -> Witness:
         return _search(label.case, p, q, label.via_dual)
     # p > q fails for scalars already: with A = I and B = 4 I, M_q - M_p is
     # the negative scalar gap times the identity, so any unit vector certifies.
-    a, b = np.eye(2), 4.0 * np.eye(2)
-    hit = _certify(p, q, a, b)
-    if hit is None:
-        raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
-    lam, vec = hit
+    walk = [(None, None, None, None, None, (np.eye(2), 4.0 * np.eye(2)))]
+    w = _first_witness(p, q, [walk], "scalar gap did not certify at (%g, %g)" % (p, q), False)
     expected = scalar_power_mean(q, 1.0, 4.0) - scalar_power_mean(p, 1.0, 4.0)
-    if abs(lam - expected) > 1e-9 * (1.0 + abs(expected)):
+    if abs(w.neg_eigenvalue - expected) > 1e-9 * (1.0 + abs(expected)):
         raise SearchExhaustedError("scalar witness inconsistent with the scalar mean")
-    return Witness(p, q, a, b, lam, vec)
+    return w
 
 
 def choi_sign_table(p_values) -> list[tuple[float, tuple[str, str]]]:

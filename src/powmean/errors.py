@@ -40,8 +40,9 @@ class DegenerateFrameError(PowerMeanError):
 
 class SearchExhaustedError(PowerMeanError):
     """The counterexample parameter schedule ran out without certifying a
-    witness.  This signals a tolerance or scaling bug, not a mathematical
-    possibility."""
+    witness: its walks ended or left the means' domain first.  The pair
+    still lies outside the region; near the region's boundary bands the
+    fixed schedules miss a few percent of pairs this way."""
 
 
 class InRegionError(PowerMeanError):

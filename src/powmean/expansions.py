@@ -336,7 +336,8 @@ def numeric_det_coeff(
     Raises
     ------
     NonConvergenceError
-        If successive extrapolants disagree by more than 1e-4 (1 + |value|).
+        If successive extrapolants disagree by more than 1e-4 (1 + |value|),
+        or either is NaN.
     """
     ts = np.asarray(_ORACLE_THETAS)
     orders = tuple(float(e) for e in orders)
@@ -359,7 +360,7 @@ def numeric_det_coeff(
         nodes = nodes[1:]
     value = float(col[-1])
     error = float(abs(col[-1] - col[-2]))
-    if error > 10.0 * _ORACLE_REL_TOL * (1.0 + abs(value)):
+    if not error <= 10.0 * _ORACLE_REL_TOL * (1.0 + abs(value)):
         raise NonConvergenceError(
             "extrapolants disagree by %.3e at value %.6e" % (error, value)
         )

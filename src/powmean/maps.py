@@ -90,7 +90,7 @@ def kraus_map(factors) -> LinearMatrixMap:
         if v.shape != (out_dim, in_dim):
             raise DimensionMismatchError("kraus factors must share one shape")
     total = sum(v @ v.T for v in factors)
-    if float(np.abs(total - np.eye(out_dim)).max()) > PSD_FLOOR:
+    if not float(np.abs(total - np.eye(out_dim)).max()) <= PSD_FLOOR:
         raise NotUnitalError("kraus factors do not sum to the identity")
     return LinearMatrixMap(
         in_dim,

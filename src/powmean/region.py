@@ -9,8 +9,11 @@ inequalities with no tolerance fuzzing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .errors import PreconditionError
 
 
 class Case(Enum):
@@ -66,8 +69,11 @@ def classify(p: float, q: float) -> CaseLabel:
     every remaining pair matches one of the three families, directly or
     after the dual reflection.  Overlaps resolve in dispatch order:
     log-euclidean, pd-rotation, rank-one, then the same three via dual.
+    Non-finite exponents raise ``PreconditionError``.
     """
     p, q = float(p), float(q)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise PreconditionError("exponents must be finite")
     if in_sufficient_region(p, q):
         return CaseLabel(Case.IN_REGION)
     if p > q:

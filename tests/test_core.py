@@ -547,6 +547,9 @@ def test_random_pd_validates_arguments():
         random_pd(2, 1, 0.5)
     with pytest.raises(PreconditionError, match="dimension"):
         random_pd(9, 1, 0.5)  # the dimension is checked first
+    for spread in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="condition_spread"):
+            random_pd(3, 0, spread)
 
 
 def _random_pd_reference(dim, seed, condition_spread):

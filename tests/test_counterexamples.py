@@ -323,43 +323,53 @@ def test_coefficient_guidance_becomes_and_stays_negative():
 
 
 @pytest.mark.parametrize("q", [0.6, 1.0, 1.5, 2.0, 2.5, 2.9])
-def test_rotation_walk_stops_only_where_every_candidate_fails(monkeypatch, q):
-    # The walk computes a coefficient at every x it reaches, so the x values
-    # it never evaluates are the ones its domain-floor stop skipped.  Each
-    # skipped (x, theta) candidate must raise DomainError from the gap, as
-    # the search would have found by certifying it.
-    reached = set()
-
-    def reaching(fn):
-        def wrapped(*args):
-            reached.add(args[-2])  # x, in both coefficient signatures
-            return fn(*args)
-
-        return wrapped
-
-    for name in ("det_coeff_power_pair", "det_coeff_log_pair"):
-        monkeypatch.setattr(ce, name, reaching(getattr(ce, name)))
+def test_rotation_walk_stops_only_where_every_candidate_fails(q):
+    # Certify every candidate of the unstopped walks.  Each candidate the
+    # stop rule skips (the rest of a theta walk after a DomainError, and
+    # every later walk after one at j = 0) must raise DomainError itself.
     # A dual walk yields the reciprocal pairs, certified at (-q, -p).
     walks = [(p, False) for p in (-0.99, -0.7, -0.3, -1e-3, 0.0)]
     walks += [(p, True) for p in (-0.7, 0.0, 0.3, 0.45)]
+    skipped = []
     for p, via_dual in walks:
-        reached.clear()
-        list(ce._rotation_walk(p, q, via_dual))
-        skipped = [2.0**-k for k in ce._X_SCHEDULE if 2.0**-k not in reached]
-        assert skipped
-        for x in skipped:
-            pair = (1.0 / x, 1.0 / (x * x)) if via_dual else (x, x * x)
-            exponents = (-q, -p) if via_dual else (p, q)
-            for theta in ce._THETA_SCHEDULE:
-                with pytest.raises(DomainError):
-                    power_mean_gap(*exponents, *pd_rotation_pair(*pair, theta))
+        exponents = (-q, -p) if via_dual else (p, q)
+        ended = False
+        for walk in ce._rotation_walks(p, q, via_dual):
+            stopped = ended
+            for _, j, _, _, _, pair in walk:
+                try:
+                    ce._certify(*exponents, *pair)
+                    fails = False
+                except DomainError:
+                    fails = True
+                if stopped:
+                    skipped.append(fails)
+                elif fails:
+                    stopped, ended = True, j == 0
+    assert skipped and all(skipped)
+
+
+def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
+    p, q = -0.5, 1.0
+    hit = find_counterexample(p, q)
+    certified, quiet = (hit.a, hit.b), (np.eye(2), np.eye(2))
+    fails = pd_rotation_pair(2.0**-20, 4.0**-20, 0.1)  # y below the floor
+
+    def walk(*pairs):
+        return [(None, j, None, None, None, pair) for j, pair in enumerate(pairs)]
+
+    w = ce._first_witness(p, q, [walk(quiet, fails, certified), walk(certified)], "x", False)
+    assert w.j == 0
+    with pytest.raises(SearchExhaustedError, match="^x$"):
+        ce._first_witness(p, q, [walk(fails, certified), walk(certified)], "x", False)
 
 
 @pytest.mark.parametrize("p, q", [(-0.99, 1.5), (-0.98, 1.9)])
 def test_exhausted_search_skips_candidates_below_the_floor(monkeypatch, p, q):
-    # Near p = -1 no x above the domain floor has a negative coefficient,
-    # so nothing is certified; the 126 and 315 candidates below the floor
-    # would each raise DomainError.
+    # Near p = -1 the first x with a negative coefficient (k = 35 and 26)
+    # has y = 4^-k below the domain floor, so the first candidate raises
+    # DomainError and ends the search; the other 125 and 314 candidates of
+    # those walks would each raise too.
     calls = []
 
     def counted(*args):
@@ -371,7 +381,7 @@ def test_exhausted_search_skips_candidates_below_the_floor(monkeypatch, p, q):
     with pytest.raises(SearchExhaustedError) as info:
         find_counterexample(p, q)
     assert str(info.value) == "pd-rotation schedule exhausted at (%g, %g)" % (p, q)
-    assert len(calls) <= len(ce._THETA_SCHEDULE)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,8 @@ def test_oracle_flags_non_quadratic_input():
 
     with pytest.raises(NonConvergenceError):
         numeric_det_coeff(noisy)
+    with pytest.raises(NonConvergenceError):
+        numeric_det_coeff(lambda t: np.full((2, 2), np.nan))
 
 
 def test_log_pair_statement_adjudicated_against_variant_grouping():

@@ -120,6 +120,8 @@ def test_kraus_selector_factors_give_compression():
 def test_kraus_rejects_non_unital_factors():
     with pytest.raises(NotUnitalError):
         kraus_map([0.5 * np.eye(2)])
+    with pytest.raises(NotUnitalError):  # NaN compares false both ways
+        kraus_map([[[np.nan]]])
 
 
 def test_random_kraus_maps_unital():

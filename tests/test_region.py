@@ -1,8 +1,10 @@
 """Exact region membership, the dual reflection, and the case classifier."""
 
+import math
+
 import pytest
 
-from powmean import Case, classify, dual, in_sufficient_region
+from powmean import Case, PreconditionError, classify, dual, in_sufficient_region
 
 
 IN_POINTS = [
@@ -92,6 +94,13 @@ def test_classify_label_text():
     assert str(classify(-2.0, -0.25)) == "pd-rotation-dual"
     assert str(classify(1.0, 2.0)) == "in-region"
     assert str(classify(3.0, 1.0)) == "scalar-fail"
+
+
+@pytest.mark.parametrize("p,q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
+                                 (-math.inf, math.inf), (0.5, -math.inf)])
+def test_classify_rejects_non_finite_exponents(p, q):
+    with pytest.raises(PreconditionError):
+        classify(p, q)
 
 
 def test_grid_exhaustive_classification():
