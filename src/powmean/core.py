@@ -395,19 +395,21 @@ def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray
     orthogonal basis, so ``condition_spread == 1`` forces the identity.
     Deterministic per ``(dim, seed, condition_spread)``.
     """
-    return _random_pd_stack(dim, [(seed, condition_spread)])[0]
+    return _random_pd_stack(np.random.default_rng(seed), dim, [condition_spread])[0]
 
 
-def _random_pd_stack(dim: int, draws) -> np.ndarray:
-    """:func:`random_pd` of each (seed, condition_spread) in ``draws``, as one stack."""
+def _random_pd_stack(rng: np.random.Generator, dim: int, spreads) -> np.ndarray:
+    """:func:`random_pd` per entry of ``spreads``: matrix i is built from row i of
+    one uniform ``(N, dim)`` block and slice i of one later normal ``(N, dim, dim)``
+    block, both drawn from ``rng``."""
     if not 1 <= dim <= MAX_DIM:
         raise PreconditionError("dimension %d outside 1..%d" % (dim, MAX_DIM))
-    if not all(1.0 <= spread < math.inf for _, spread in draws):
+    if not all(1.0 <= spread < math.inf for spread in spreads):
         raise PreconditionError("condition_spread must be finite and >= 1")
-    rngs = [np.random.default_rng(seed) for seed, _ in draws]
-    logs = [g.uniform(-1.0, 1.0, size=dim) * math.log(sp) for g, (_, sp) in zip(rngs, draws)]
-    gauss = [g.standard_normal((dim, dim)) for g in rngs]
-    q, r = np.linalg.qr(np.reshape(gauss, (-1, dim, dim)))
+    # math.log, not np.log: numpy misses libm by one bit on some inputs.
+    scale = np.reshape([math.log(spread) for spread in spreads], (-1, 1))
+    logs = rng.uniform(-1.0, 1.0, (len(scale), dim)) * scale
+    q, r = np.linalg.qr(rng.standard_normal((len(scale), dim, dim)))
     q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
-    m = (q * np.exp(np.reshape(logs, (-1, 1, dim)))) @ q.transpose(0, 2, 1)
+    m = (q * np.exp(logs)[:, None, :]) @ q.transpose(0, 2, 1)
     return (m + m.transpose(0, 2, 1)) / 2.0

@@ -74,17 +74,15 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     """Random-pair order check at a fixed exponent pair.
 
     Returns (passed, worst raw min-eigenvalue) over ``trials`` seeded pairs
-    per dimension; a pair passes iff its :func:`order_margin` is >= 0.
+    per dimension; a pair passes iff its :func:`order_margin` is >= 0.  Each
+    dimension draws all its spreads, then all its matrices, from the one cell
+    generator; both matrices of a trial share its spread.
     """
     rng = _spawn(seed, 0)
-    passed = True
-    worst = float("inf")
+    passed, worst = True, float("inf")
     for dim in dims:
-        draws = []  # all of a dimension's (seed, spread) draws, in the per-trial order
-        for _ in range(trials):
-            spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
-            draws += [(int(rng.integers(2**63)), spread), (int(rng.integers(2**63)), spread)]
-        pairs = _random_pd_stack(dim, draws)
+        spreads = np.repeat(np.take(_SPREADS, rng.integers(len(_SPREADS), size=trials)), 2)
+        pairs = _random_pd_stack(rng, dim, spreads)
         for a, b in zip(pairs[0::2], pairs[1::2]):
             margin, lam = order_margin(p, q, a, b)
             worst = min(worst, lam)

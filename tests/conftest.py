@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -13,6 +14,16 @@ def sym_rand(rng, n, scale=1.0):
     """Random symmetric matrix (test helper)."""
     g = rng.standard_normal((n, n)) * scale
     return (g + g.T) / 2.0
+
+
+def pd_from_draws(u, gauss, condition_spread):
+    """One matrix of the random_pd construction from its own uniform row ``u``
+    and normal slice ``gauss`` (test helper)."""
+    vals = np.exp(u * math.log(condition_spread))
+    q, r = np.linalg.qr(gauss)
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    m = (q * vals) @ q.T
+    return (m + m.T) / 2.0
 
 
 def count_calls(monkeypatch, fn):

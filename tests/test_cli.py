@@ -48,7 +48,7 @@ def test_scan_bytes_pinned(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "ed8272e1ffc9cf33d2adff1d85580df9f1a90bed658ff3b5315e2d6a8a98253d"
+    assert digest == "6cfb2d33d2dafc37ac9dd6871ffc60751f98ec2e518d8717fbc5a3369b2e4b7b"
 
 
 def test_scan_seed_changes_output(tmp_path):

@@ -32,7 +32,7 @@ from powmean import (
 from powmean import core
 from powmean.maps import plane_rotation
 
-from conftest import sym_rand
+from conftest import pd_from_draws, sym_rand
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +567,19 @@ def _random_pd_reference(dim, seed, condition_spread):
 def test_random_pd_stack_matches_per_matrix_reference(dim):
     spreads = (1.0, 2.0, 5.0, 10.0, 1e3)
     draws = [(seed, spread) for seed in range(200) for spread in spreads]
-    stack = core._random_pd_stack(dim, draws)
-    assert stack.shape == (len(draws), dim, dim)
-    for (seed, spread), m in zip(draws, stack):
-        ref = _random_pd_reference(dim, seed, spread)
-        assert np.array_equal(m, ref), (seed, spread)
+    # numpy's log of 1.4987631026277761 misses libm's by one bit.
+    pool = spreads + (1.4987631026277761,)
+    for seed in range(40):
+        stack_spreads = [pool[(seed + i) % len(pool)] for i in range(25)]
+        rng, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = core._random_pd_stack(rng, dim, stack_spreads)
+        # A generator in the same state gives one uniform block, then one
+        # normal block; matrix i comes from row i and slice i of them.
+        u = blocks.uniform(-1.0, 1.0, (len(stack_spreads), dim))
+        gauss = blocks.standard_normal((len(stack_spreads), dim, dim))
+        assert stack.shape == (len(stack_spreads), dim, dim)
+        assert rng.bit_generator.state == blocks.bit_generator.state
+        for i, spread in enumerate(stack_spreads):
+            assert np.array_equal(stack[i], pd_from_draws(u[i], gauss[i], spread)), (seed, i)
     for seed, spread in draws[:: len(spreads) + 1]:
         assert np.array_equal(random_pd(dim, seed, spread), _random_pd_reference(dim, seed, spread))

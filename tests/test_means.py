@@ -35,7 +35,7 @@ from powmean import core, find_counterexample, fuzz, random_kraus_map
 from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
 
-from conftest import count_calls, sym_rand
+from conftest import count_calls, pd_from_draws, sym_rand
 
 
 def test_normalize_exponent_threshold():
@@ -226,14 +226,17 @@ def test_map_order_worst_margin_comes_only_from_order_verdicts(monkeypatch):
 
 
 def _fuzz_point_reference(p, q, trials, seed, dims):
-    """fuzz_point as a per-trial loop: one random_pd pair per draw."""
+    """fuzz_point as a per-trial loop over its draw order: per dimension, all
+    spreads, then every matrix's uniform row, then every matrix's normal slice."""
     rng = fuzz._spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
-        for _ in range(trials):
-            spread = fuzz._SPREADS[int(rng.integers(len(fuzz._SPREADS)))]
-            a = random_pd(dim, int(rng.integers(2**63)), spread)
-            b = random_pd(dim, int(rng.integers(2**63)), spread)
+        spreads = [fuzz._SPREADS[k] for k in rng.integers(len(fuzz._SPREADS), size=trials)]
+        u = [rng.uniform(-1.0, 1.0, dim) for _ in range(2 * trials)]
+        gauss = [rng.standard_normal((dim, dim)) for _ in range(2 * trials)]
+        for t, spread in enumerate(spreads):
+            a = pd_from_draws(u[2 * t], gauss[2 * t], spread)
+            b = pd_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread)
             margin, lam = order_margin(p, q, a, b)
             worst = min(worst, lam)
             passed &= margin >= 0.0
@@ -250,6 +253,29 @@ def test_fuzz_point_matches_per_trial_reference(p, q, dims):
         got = fuzz_point(p, q, 25, seed, dims=dims)
         assert got == _fuzz_point_reference(p, q, 25, seed, dims)
     assert fuzz_point(p, q, 0, 0, dims=dims) == (True, float("inf"))
+
+
+def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
+    # Every stacked matrix is exactly symmetric with its spectrum in
+    # [1/s, s]; a trial's two matrices share s, and every spread occurs.
+    stacks = []
+    inner = fuzz._random_pd_stack
+
+    def recorded(rng, dim, spreads):
+        stacks.append((list(spreads), inner(rng, dim, spreads)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(fuzz, "_random_pd_stack", recorded)
+    for seed in range(4):
+        fuzz_point(0.5, 2.0, 30, seed, dims=range(1, 9))
+    assert len(stacks) == 4 * 8
+    for spreads, stack in stacks:
+        assert spreads[0::2] == spreads[1::2]
+        assert set(spreads) == set(fuzz._SPREADS)
+        for spread, m in zip(spreads, stack):
+            assert np.array_equal(m, m.T)
+            lam = np.linalg.eigvalsh(m)
+            assert lam[0] >= (1.0 - 1e-12) / spread and lam[-1] <= (1.0 + 1e-12) * spread
 
 
 def test_dimension_mismatch():
