@@ -5,11 +5,11 @@ a deterministic spectral decomposition (closed form for 2x2, cyclic Jacobi
 above), spectral matrix functions f(M) = V diag(f(lambda_i)) V^T, and a
 Loewner-order verdict that always carries a witness vector.
 
-:func:`eig_sym` is the one validating entry point of the spectral layer: it
-runs :func:`symmetrize` on its input, so callers that only decompose pass
-their matrices straight to it rather than validating them first.  Its
-solvers rely on that input being exactly symmetric: Jacobi keeps it so
-through every rotation, computing each mirrored pair of entries once.
+:func:`eig_sym` validates a caller's matrix once, by :func:`symmetrize`,
+so callers that only decompose pass their matrices straight to it; those the
+library builds exactly symmetric (a mean's root, an order gap) skip the
+guard through :func:`_decompose`.  The solvers rely on exact symmetry:
+Jacobi keeps it through every rotation, computing each mirrored pair once.
 
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.
@@ -270,7 +270,7 @@ def eig_sym(m) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
     The input is validated and averaged by :func:`symmetrize` here, once;
-    this is the one validating entry point for every decomposition.  A 2x2
+    this is the validating entry point for a caller's matrix.  A 2x2
     takes the closed-form rotation: its eigenvalue of larger magnitude is
     mid +- r, the other det / that one, so neither cancels.  Larger input
     takes cyclic Jacobi sweeps, with the off-diagonal threshold 1e-12 times
@@ -292,7 +292,14 @@ def eig_sym(m) -> SpectralDecomposition:
     NonConvergenceError
         If the sweep cap is exceeded (pathological input).
     """
-    m = symmetrize(m)
+    return _decompose(symmetrize(m))
+
+
+def _decompose(m: np.ndarray) -> SpectralDecomposition:
+    """:func:`eig_sym` of ``m`` bitwise equal to its transpose: its own symmetric
+    part, so :func:`symmetrize` runs only to raise on a non-finite ``m + m``."""
+    if not all(map(math.isfinite, (m + m).flat)):
+        symmetrize(m)  # raises
     n = m.shape[0]
     if n == 1:
         return _eig_1x1(m)
@@ -322,6 +329,8 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
             raise DomainError(
                 "power %g needs eigenvalues >= 0, smallest is %.3e" % (r, eigs[0])
             )
+        if eigs[0] > floor:
+            return eigs**r
         # eigenvalues inside the floor are true zeros up to rounding; mapping
         # their junk magnitude through a fractional power would inflate it
         return np.where(eigs <= floor, 0.0, eigs) ** r
@@ -380,8 +389,8 @@ def loewner_leq(a, b) -> OrderVerdict:
 
 
 def _order_verdict(d) -> OrderVerdict:
-    """The verdict 0 <= D under ``ORDER_SLACK``; :func:`eig_sym` validates ``d``."""
-    dec = eig_sym(d)
+    """The verdict 0 <= D under ``ORDER_SLACK``, ``d`` exactly symmetric."""
+    dec = _decompose(d)
     lam = float(dec.eigenvalues[0])
     margin = lam + ORDER_SLACK * (1.0 + float(np.abs(d).max()))
     return OrderVerdict(margin, lam, dec.basis[:, 0].copy())

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import eig_sym, mat_fun, symmetrize
+from .core import _decompose, eig_sym, mat_fun, symmetrize
 from .errors import (
     DegenerateFrameError,
     DomainError,
@@ -124,8 +124,8 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
 
 def _certify(p, q, a, b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, as :func:`eig_sym` returns them."""
-    dec = eig_sym(power_mean_gap(p, q, a, b))
+    ``-CERT_TOL``, from the unvalidated ``_decompose`` of the exact gap."""
+    dec = _decompose(power_mean_gap(p, q, a, b))
     lam = float(dec.eigenvalues[0])
     if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import eig_sym, mat_fun, spectral_fun
+from .core import _decompose, eig_sym, mat_fun, spectral_fun
 from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
@@ -60,7 +60,7 @@ def _mean_of(p: float, dec_a, dec_b) -> np.ndarray:
     p = normalize_exponent(p)
     f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
     combo = 0.5 * spectral_fun(dec_a, f) + 0.5 * spectral_fun(dec_b, f)
-    return mat_fun(combo, inverse)
+    return spectral_fun(_decompose(combo), inverse)
 
 
 def power_mean(p: float, a, b) -> np.ndarray:
@@ -88,10 +88,13 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
     """M_q(A, B) - M_p(A, B) from one decomposition of A and of B.
 
     Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
-    q-mean evaluated first, so errors are those of that two-call form.
+    q-mean evaluated first, so errors are those of that two-call form; equal
+    normalized exponents take one mean.  The gap is exactly symmetric.
     """
     dec_a, dec_b = _decompose_pair(a, b)
     high = _mean_of(q, dec_a, dec_b)
+    if normalize_exponent(p) == normalize_exponent(q):
+        return high - high
     return high - _mean_of(p, dec_a, dec_b)
 
 

@@ -26,11 +26,14 @@ def pd_from_draws(u, gauss, condition_spread):
     return (m + m.T) / 2.0
 
 
-def count_calls(monkeypatch, fn):
-    """Count calls to ``fn`` through every powmean module that binds it."""
+def count_calls(monkeypatch, fn, check=None):
+    """Count calls to ``fn`` through every powmean module that binds it,
+    passing each call's arguments to ``check`` first if given."""
     calls = []
 
     def counted(*args, **kwargs):
+        if check is not None:
+            check(*args, **kwargs)
         calls.append(args)
         return fn(*args, **kwargs)
 

@@ -100,6 +100,26 @@ def test_guard_rejects_overflowing_average():
             validate(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.diag([np.inf, 1.0]),
+        np.diag([1.0, 2.0, np.nan]),
+        np.array([[1e308, 5e307], [5e307, 1.5e308]]),
+        np.full((3, 3), -1e308),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_unvalidated_decomposition_keeps_the_guard_verdicts(m):
+    # the unvalidated entry takes exactly symmetric input, so only the
+    # finiteness and overflow verdicts apply, word for word
+    with pytest.raises(PreconditionError) as guard:
+        symmetrize(m)
+    with pytest.raises(PreconditionError) as unvalidated:
+        core._decompose(m)
+    assert str(unvalidated.value) == str(guard.value)
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 # ---------------------------------------------------------------------------

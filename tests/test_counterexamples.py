@@ -22,6 +22,7 @@ from powmean import (
     SearchExhaustedError,
     choi_sign_table,
     classify,
+    core,
     det_coeff_power_pair,
     find_counterexample,
     in_sufficient_region,
@@ -32,6 +33,8 @@ from powmean import (
     rank_one_pair,
     scalar_power_mean,
 )
+
+from conftest import count_calls
 
 
 def _independent_check(witness):
@@ -362,6 +365,18 @@ def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
     assert w.j == 0
     with pytest.raises(SearchExhaustedError, match="^x$"):
         ce._first_witness(p, q, [walk(fails, certified), walk(certified)], "x", False)
+
+
+def test_certify_validates_once_per_decomposition(monkeypatch):
+    w = find_counterexample(0.25, 2.0)
+    decompositions = count_calls(monkeypatch, core._decompose)
+    guards = count_calls(monkeypatch, core.symmetrize)
+    lam, vec = ce._certify(w.p, w.q, w.a, w.b)
+    # A and B are validated; they, the root of each mean and the gap are
+    # decomposed, the last three as the library built them
+    assert len(decompositions) == 5
+    assert len(guards) == 2
+    assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
 
 
 @pytest.mark.parametrize("p, q", [(-0.99, 1.5), (-0.98, 1.9)])

@@ -25,9 +25,13 @@ from powmean import (
     map_power,
     mat_fun,
     normalize_exponent,
+    numeric_det_coeff,
+    pd_rotation_difference,
     power_mean,
     power_mean_gap,
     random_pd,
+    rank_one_difference,
+    rank_one_remainder_orders,
     scalar_power_mean,
     symmetrize,
 )
@@ -137,12 +141,16 @@ _GAP_EXPONENTS = (0.0, 1e-9, -1e-9, 2.0, 0.5, -0.5, -3.0)
 def test_power_mean_gap_matches_two_calls(dim):
     a = random_pd(dim, 300 + dim, 10.0)
     b = random_pd(dim, 400 + dim, 10.0)
-    for p, q in itertools.permutations(_GAP_EXPONENTS, 2):
+    for p, q in itertools.product(_GAP_EXPONENTS, repeat=2):
         two_calls = power_mean(q, a, b) - power_mean(p, a, b)
-        assert np.array_equal(power_mean_gap(p, q, a, b), two_calls), (p, q)
+        assert power_mean_gap(p, q, a, b).tobytes() == two_calls.tobytes(), (p, q)
 
 
-@pytest.mark.parametrize("p, q", [(0.5, -0.5), (-3.0, -0.5), (1e-9, -3.0)])
+@pytest.mark.parametrize(
+    "p, q",
+    # equal normalized exponents evaluate one mean, with that mean's error
+    [(0.5, -0.5), (-3.0, -0.5), (1e-9, -3.0), (0.0, 0.0), (1e-9, -1e-9), (-0.5, -0.5), (-3.0, -3.0)],
+)
 def test_power_mean_gap_errors_match_two_calls(p, q):
     a = np.diag([2.0, 0.0])
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -172,12 +180,72 @@ def test_argument_errors_keep_their_order(a, b, p, error):
 def test_order_check_validates_once_per_decomposition(monkeypatch):
     a = random_pd(3, 71, 10.0)
     b = random_pd(3, 72, 10.0)
-    eigs = count_calls(monkeypatch, core.eig_sym)
+    decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
     order_margin(0.5, 2.0, a, b)
-    # eig of A and of B, one per mean, and one of M_q - M_p
-    assert len(eigs) == 5
-    assert len(guards) == 5
+    # A and B are validated; they, the root of each mean and M_q - M_p are
+    # decomposed, the last three as the library built them
+    assert len(decompositions) == 5
+    assert len(guards) == 2
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (-2.0, -2.0), (0.0, 0.0), (1e-9, -1e-9)])
+def test_equal_exponent_gap_takes_one_mean(monkeypatch, p, q):
+    a = random_pd(3, 71, 10.0)
+    b = random_pd(3, 72, 10.0)
+    decompositions = count_calls(monkeypatch, core._decompose)
+    guards = count_calls(monkeypatch, core.symmetrize)
+    gap = power_mean_gap(p, q, a, b)
+    # A, B and the one mean's root
+    assert len(decompositions) == 3
+    assert len(guards) == 2
+    assert not gap.any()
+
+
+def test_overflowing_mean_keeps_the_guard_message(monkeypatch):
+    # A^2 overflows, so the root's combination is not finite; the unvalidated
+    # decomposition hands it to symmetrize for the message eig_sym gives
+    decompositions = count_calls(monkeypatch, core._decompose)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionError) as err:
+            power_mean(2.0, np.diag([1e200, 1.0]), np.eye(2))
+    assert str(err.value) == "matrix entries must be finite"
+    assert len(decompositions) == 3
+    assert not np.isfinite(decompositions[-1][0]).all()
+
+
+def _assert_bitwise_symmetric(m):
+    assert m.tobytes() == m.T.tobytes()
+
+
+def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
+    # The unvalidated decomposition is sound only on matrices bitwise equal
+    # to their transpose (their own symmetric part): every route must build
+    # them so.
+    decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
+    validated = count_calls(monkeypatch, core.eig_sym)
+
+    def unvalidated(route, *args, **kwargs):
+        before = len(decompositions) - len(validated)
+        route(*args, **kwargs)
+        return len(decompositions) - len(validated) - before
+
+    rng = np.random.default_rng(17)
+    for dim in range(1, 9):
+        a = random_pd(dim, 500 + dim, 10.0)
+        b = random_pd(dim, 600 + dim, 10.0)
+        g = rng.standard_normal((dim, dim))
+        g[:, 0] = 0.0
+        singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
+        for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
+            # each mean's root and the gap; one mean at p = q
+            assert unvalidated(order_margin, p, q, x, b) == (2 if p == q else 3)
+    for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
+        assert unvalidated(find_counterexample, p, q) > 0
+    orders = rank_one_remainder_orders(0.25, 0.5)
+    assert unvalidated(numeric_det_coeff, rank_one_difference(0.25, 0.5), orders=orders) > 0
+    assert unvalidated(numeric_det_coeff, pd_rotation_difference(1.0, 2.0, 0.5, 0.25)) > 0
+    assert unvalidated(numeric_det_coeff, pd_rotation_difference(0.0, 1.5, 0.5, 0.25)) > 0
 
 
 def test_limit_check_decomposes_its_input_once(monkeypatch):
