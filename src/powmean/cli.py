@@ -39,7 +39,6 @@ from .expansions import (
     rank_one_remainder_orders,
 )
 from .fuzz import FUZZ_TARGETS, fuzz_point
-from .means import normalize_exponent
 from .region import Case, classify
 
 CSV_HEADER = "p,q,label,verdict,detail,x,y,theta,seed"
@@ -143,7 +142,7 @@ def cmd_scan(args) -> int:
     consistent = True
     for pi, p in enumerate(_grid(args.pmin, args.pmax, args.step)):
         for qi, q in enumerate(_grid(args.qmin, args.qmax, args.step)):
-            label = classify(normalize_exponent(p), normalize_exponent(q))
+            label = classify(p, q)
             seed = _cell_seed(args.seed, pi, qi)
             witness = None
             if label.case is Case.IN_REGION:
@@ -177,11 +176,11 @@ def cmd_counterexample(args) -> int:
         print("(%g, %g) uncertified: %s: %s" % (args.p, args.q, type(exc).__name__, exc),
               file=sys.stderr)
         return 1
-    label = classify(normalize_exponent(args.p), normalize_exponent(args.q))
-    lines = [
-        "exponents: p = %s, q = %s" % (_fmt(float(args.p)), _fmt(float(args.q))),
-        "family: %s" % label,
-    ]
+    label = classify(args.p, args.q)
+    lines = ["exponents: p = %s, q = %s" % (_fmt(float(args.p)), _fmt(float(args.q)))]
+    if (witness.p, witness.q) != (args.p, args.q):
+        lines.append("evaluated at: p = %s, q = %s" % (_fmt(witness.p), _fmt(witness.q)))
+    lines.append("family: %s" % label)
     if witness.x is not None:
         lines.append("parameters: x = %s, y = %s" % (_fmt(witness.x), _fmt(witness.y)))
     if witness.theta is not None:

@@ -67,6 +67,8 @@ _CHOI_SIGN_THRESHOLD = 1e-12
 class Witness:
     """A certified violation of M_p(A, B) <= M_q(A, B).
 
+    ``p`` and ``q`` are the exponents the means evaluated: those asked, or 0
+    for one the means snap to 0 (see :mod:`powmean.means`).
     ``neg_eigenvalue`` is the smallest eigenvalue of M_q - M_p and
     ``witness`` a unit vector achieving it; ``x``, ``y``, ``theta`` record
     the construction parameters when applicable, and ``k``, ``j`` their
@@ -181,8 +183,8 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
                 break
             if hit is not None:
                 lam, vec = hit
-                return Witness(p, q, a, b, lam, vec, x=x, y=y, theta=theta,
-                               dual_applied=via_dual, k=k, j=j)
+                return Witness(normalize_exponent(p), normalize_exponent(q), a, b, lam, vec,
+                               x=x, y=y, theta=theta, dual_applied=via_dual, k=k, j=j)
     raise SearchExhaustedError(exhausted)
 
 
@@ -214,11 +216,10 @@ def find_counterexample(p: float, q: float) -> Witness:
     identity guides the search but is never trusted for the certificate,
     :func:`eig_sym`'s smallest eigenvalue of M_q - M_p on the returned pair.
 
-    Exponents are normalized first (near-zero values go to the
-    log-Euclidean branch) so the dispatch matches what the means actually
-    evaluate.
+    The pair is classified and searched as given.  Only the means snap an
+    exponent near zero to 0, so a pair outside the region whose exponents
+    both evaluate at 0 ends ``SearchExhaustedError``, never ``InRegionError``.
     """
-    p, q = normalize_exponent(p), normalize_exponent(q)
     label = classify(p, q)
     if label.case is Case.IN_REGION:
         raise InRegionError("(%g, %g) lies in the sufficiency region" % (p, q))

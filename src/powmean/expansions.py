@@ -183,7 +183,8 @@ def _terms(r: float | None, x: float, y: float) -> _Terms:
     sqrt(xy), -log x log y / log xy and log y / log xy.
 
     Raises ``DegenerateFrameError`` where the denominators degenerate:
-    x^r + y^r too close to 2, or xy too close to 1 in the limit.
+    x^r + y^r - 2 within ``CONFLUENT_GAP`` of |x^r - 1| + |y^r - 1|, or xy too
+    close to 1 in the limit.
     """
     if r == 0.0:
         raise PreconditionError("power frame needs a nonzero exponent")
@@ -196,11 +197,22 @@ def _terms(r: float | None, x: float, y: float) -> _Terms:
         ly = math.log(y)
         return _Terms(math.sqrt(x * y), -math.log(x) * ly / lxy, ly / lxy)
     xr, yr = x**r, y**r
-    s = xr + yr
-    if abs(s - 2.0) <= CONFLUENT_GAP:
+    dx, dy = _minus_one(xr, x, r), _minus_one(yr, y, r)
+    e = dx + dy  # x^r + y^r - 2, keeping its digits where it cancels
+    if abs(e) <= CONFLUENT_GAP * (abs(dx) + abs(dy)):
         raise DegenerateFrameError("x^p + y^p is too close to 2")
-    return _Terms((s / 2.0) ** (1.0 / r), (1.0 - xr) * (1.0 - yr) / (r * (2.0 - s)),
-                  (1.0 - yr) / (2.0 - s))
+    if abs(e) < 1.0:
+        m = math.exp(math.log1p(0.5 * e) / r)
+    else:  # nothing cancels, and the direct forms round fewer times
+        e = (xr + yr) - 2.0
+        m = ((xr + yr) / 2.0) ** (1.0 / r)
+    return _Terms(m, -dx * dy / (r * e), dy / e)
+
+
+def _minus_one(xr: float, x: float, r: float) -> float:
+    """xr - 1 for xr = x^r, through expm1(r log x) where x^r is near 1."""
+    d = xr - 1.0
+    return math.expm1(r * math.log(x)) if abs(d) < 0.5 else d
 
 
 def _det_coeff(tp: _Terms, tq: _Terms) -> DetCoefficientBreakdown:

@@ -129,7 +129,7 @@ def _sample_exponent_pair(rng: np.random.Generator) -> tuple[float, float]:
         u = float(rng.uniform(-3.0, 3.0))
         v = float(rng.uniform(-3.0, 3.0))
         p, q = min(u, v), max(u, v)
-        if q - p > 1e-6 and abs(p) > 1e-8 and abs(q) > 1e-8:
+        if q - p > 1e-6:
             return p, q
 
 

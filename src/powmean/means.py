@@ -8,8 +8,10 @@ and its p -> 0 limit is the log-Euclidean mean
 
     exp((log A + log B) / 2).
 
-Exponents within 1e-8 of zero are normalized to the log-Euclidean branch:
+Exponents within 1e-8 of zero are evaluated on the log-Euclidean branch:
 A^p^(1/p) amplifies rounding by ~1/|p|, while the limit formula is exact.
+Only this module snaps an exponent; the region's classification, the
+counterexample search and the CLI labels read a pair as given.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import _decompose, eig_sym, mat_fun, spectral_fun
+from .core import _decompose, eig_sym, spectral_fun
 from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
@@ -56,11 +58,16 @@ def _decompose_pair(a, b):
     return dec_a, dec_b
 
 
-def _mean_of(p: float, dec_a, dec_b) -> np.ndarray:
+def _root(p: float, combine, *decs) -> np.ndarray:
+    """f^-1(combine(f(X), ...)) over the decomposed ``decs``, f = X^p or log: the one
+    place where an exponent becomes a function.  ``combine`` keeps exact symmetry."""
     p = normalize_exponent(p)
     f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
-    combo = 0.5 * spectral_fun(dec_a, f) + 0.5 * spectral_fun(dec_b, f)
-    return spectral_fun(_decompose(combo), inverse)
+    return spectral_fun(_decompose(combine(*(spectral_fun(d, f) for d in decs))), inverse)
+
+
+def _average(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 0.5 * x + 0.5 * y
 
 
 def power_mean(p: float, a, b) -> np.ndarray:
@@ -81,7 +88,7 @@ def power_mean(p: float, a, b) -> np.ndarray:
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    return _mean_of(p, *_decompose_pair(a, b))
+    return _root(p, _average, *_decompose_pair(a, b))
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
@@ -92,10 +99,10 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
     normalized exponents take one mean.  The gap is exactly symmetric.
     """
     dec_a, dec_b = _decompose_pair(a, b)
-    high = _mean_of(q, dec_a, dec_b)
+    high = _root(q, _average, dec_a, dec_b)
     if normalize_exponent(p) == normalize_exponent(q):
         return high - high
-    return high - _mean_of(p, dec_a, dec_b)
+    return high - _root(p, _average, dec_a, dec_b)
 
 
 def map_power(phi, p: float, a) -> np.ndarray:
@@ -131,10 +138,7 @@ def _map_power_of(phi, p: float, dec) -> np.ndarray:
         raise DimensionMismatchError(
             "matrix dim %d does not match map input dim %d" % (n, phi.in_dim)
         )
-    p = normalize_exponent(p)
-    if p == 0.0:
-        return mat_fun(phi.apply(spectral_fun(dec, LOG)), EXP)
-    return mat_fun(phi.apply(spectral_fun(dec, Power(p))), Power(1.0 / p))
+    return _root(p, phi.apply, dec)
 
 
 def limit_slope_check(phi, a, p_sequence) -> np.ndarray:

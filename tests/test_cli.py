@@ -247,7 +247,11 @@ def test_counterexample_dump_matches_scan_row(p, q, tmp_path):
 
 #: Pairs outside the region whose search fails, and the error it ends in.
 _UNCERTIFIED = [((-0.987, -0.92), "SearchExhaustedError"),
-                ((-1.425, -0.473), "SearchExhaustedError")]
+                ((-1.425, -0.473), "SearchExhaustedError"),
+                # outside the region as given, with both exponents evaluated
+                # at 0 (5.55e-17 is the grid value -0.3 + 3 * 0.1)
+                ((-5e-9, 5e-9), "SearchExhaustedError"),
+                ((5.551115123125783e-17, 0.0), "SearchExhaustedError")]
 
 
 @pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
@@ -273,7 +277,7 @@ def test_counterexample_uncertified_exit(pair, reason, capsys):
 
 def test_negative_exponent_notation_reads_as_a_value(capsys):
     assert main(["counterexample", "--p", "-1e-9", "--q", "0.5"]) == 0
-    assert "family: log-euclidean\n" in capsys.readouterr().out
+    assert "family: pd-rotation\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args,message", [
@@ -287,18 +291,23 @@ def test_negative_exponent_notation_reaches_the_value_check(args, message, capsy
     assert message in capsys.readouterr().err
 
 
-def test_near_zero_exponent_labelled_log_euclidean(tmp_path, capsys):
+def test_near_zero_exponent_labelled_as_given(tmp_path, capsys):
     assert main(["counterexample", "--p", "1e-9", "--q", "0.5"]) == 0
-    assert "family: log-euclidean\n" in capsys.readouterr().out
+    assert "family: pd-rotation\n" in capsys.readouterr().out
     out = tmp_path / "scan.csv"
     assert main(["scan", "--pmin", "-0.3", "--pmax", "0.3", "--qmin", "0.5",
                  "--qmax", "0.5", "--step", "0.1", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    labels = {float(r[0]): r[2] for r in rows}
-    near_zero = [p for p in labels if abs(p) < 1e-8]
-    assert len(near_zero) == 1 and near_zero[0] != 0.0
-    assert labels.pop(near_zero[0]) == "log-euclidean"
-    assert set(labels.values()) == {"pd-rotation"}
+    assert len(rows) == 7
+    assert [p for p, *_ in rows if abs(float(p)) < 1e-8] == ["5.5511151231257827e-17"]
+    assert {(r[2], r[3]) for r in rows} == {("pd-rotation", "certified-counterexample")}
+
+
+def test_counterexample_prints_evaluated_exponents(capsys):
+    assert main(["counterexample", "--p", "1e-9", "--q", "2"]) == 0
+    assert "\nevaluated at: p = 0, q = 2\nfamily: pd-rotation\n" in capsys.readouterr().out
+    assert main(["counterexample", "--p", "0", "--q", "2"]) == 0
+    assert "evaluated at" not in capsys.readouterr().out
 
 
 def test_choi_table_patterns(capsys):

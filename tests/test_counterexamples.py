@@ -248,17 +248,14 @@ def test_direct_pd_rotation_witness_is_true_or_uncertified(p, q):
     assert _gap_min_eigenvalue_80_digits(witness) < 0
 
 
-@pytest.mark.xfail(strict=True, raises=InRegionError, reason="exponents below "
-                   "LOG_EUCLIDEAN_THRESHOLD snap to 0, so the pair reads as in-region")
 def test_near_zero_pairs_outside_region_never_read_in_region():
-    for p, q in [(-5e-9, 5e-9), (1e-9, 2e-9), (0.0, 9e-9)]:
+    # Only the means snap an exponent within 1e-8 of zero; the search
+    # classifies the pair as given.  Both exponents of each pair evaluate at
+    # 0, so no gap certifies: uncertified with a reason, never in-region.
+    for p, q in [(-5e-9, 5e-9), (1e-9, 2e-9), (0.0, 9e-9), (5.551115123125783e-17, 0.0)]:
         assert classify(p, q).case is not Case.IN_REGION
-        try:
+        with pytest.raises(SearchExhaustedError):
             find_counterexample(p, q)
-        except InRegionError:
-            raise
-        except PowerMeanError:
-            pass  # uncertified with a reason is allowed; in-region is not
 
 
 @pytest.mark.parametrize("p,q", [(-2.655226064792961, 0.9333437257235069),
@@ -271,10 +268,13 @@ def test_dual_search_walks_past_candidates_that_fail(p, q):
 
 
 def test_find_counterexample_normalizes_tiny_exponents():
-    # below the log-Euclidean threshold the dispatch must follow the means
+    # the witness records the exponents the means evaluated; the search,
+    # guided at p = 1e-9 as given, reaches the candidate of (0, 2)
     witness = find_counterexample(1e-9, 2.0)
     assert witness.p == 0.0
     _assert_certified(witness, floor=-1e-12)
+    base = find_counterexample(0.0, 2.0)
+    assert (witness.k, witness.j, witness.neg_eigenvalue) == (base.k, base.j, base.neg_eigenvalue)
 
 
 def test_find_counterexample_scalar_branch():

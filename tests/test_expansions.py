@@ -340,10 +340,22 @@ def test_log_pair_rejects_xy_where_digits_are_lost(d):
 
 
 def test_log_pair_is_small_exponent_limit():
-    for q, x, y in [(1.0, 0.01, 0.0001), (0.5, 0.2, 0.04), (2.0, 0.3, 0.6)]:
-        lim = det_coeff_power_pair(1e-6, q, x, y).total
-        log_val = det_coeff_log_pair(q, x, y).total
-        assert log_val == pytest.approx(lim, rel=1e-3)
+    # x^r - 1 from expm1 and m_r from log1p keep their digits as r -> 0, so
+    # the power coefficient meets the log one at first order in r (the gap
+    # is about 7 |r| relative at each r here)
+    for r in (1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12):
+        for q, x, y in [(1.0, 0.01, 0.0001), (0.5, 0.2, 0.04), (2.0, 0.3, 0.6)]:
+            lim = det_coeff_power_pair(r, q, x, y).total
+            log_val = det_coeff_log_pair(q, x, y).total
+            assert abs(lim - log_val) <= 10.0 * abs(r) * abs(log_val)
+
+
+def test_power_pair_evaluates_at_a_walk_point_near_zero():
+    # An absolute guard |x^r + y^r - 2| <= 1e-7 rejected this walk point;
+    # its gap to the log coefficient is about 12 r relative.
+    got = det_coeff_power_pair(1e-8, 2.0, 2.0**-4, 2.0**-8).total
+    log_val = det_coeff_log_pair(2.0, 2.0**-4, 2.0**-8).total
+    assert abs(got - log_val) <= 2e-7 * abs(log_val)
 
 
 def _coeff_words(fn, *args):
@@ -383,11 +395,14 @@ def _coeff_pin_words(group):
 # sha256 (first 32 hex digits) of the words above, recorded from the
 # per-family closed forms the shared terms replaced.  "random" was
 # re-recorded when the log guard widened to |log xy| <= 1e-3: its one
-# input inside (|log xy| = 9.5e-4) now raises DegenerateFrameError.
+# input inside (|log xy| = 9.5e-4) now raises DegenerateFrameError; and
+# again when x^r - 1 near x^r = 1 came from expm1 and m_r for
+# |x^r + y^r - 2| < 1 from log1p (median error against 60 digits 2.77e-15
+# -> 2.53e-15).  No walk input takes those routes, so the walk pins held.
 _COEFF_PINS = {
     "walk-power": "e63d6ff95e384f03ee18ffadf6eec6f1",
     "walk-log": "9ca93b51c3a998c5ff801b1a633d9db8",
-    "random": "05c03c66ef050774915c73eb4084b848",
+    "random": "0b2f72df6681084be4c2a537fe936263",
 }
 
 

@@ -229,7 +229,7 @@ def test_order_preserved_by_maps_with_2x2_domain():
         phi = random_kraus_map(2, out_dim, int(rng.integers(2**63)))
         a = random_pd(2, int(rng.integers(2**63)), 10.0)
         u, v = sorted(rng.uniform(-3.0, 3.0, size=2))
-        if v - u < 1e-6 or abs(u) < 1e-8 or abs(v) < 1e-8:
+        if v - u < 1e-6:
             continue
         verdict = loewner_leq(
             map_power(phi, u, a),

@@ -251,7 +251,7 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
 def test_limit_check_decomposes_its_input_once(monkeypatch):
     phi = random_kraus_map(3, 2, 77)
     a = random_pd(3, 78, 5.0)
-    eigs = count_calls(monkeypatch, core.eig_sym)
+    eigs = count_calls(monkeypatch, core._decompose)
     unital_checks = []
     is_unital = LinearMatrixMap.is_unital
     monkeypatch.setattr(LinearMatrixMap, "is_unital",
