@@ -13,6 +13,9 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 
 The families generate theta walks of candidate pairs; one walker certifies
 them in order, returns the first hit and ends a walk at a ``DomainError``.
+Only B_t moves along a walk: its fixed A is built once, and the walker
+prepares it once per walk (validated, decomposed and raised to each mean's
+power), so a candidate validates, decomposes and powers only its B_t.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
 family of the reflected pair, guided at (-q, -p), but yield the exact
 reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
@@ -46,7 +49,7 @@ from .errors import (
 from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
-from .means import normalize_exponent, power_mean_gap, scalar_power_mean
+from .means import _gap_against, normalize_exponent, power_mean_gap, scalar_power_mean
 from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
@@ -97,19 +100,24 @@ def pd_rotation_pair(x: float, y: float, theta: float) -> tuple[np.ndarray, np.n
     """The pair A = diag(1, x), B_t = R_t diag(1, y) R_t^T."""
     if x <= 0.0 or y <= 0.0:
         raise PreconditionError("x and y must be positive")
-    return _rotated_pair([1.0, x], [1.0, y], theta)
+    return np.diag([1.0, x]), _rotated([1.0, y], theta)
 
 
-def _rotated_pair(a_diag, b_diag, theta):
-    """diag(a_diag) and R_t diag(b_diag) R_t^T."""
+def _rotated(diagonal, theta):
+    """R_t diag(diagonal) R_t^T."""
     r = plane_rotation(theta)
-    return np.diag(a_diag), symmetrize(r @ np.diag(b_diag) @ r.T)
+    return symmetrize(r @ np.diag(diagonal) @ r.T)
 
 
 def rank_one_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The singular pair A = diag(2, 0), B_t = rank-one projection at angle t."""
+    return np.diag([2.0, 0.0]), _projection(theta)
+
+
+def _projection(theta):
+    """The rank-one projection onto (cos t, sin t)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.diag([2.0, 0.0]), np.array([[c * c, c * s], [c * s, s * s]])
+    return np.array([[c * c, c * s], [c * s, s * s]])
 
 
 def pd_rotation_difference(
@@ -124,20 +132,22 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
     return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta))
 
 
-def _certify(p, q, a, b):
+def _certify(gap, b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, from the unvalidated ``_decompose`` of the exact gap."""
-    dec = _decompose(power_mean_gap(p, q, a, b))
+    ``-CERT_TOL``, from the unvalidated ``_decompose`` of the exact gap
+    ``gap(b)`` against a prepared A."""
+    dec = _decompose(gap(b))
     lam = float(dec.eigenvalues[0])
     if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()
     return None
 
 
-def _theta_walk(pair, k=None, x=None, y=None):
-    """The theta schedule as candidates (k, j, x, y, theta, (a, b))."""
+def _theta_walk(a, b_at, k=None, x=None, y=None):
+    """The theta schedule as candidates (k, j, x, y, theta, (a, b_at(theta))),
+    all holding the one fixed matrix ``a``."""
     for j, theta in enumerate(_THETA_SCHEDULE):
-        yield k, j, x, y, theta, pair(theta)
+        yield k, j, x, y, theta, (a, b_at(theta))
 
 
 def _rotation_walks(p, q, via_dual):
@@ -159,8 +169,8 @@ def _rotation_walks(p, q, via_dual):
                 continue
         except DegenerateFrameError:
             continue
-        pair = (1.0 / x, 1.0 / y) if via_dual else (x, y)
-        yield _theta_walk(partial(pd_rotation_pair, *pair), k, x, y)
+        ax, by = (1.0 / x, 1.0 / y) if via_dual else (x, y)
+        yield _theta_walk(np.diag([1.0, ax]), partial(_rotated, [1.0, by]), k, x, y)
 
 
 def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
@@ -168,15 +178,21 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
     as a witness; running out raises ``SearchExhaustedError`` with the
     message ``exhausted``.
 
-    A candidate outside the means' domain (``DomainError``) ends its walk,
-    and ends the search if it is the walk's first (j = 0): the eigenvalue
-    that fails the floor, y = 4^-k of B_t or about sin^2(theta)/4 for the
-    inner mean of a dual pair, only falls as k and j grow.
+    The A-side of the gap is prepared whenever a candidate's ``a`` is a new
+    object, so once per walk of the families: matrices are never mutated, so
+    the identity check is enough.  A candidate outside the means' domain
+    (``DomainError``) ends its walk, and ends the search if it is the walk's
+    first (j = 0): the eigenvalue that fails the floor, y = 4^-k of B_t or
+    about sin^2(theta)/4 for the inner mean of a dual pair, only falls as k
+    and j grow.
     """
     for walk in walks:
+        prepared = None
         for k, j, x, y, theta, (a, b) in walk:
+            if a is not prepared:
+                prepared, gap = a, _gap_against(p, q, a)
             try:
-                hit = _certify(p, q, a, b)
+                hit = _certify(gap, b)
             except DomainError:
                 if j == 0:
                     raise SearchExhaustedError(exhausted) from None
@@ -194,11 +210,12 @@ def _search(case, p, q, via_dual) -> Witness:
     """
     bp, bq = dual(p, q) if via_dual else (p, q)
     if case is Case.RANK_ONE:
-        pair = rank_one_pair
         if via_dual:  # the inverse of the pair shifted by e, in closed form
             e = _DUAL_RANK_ONE_SHIFT
-            pair = partial(_rotated_pair, [1 / (2 + e), 1 / e], [1 / (1 + e), 1 / e])
-        walks = [_theta_walk(pair)]
+            a, b_at = np.diag([1 / (2 + e), 1 / e]), partial(_rotated, [1 / (1 + e), 1 / e])
+        else:
+            a, b_at = np.diag([2.0, 0.0]), _projection
+        walks = [_theta_walk(a, b_at)]
     else:
         walks = _rotation_walks(bp, bq, via_dual)
     exhausted = "%s schedule exhausted at (%g, %g)" % (case.value, bp, bq)

@@ -45,24 +45,29 @@ def scalar_power_mean(p: float, a: float, b: float) -> float:
     return (0.5 * a**p + 0.5 * b**p) ** (1.0 / p)
 
 
-def _decompose_pair(a, b):
-    """Validate a mean's matrix arguments and decompose each once.
+def _decompose_against(dec_a, b):
+    """``eig_sym(b)`` for a mean with the decomposed A, checked to match it.
 
-    ``eig_sym`` validates A, then B, before the shape check, as two
-    ``symmetrize`` calls up front would.
+    Called once A is decomposed, so A is validated, then B, before the shape
+    check, as two ``symmetrize`` calls up front would.
     """
-    dec_a = eig_sym(a)
     dec_b = eig_sym(b)
     if dec_a.basis.shape != dec_b.basis.shape:
         raise DimensionMismatchError("means need equal dimensions")
-    return dec_a, dec_b
+    return dec_b
+
+
+def _functions(p: float):
+    """f and f^-1 of the p-mean: X^p and X^(1/p), or log and exp at p = 0: the
+    one place where an exponent becomes a function."""
+    p = normalize_exponent(p)
+    return (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
 
 
 def _root(p: float, combine, *decs) -> np.ndarray:
-    """f^-1(combine(f(X), ...)) over the decomposed ``decs``, f = X^p or log: the one
-    place where an exponent becomes a function.  ``combine`` keeps exact symmetry."""
-    p = normalize_exponent(p)
-    f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
+    """f^-1(combine(f(X), ...)) over the decomposed ``decs``, f = X^p or log.
+    ``combine`` keeps exact symmetry."""
+    f, inverse = _functions(p)
     return spectral_fun(_decompose(combine(*(spectral_fun(d, f) for d in decs))), inverse)
 
 
@@ -88,7 +93,8 @@ def power_mean(p: float, a, b) -> np.ndarray:
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    return _root(p, _average, *_decompose_pair(a, b))
+    dec_a = eig_sym(a)
+    return _root(p, _average, dec_a, _decompose_against(dec_a, b))
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
@@ -97,12 +103,39 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
     Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
     q-mean evaluated first, so errors are those of that two-call form; equal
     normalized exponents take one mean.  The gap is exactly symmetric.
+    This is :func:`_gap_against` applied once; the counterexample search
+    prepares the fixed A of each theta walk once and applies it to every B.
     """
-    dec_a, dec_b = _decompose_pair(a, b)
-    high = _root(q, _average, dec_a, dec_b)
-    if normalize_exponent(p) == normalize_exponent(q):
-        return high - high
-    return high - _root(p, _average, dec_a, dec_b)
+    return _gap_against(p, q, a)(b)
+
+
+def _gap_against(p: float, q: float, a):
+    """``b -> power_mean_gap(p, q, a, b)``, with A validated and decomposed
+    here, once.
+
+    Each mean's functions and f(A) are made at the first B that reaches that
+    mean and then reused, so the errors of an exponent or of f(A) are raised
+    at that B, in the place and with the message of the two-call form.
+    """
+    dec_a = eig_sym(a)
+    sides = {}
+
+    def mean(r, dec_b):
+        side = sides.get(r)
+        if side is None:
+            f, inverse = _functions(r)
+            side = sides[r] = f, inverse, spectral_fun(dec_a, f)
+        f, inverse, power_a = side
+        return spectral_fun(_decompose(_average(power_a, spectral_fun(dec_b, f))), inverse)
+
+    def gap(b):
+        dec_b = _decompose_against(dec_a, b)
+        high = mean(q, dec_b)
+        if normalize_exponent(p) == normalize_exponent(q):
+            return high - high
+        return high - mean(p, dec_b)
+
+    return gap
 
 
 def map_power(phi, p: float, a) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import powmean.counterexamples as ce
+from powmean.means import _gap_against
 from powmean import (
     CHOI_MATRIX,
     Case,
@@ -330,7 +331,8 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
     # Certify every candidate of the unstopped walks.  Each candidate the
     # stop rule skips (the rest of a theta walk after a DomainError, and
     # every later walk after one at j = 0) must raise DomainError itself.
-    # A dual walk yields the reciprocal pairs, certified at (-q, -p).
+    # A dual walk yields the reciprocal pairs, certified at (-q, -p).  Each
+    # candidate gets its own prepared A, so none inherits another's outcome.
     walks = [(p, False) for p in (-0.99, -0.7, -0.3, -1e-3, 0.0)]
     walks += [(p, True) for p in (-0.7, 0.0, 0.3, 0.45)]
     skipped = []
@@ -339,9 +341,9 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
         ended = False
         for walk in ce._rotation_walks(p, q, via_dual):
             stopped = ended
-            for _, j, _, _, _, pair in walk:
+            for _, j, _, _, _, (a, b) in walk:
                 try:
-                    ce._certify(*exponents, *pair)
+                    ce._certify(_gap_against(*exponents, a), b)
                     fails = False
                 except DomainError:
                     fails = True
@@ -371,12 +373,34 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     w = find_counterexample(0.25, 2.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
-    lam, vec = ce._certify(w.p, w.q, w.a, w.b)
-    # A and B are validated; they, the root of each mean and the gap are
-    # decomposed, the last three as the library built them
-    assert len(decompositions) == 5
-    assert len(guards) == 2
-    assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
+    gap = _gap_against(w.p, w.q, w.a)
+    # a walk's A is validated and decomposed once
+    assert (len(guards), len(decompositions)) == (1, 1)
+    for _ in range(2):
+        lam, vec = ce._certify(gap, w.b)
+        assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
+    # each candidate's B is validated; it, the root of each mean and the gap
+    # are decomposed, the last three as the library built them
+    assert (len(guards), len(decompositions)) == (1 + 2 * 1, 1 + 2 * 4)
+
+
+def test_search_prepares_each_walks_a_once(monkeypatch):
+    # (0.49, 1.12) certifies its 162nd candidate, k = 29 and j = 14, on the
+    # eighth theta walk; its A = diag(1, 2^-k) is the only diagonal matrix
+    # the search validates or decomposes, since every B_t has t > 0
+    def diagonal(m, *_):
+        m = np.asarray(m)
+        return m.shape == (2, 2) and m[0, 1] == 0.0 and m[1, 0] == 0.0
+
+    calls = []
+    certify = ce._certify
+    monkeypatch.setattr(ce, "_certify", lambda *args: calls.append(None) or certify(*args))
+    guards = count_calls(monkeypatch, core.symmetrize)
+    decompositions = count_calls(monkeypatch, core._decompose)
+    w = find_counterexample(0.49, 1.12)
+    assert (w.k, w.j, len(calls)) == (29, 14, 162)
+    assert sum(diagonal(*args) for args in guards) == 8
+    assert sum(diagonal(*args) for args in decompositions) == 8
 
 
 @pytest.mark.parametrize("p, q", [(-0.99, 1.5), (-0.98, 1.9)])

@@ -38,6 +38,7 @@ from powmean import (
 from powmean import core, find_counterexample, fuzz, random_kraus_map
 from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
+from powmean.means import _gap_against
 
 from conftest import count_calls, pd_from_draws, sym_rand
 
@@ -162,6 +163,33 @@ def test_power_mean_gap_errors_match_two_calls(p, q):
     assert str(gap.value) == str(two_calls.value)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (0.0, 2.0), (-3.0, 0.0), (-0.5, -0.5), (0.0, 0.0)])
+def test_gap_against_fixed_a_matches_two_calls(dim, p, q):
+    # one prepared A serves several B's, bit for bit as the two-call form
+    a = random_pd(dim, 500 + dim, 10.0)
+    gap = _gap_against(p, q, a)
+    for seed in range(4):
+        b = random_pd(dim, 600 + 10 * dim + seed, 10.0)
+        two_calls = power_mean(q, a, b) - power_mean(p, a, b)
+        assert gap(b).tobytes() == two_calls.tobytes(), seed
+
+
+@pytest.mark.parametrize("p, q", [(0.5, -0.5), (-3.0, -0.5), (0.0, 0.0), (-3.0, 0.5), (0.0, 2.0)])
+def test_gap_against_raises_its_a_side_error_at_the_first_b(p, q):
+    # f(A) of A = diag(2, 0) fails for the q-mean, or for the p-mean after the
+    # q-mean is done: preparing A raises nothing, and every B raises the error
+    a = np.diag([2.0, 0.0])
+    gap = _gap_against(p, q, a)
+    for b in ([[1.0, 0.5], [0.5, 1.0]], np.eye(2), [[1.0, 0.5], [0.5, 1.0]]):
+        with pytest.raises(DomainError) as two_calls:
+            power_mean(q, a, b) - power_mean(p, a, b)
+        with pytest.raises(DomainError) as prepared:
+            gap(b)
+        assert type(prepared.value) is type(two_calls.value)
+        assert str(prepared.value) == str(two_calls.value)
+
+
 @pytest.mark.parametrize(
     "a, b, p, error",
     [
@@ -171,9 +199,13 @@ def test_power_mean_gap_errors_match_two_calls(p, q):
     ],
 )
 def test_argument_errors_keep_their_order(a, b, p, error):
-    # A is validated before B, and both before the shape check
+    # A is validated before B, and both before the shape check and before
+    # an exponent is read
     with pytest.raises(PowerMeanError) as err:
         power_mean(p, a, b)
+    assert str(err.value) == error
+    with pytest.raises(PowerMeanError) as err:
+        power_mean_gap(float("inf"), float("nan"), a, b)
     assert str(err.value) == error
 
 
