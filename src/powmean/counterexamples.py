@@ -11,11 +11,10 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 * rank-one:      A = diag(2, 0) against the rank-one projection at angle t,
   whose coefficient is negative for every 0 < p < q < 1.
 
-The families generate theta walks of candidate pairs; one walker certifies
-them in order, returns the first hit and ends a walk at a ``DomainError``.
-Only B_t moves along a walk: its fixed A is built once, and the walker
-prepares it once per walk (validated, decomposed and raised to each mean's
-power), so a candidate validates, decomposes and powers only its B_t.
+A theta walk is data, (k, x, y, A, t -> B_t): only B_t moves along it.  One
+loop prepares each walk's fixed A once (validated, decomposed and raised to
+each mean's power), certifies B_t at each angle of the schedule in order,
+returns the first hit and ends a walk at a ``DomainError``.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
 family of the reflected pair, guided at (-q, -p), but yield the exact
 reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
@@ -24,7 +23,8 @@ M_{-p}(A, B)^-1 those violate the order at (p, q) iff the base pairs do at
 
 ``find_counterexample`` is the one public search: it classifies (p, q),
 walks the family of its label and certifies the first candidate whose
-smallest eigenvalue lies below -``CERT_TOL`` (a fixed 1e-12).  Every
+smallest eigenvalue lies below -``CERT_TOL`` (a fixed 1e-12); a pair with
+p > q certifies the scalar pair (I, c I), c = 4 for |p|, |q| <= 500.  Every
 witness is certified directly: the returned negative eigenvalue and unit
 vector come from an eigendecomposition of M_q - M_p on the actual
 returned matrices, never from the expansion that guided the search.
@@ -143,20 +143,26 @@ def _certify(gap, b):
     return None
 
 
-def _theta_walk(a, b_at, k=None, x=None, y=None):
-    """The theta schedule as candidates (k, j, x, y, theta, (a, b_at(theta))),
-    all holding the one fixed matrix ``a``."""
-    for j, theta in enumerate(_THETA_SCHEDULE):
-        yield k, j, x, y, theta, (a, b_at(theta))
+def _walks(case, p, q, via_dual):
+    """The theta walks (k, x, y, A, b_at) of the family of ``case`` at its
+    base pair (p, q): one fixed A each, and ``b_at`` building B_t at each
+    angle t of ``_THETA_SCHEDULE``.
 
-
-def _rotation_walks(p, q, via_dual):
-    """A theta walk for each x = 2^-k, y = x^2 whose closed-form t^2
-    coefficient at (p, q) (the log-Euclidean one at p = 0) is negative.
-    With ``via_dual`` the pairs are the exact reciprocals
-    diag(1, 1/x), R_t diag(1, 1/y) R_t^T (1/x = 2^k rounds nothing), to be
-    certified at (-q, -p).
+    Rank-one has one walk, A = diag(2, 0) against the projection at t.  The
+    rotations walk each x = 2^-k, y = x^2 whose closed-form t^2 coefficient
+    at (p, q) (the log-Euclidean one at p = 0) is negative.  With
+    ``via_dual`` the pairs are the exact reciprocals, to be certified at
+    (-q, -p): diag(1, 1/x), R_t diag(1, 1/y) R_t^T (1/x = 2^k rounds
+    nothing), or the rank-one pair shifted by e I, inverted in closed form.
     """
+    if case is Case.RANK_ONE:
+        if via_dual:
+            e = _DUAL_RANK_ONE_SHIFT
+            a, b_at = np.diag([1 / (2 + e), 1 / e]), partial(_rotated, [1 / (1 + e), 1 / e])
+        else:
+            a, b_at = np.diag([2.0, 0.0]), _projection
+        yield None, None, None, a, b_at
+        return
     for k in _X_SCHEDULE:
         x = 2.0**-k
         y = x * x
@@ -170,27 +176,24 @@ def _rotation_walks(p, q, via_dual):
         except DegenerateFrameError:
             continue
         ax, by = (1.0 / x, 1.0 / y) if via_dual else (x, y)
-        yield _theta_walk(np.diag([1.0, ax]), partial(_rotated, [1.0, by]), k, x, y)
+        yield k, x, y, np.diag([1.0, ax]), partial(_rotated, [1.0, by])
 
 
 def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
-    """The first candidate of ``walks`` that ``_certify`` accepts at (p, q),
-    as a witness; running out raises ``SearchExhaustedError`` with the
-    message ``exhausted``.
+    """The first candidate (A, b_at(t)) of ``walks`` that ``_certify``
+    accepts at (p, q), as a witness; running out raises
+    ``SearchExhaustedError`` with the message ``exhausted``.
 
-    The A-side of the gap is prepared whenever a candidate's ``a`` is a new
-    object, so once per walk of the families: matrices are never mutated, so
-    the identity check is enough.  A candidate outside the means' domain
+    Each walk's A is prepared once.  A candidate outside the means' domain
     (``DomainError``) ends its walk, and ends the search if it is the walk's
     first (j = 0): the eigenvalue that fails the floor, y = 4^-k of B_t or
     about sin^2(theta)/4 for the inner mean of a dual pair, only falls as k
     and j grow.
     """
-    for walk in walks:
-        prepared = None
-        for k, j, x, y, theta, (a, b) in walk:
-            if a is not prepared:
-                prepared, gap = a, _gap_against(p, q, a)
+    for k, x, y, a, b_at in walks:
+        gap = _gap_against(p, q, a)
+        for j, theta in enumerate(_THETA_SCHEDULE):
+            b = b_at(theta)
             try:
                 hit = _certify(gap, b)
             except DomainError:
@@ -202,24 +205,6 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
                 return Witness(normalize_exponent(p), normalize_exponent(q), a, b, lam, vec,
                                x=x, y=y, theta=theta, dual_applied=via_dual, k=k, j=j)
     raise SearchExhaustedError(exhausted)
-
-
-def _search(case, p, q, via_dual) -> Witness:
-    """Certified witness at (p, q) from the family of ``case``, walked at
-    its base pair: (p, q), or (-q, -p) on reciprocal pairs with ``via_dual``.
-    """
-    bp, bq = dual(p, q) if via_dual else (p, q)
-    if case is Case.RANK_ONE:
-        if via_dual:  # the inverse of the pair shifted by e, in closed form
-            e = _DUAL_RANK_ONE_SHIFT
-            a, b_at = np.diag([1 / (2 + e), 1 / e]), partial(_rotated, [1 / (1 + e), 1 / e])
-        else:
-            a, b_at = np.diag([2.0, 0.0]), _projection
-        walks = [_theta_walk(a, b_at)]
-    else:
-        walks = _rotation_walks(bp, bq, via_dual)
-    exhausted = "%s schedule exhausted at (%g, %g)" % (case.value, bp, bq)
-    return _first_witness(p, q, walks, exhausted, via_dual)
 
 
 def find_counterexample(p: float, q: float) -> Witness:
@@ -241,15 +226,22 @@ def find_counterexample(p: float, q: float) -> Witness:
     if label.case is Case.IN_REGION:
         raise InRegionError("(%g, %g) lies in the sufficiency region" % (p, q))
     if label.case is not Case.SCALAR_FAIL:
-        return _search(label.case, p, q, label.via_dual)
-    # p > q fails for scalars already: with A = I and B = 4 I, M_q - M_p is
-    # the negative scalar gap times the identity, so any unit vector certifies.
-    walk = [(None, None, None, None, None, (np.eye(2), 4.0 * np.eye(2)))]
-    w = _first_witness(p, q, [walk], "scalar gap did not certify at (%g, %g)" % (p, q), False)
-    expected = scalar_power_mean(q, 1.0, 4.0) - scalar_power_mean(p, 1.0, 4.0)
-    if abs(w.neg_eigenvalue - expected) > 1e-9 * (1.0 + abs(expected)):
+        bp, bq = dual(p, q) if label.via_dual else (p, q)
+        exhausted = "%s schedule exhausted at (%g, %g)" % (label.case.value, bp, bq)
+        walks = _walks(label.case, bp, bq, label.via_dual)
+        return _first_witness(p, q, walks, exhausted, label.via_dual)
+    # p > q fails for scalars already: with A = I and B = c I, M_q - M_p is
+    # the negative scalar gap times the identity, so any unit vector
+    # certifies.  c = 4 unless c^p or c^q would pass 2^1000.
+    c = 2.0 ** min(2.0, 1000.0 / max(abs(p), abs(q)))
+    a, b = np.eye(2), c * np.eye(2)
+    hit = _certify(_gap_against(p, q, a), b)
+    if hit is None:
+        raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
+    expected = scalar_power_mean(q, 1.0, c) - scalar_power_mean(p, 1.0, c)
+    if abs(hit[0] - expected) > 1e-9 * (1.0 + abs(expected)):
         raise SearchExhaustedError("scalar witness inconsistent with the scalar mean")
-    return w
+    return Witness(normalize_exponent(p), normalize_exponent(q), a, b, *hit)
 
 
 def choi_sign_table(p_values) -> list[tuple[float, tuple[str, str]]]:

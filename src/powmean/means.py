@@ -64,15 +64,25 @@ def _functions(p: float):
     return (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
 
 
-def _root(p: float, combine, *decs) -> np.ndarray:
-    """f^-1(combine(f(X), ...)) over the decomposed ``decs``, f = X^p or log.
-    ``combine`` keeps exact symmetry."""
-    f, inverse = _functions(p)
-    return spectral_fun(_decompose(combine(*(spectral_fun(d, f) for d in decs))), inverse)
+def _mean_against(dec_a):
+    """``(r, dec_b) -> M_r(A, B)`` for the decomposed A and a decomposed B of
+    its dimension: f^-1((f(A) + f(B)) / 2), f = X^r or log.
 
+    Each exponent's f, f^-1 and f(A) are made at the first B that needs them
+    and then reused, so the errors of an exponent or of f(A) are raised at
+    that B, in the place and with the message of a single mean.
+    """
+    sides = {}
 
-def _average(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return 0.5 * x + 0.5 * y
+    def mean(r, dec_b):
+        side = sides.get(r)
+        if side is None:
+            f, inverse = _functions(r)
+            side = sides[r] = f, inverse, spectral_fun(dec_a, f)
+        f, inverse, power_a = side
+        return spectral_fun(_decompose(0.5 * power_a + 0.5 * spectral_fun(dec_b, f)), inverse)
+
+    return mean
 
 
 def power_mean(p: float, a, b) -> np.ndarray:
@@ -94,7 +104,7 @@ def power_mean(p: float, a, b) -> np.ndarray:
         beyond tolerance and p <= 0.
     """
     dec_a = eig_sym(a)
-    return _root(p, _average, dec_a, _decompose_against(dec_a, b))
+    return _mean_against(dec_a)(p, _decompose_against(dec_a, b))
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
@@ -111,22 +121,9 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
 
 def _gap_against(p: float, q: float, a):
     """``b -> power_mean_gap(p, q, a, b)``, with A validated and decomposed
-    here, once.
-
-    Each mean's functions and f(A) are made at the first B that reaches that
-    mean and then reused, so the errors of an exponent or of f(A) are raised
-    at that B, in the place and with the message of the two-call form.
-    """
+    here, once, and each mean's f(A) made once by :func:`_mean_against`."""
     dec_a = eig_sym(a)
-    sides = {}
-
-    def mean(r, dec_b):
-        side = sides.get(r)
-        if side is None:
-            f, inverse = _functions(r)
-            side = sides[r] = f, inverse, spectral_fun(dec_a, f)
-        f, inverse, power_a = side
-        return spectral_fun(_decompose(_average(power_a, spectral_fun(dec_b, f))), inverse)
+    mean = _mean_against(dec_a)
 
     def gap(b):
         dec_b = _decompose_against(dec_a, b)
@@ -171,7 +168,8 @@ def _map_power_of(phi, p: float, dec) -> np.ndarray:
         raise DimensionMismatchError(
             "matrix dim %d does not match map input dim %d" % (n, phi.in_dim)
         )
-    return _root(p, phi.apply, dec)
+    f, inverse = _functions(p)
+    return spectral_fun(_decompose(phi.apply(spectral_fun(dec, f))), inverse)
 
 
 def limit_slope_check(phi, a, p_sequence) -> np.ndarray:

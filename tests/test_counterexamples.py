@@ -279,9 +279,35 @@ def test_find_counterexample_normalizes_tiny_exponents():
 
 
 def test_find_counterexample_scalar_branch():
-    witness = find_counterexample(2.0, -1.0)
-    assert classify(2.0, -1.0).case is Case.SCALAR_FAIL
-    _assert_certified(witness)
+    # up to |p|, |q| = 500 the scalar witness is (I, 4 I)
+    for p, q in [(2.0, -1.0), (500.0, 1.0), (1.0, -500.0), (-1.0, -500.0)]:
+        witness = find_counterexample(p, q)
+        assert classify(p, q).case is Case.SCALAR_FAIL
+        _assert_certified(witness)
+        assert np.array_equal(witness.a, np.eye(2))
+        assert np.array_equal(witness.b, 4.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("p, q", [(600.0, 1.0), (601.0, 600.0), (1500.0, 1400.0),
+                                  (1.0, -600.0), (1e6, 1.0)])
+def test_scalar_witness_at_large_exponents_certifies_without_overflow(p, q):
+    # B = 4 I would overflow 4^p past |p| = 512; B = c I keeps c^p, c^q
+    # within 2^1000, and the warnings filter turns any overflow into an error
+    w = find_counterexample(p, q)
+    c = 2.0 ** (1000.0 / max(abs(p), abs(q)))
+    assert np.array_equal(w.b, c * np.eye(2))
+    expected = scalar_power_mean(q, 1.0, c) - scalar_power_mean(p, 1.0, c)
+    assert w.neg_eigenvalue < -ce.CERT_TOL
+    assert w.neg_eigenvalue == pytest.approx(expected, rel=1e-9)
+    assert (w.k, w.j, w.x, w.y, w.theta, w.dual_applied) == (None,) * 5 + (False,)
+
+
+@pytest.mark.parametrize("p, q, at", [(1.000000000000001, 1.0, "(1, 1)"),
+                                      (1e300, 1e299, "(1e+300, 1e+299)")])
+def test_scalar_gap_below_the_tolerance_is_uncertified(p, q, at):
+    with pytest.raises(SearchExhaustedError) as info:
+        find_counterexample(p, q)
+    assert str(info.value) == "scalar gap did not certify at " + at
 
 
 def _witness_words(p, q):
@@ -338,12 +364,13 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
     skipped = []
     for p, via_dual in walks:
         exponents = (-q, -p) if via_dual else (p, q)
+        case = Case.LOG_EUCLIDEAN if p == 0.0 else Case.PD_ROTATION
         ended = False
-        for walk in ce._rotation_walks(p, q, via_dual):
+        for _, _, _, a, b_at in ce._walks(case, p, q, via_dual):
             stopped = ended
-            for _, j, _, _, _, (a, b) in walk:
+            for j, theta in enumerate(ce._THETA_SCHEDULE):
                 try:
-                    ce._certify(_gap_against(*exponents, a), b)
+                    ce._certify(_gap_against(*exponents, a), b_at(theta))
                     fails = False
                 except DomainError:
                     fails = True
@@ -355,18 +382,20 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
 
 
 def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
+    # Scripted walks on the one A of a certified witness: B = A misses (a
+    # zero gap), a B with y = 4^-20 below the floor raises DomainError, and
+    # the witness's B certifies.
     p, q = -0.5, 1.0
     hit = find_counterexample(p, q)
-    certified, quiet = (hit.a, hit.b), (np.eye(2), np.eye(2))
-    fails = pd_rotation_pair(2.0**-20, 4.0**-20, 0.1)  # y below the floor
+    quiet, fails = hit.a, ce._rotated([1.0, 4.0**-20], 0.1)
 
-    def walk(*pairs):
-        return [(None, j, None, None, None, pair) for j, pair in enumerate(pairs)]
+    def walk(*bs):
+        return None, None, None, hit.a, dict(zip(ce._THETA_SCHEDULE, bs)).__getitem__
 
-    w = ce._first_witness(p, q, [walk(quiet, fails, certified), walk(certified)], "x", False)
-    assert w.j == 0
+    w = ce._first_witness(p, q, [walk(quiet, fails, hit.b), walk(hit.b)], "x", False)
+    assert w.j == 0 and w.b is hit.b
     with pytest.raises(SearchExhaustedError, match="^x$"):
-        ce._first_witness(p, q, [walk(fails, certified), walk(certified)], "x", False)
+        ce._first_witness(p, q, [walk(fails, hit.b), walk(hit.b)], "x", False)
 
 
 def test_certify_validates_once_per_decomposition(monkeypatch):

@@ -1,5 +1,6 @@
 """Power means, the log-Euclidean branch, and map-composed forms."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -161,6 +162,27 @@ def test_power_mean_gap_errors_match_two_calls(p, q):
         power_mean_gap(p, q, a, b)
     assert type(gap.value) is type(two_calls.value)
     assert str(gap.value) == str(two_calls.value)
+
+
+_PINNED_EXPONENTS = (-2.0, -0.5, -5e-9, 0.0, 1e-9, 0.5, 1.0, 3.0)
+
+
+def test_means_bits_pinned():
+    # power_mean at dims 1-8 and map_power through seeded Kraus maps, at
+    # exponents on both branches and near zero.  A change to any bit must
+    # re-record this deliberately.
+    words = []
+    for dim in range(1, 9):
+        a, b = random_pd(dim, 700 + dim, 10.0), random_pd(dim, 800 + dim, 10.0)
+        for p in _PINNED_EXPONENTS:
+            words += [float.hex(v + 0.0) for v in power_mean(p, a, b).ravel().tolist()]
+    for in_dim, out_dim in itertools.product(range(2, 5), repeat=2):
+        phi = random_kraus_map(in_dim, out_dim, 10 * in_dim + out_dim)
+        a = random_pd(in_dim, 900 + 10 * in_dim + out_dim, 10.0)
+        for p in _PINNED_EXPONENTS:
+            words += [float.hex(v + 0.0) for v in map_power(phi, p, a).ravel().tolist()]
+    digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
+    assert digest == "3a637b64ad1aa7c5a74be7fcc842745809151ea7381fc89bd973b2b8c905f328"
 
 
 @pytest.mark.parametrize("dim", [2, 3])
