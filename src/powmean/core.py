@@ -402,15 +402,23 @@ def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray
     Eigenvalues are drawn log-uniformly in
     ``[1/condition_spread, condition_spread]`` and conjugated by a random
     orthogonal basis, so ``condition_spread == 1`` forces the identity.
-    Deterministic per ``(dim, seed, condition_spread)``.
+    Deterministic per ``(dim, seed, condition_spread)``.  The draws are
+    those of :func:`_random_pd_spectra` for one spread; the matrix is
+    Q diag(lambda) Q^T, averaged with its transpose.
     """
-    return _random_pd_stack(np.random.default_rng(seed), dim, [condition_spread])[0]
+    vals, q = _random_pd_spectra(np.random.default_rng(seed), dim, [condition_spread])
+    m = (q * vals[:, None, :]) @ q.transpose(0, 2, 1)
+    return ((m + m.transpose(0, 2, 1)) / 2.0)[0]
 
 
-def _random_pd_stack(rng: np.random.Generator, dim: int, spreads) -> np.ndarray:
-    """:func:`random_pd` per entry of ``spreads``: matrix i is built from row i of
-    one uniform ``(N, dim)`` block and slice i of one later normal ``(N, dim, dim)``
-    block, both drawn from ``rng``."""
+def _random_pd_spectra(rng: np.random.Generator, dim: int, spreads):
+    """Eigenvalues ``(N, dim)`` and orthogonal bases ``(N, dim, dim)`` (eigenvectors
+    as columns) of :func:`random_pd`'s matrices, one per entry of ``spreads``.
+
+    Row i of the eigenvalues comes from row i of one uniform ``(N, dim)`` block,
+    basis i from slice i of one later normal ``(N, dim, dim)`` block, both drawn
+    from ``rng``.  The eigenvalues are in draw order, not sorted.
+    """
     if not 1 <= dim <= MAX_DIM:
         raise PreconditionError("dimension %d outside 1..%d" % (dim, MAX_DIM))
     if not all(1.0 <= spread < math.inf for spread in spreads):
@@ -420,5 +428,4 @@ def _random_pd_stack(rng: np.random.Generator, dim: int, spreads) -> np.ndarray:
     logs = rng.uniform(-1.0, 1.0, (len(scale), dim)) * scale
     q, r = np.linalg.qr(rng.standard_normal((len(scale), dim, dim)))
     q = q * np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)[:, None, :]
-    m = (q * np.exp(logs)[:, None, :]) @ q.transpose(0, 2, 1)
-    return (m + m.transpose(0, 2, 1)) / 2.0
+    return np.exp(logs), q

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_order_verdict, _random_pd_stack, eig_sym, loewner_leq, mat_fun, random_pd,
-                   spectral_fun)
+from .core import (SpectralDecomposition, _order_verdict, _random_pd_spectra, eig_sym,
+                   loewner_leq, mat_fun, random_pd, spectral_fun)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import _limit_deviations, _map_power_of, power_mean, power_mean_gap
+from .means import _decomposed_gap, _limit_deviations, _map_power_of, power_mean
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -59,15 +59,29 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def order_margin(p, q, a, b):
-    """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B).
+def order_margin(p, q, dec_a, dec_b):
+    """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B),
+    for A and B given as their decompositions (``eig_sym(a)`` and ``eig_sym(b)``,
+    or spectra drawn as :func:`_drawn_decompositions` sorts them).
 
     The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|) for D = M_q - M_p,
     the rule of :func:`~powmean.core.loewner_leq` with the fixed
-    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.
+    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  A check
+    decomposes each mean's root and D, so three matrices (two at equal
+    normalized exponents), and validates none.
     """
-    verdict = _order_verdict(power_mean_gap(p, q, a, b))
+    verdict = _order_verdict(_decomposed_gap(p, q, dec_a)(dec_b))
     return verdict.margin, verdict.min_eigenvalue
+
+
+def _drawn_decompositions(vals, bases):
+    """:class:`~powmean.core.SpectralDecomposition` of each drawn spectrum: row i
+    of ``vals`` sorted ascending (a stable sort), the columns of ``bases[i]``
+    moved with it."""
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    bases = np.take_along_axis(bases, order[:, None, :], axis=2)
+    return [SpectralDecomposition(v, basis) for v, basis in zip(vals, bases)]
 
 
 def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
@@ -75,16 +89,18 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
 
     Returns (passed, worst raw min-eigenvalue) over ``trials`` seeded pairs
     per dimension; a pair passes iff its :func:`order_margin` is >= 0.  Each
-    dimension draws all its spreads, then all its matrices, from the one cell
-    generator; both matrices of a trial share its spread.
+    dimension draws all its spreads, then all its spectra, from the one cell
+    generator; both matrices of a trial share its spread.  A pair is checked
+    as drawn, eigenvalues and basis, so no matrix is built, validated or
+    decomposed before the means.
     """
     rng = _spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
         spreads = np.repeat(np.take(_SPREADS, rng.integers(len(_SPREADS), size=trials)), 2)
-        pairs = _random_pd_stack(rng, dim, spreads)
-        for a, b in zip(pairs[0::2], pairs[1::2]):
-            margin, lam = order_margin(p, q, a, b)
+        decs = _drawn_decompositions(*_random_pd_spectra(rng, dim, spreads))
+        for dec_a, dec_b in zip(decs[0::2], decs[1::2]):
+            margin, lam = order_margin(p, q, dec_a, dec_b)
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -119,7 +135,7 @@ def fuzz_region(trials: int, seed: int) -> FuzzReport:
         spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
         a = random_pd(dim, int(rng.integers(2**63)), spread)
         b = random_pd(dim, int(rng.integers(2**63)), spread)
-        margin, lam = order_margin(p, q, a, b)
+        margin, lam = order_margin(p, q, eig_sym(a), eig_sym(b))
         report.record(margin, "(p=%g, q=%g, dim=%d): min eig %.3e" % (p, q, dim, lam))
     return report
 

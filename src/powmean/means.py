@@ -45,18 +45,6 @@ def scalar_power_mean(p: float, a: float, b: float) -> float:
     return (0.5 * a**p + 0.5 * b**p) ** (1.0 / p)
 
 
-def _decompose_against(dec_a, b):
-    """``eig_sym(b)`` for a mean with the decomposed A, checked to match it.
-
-    Called once A is decomposed, so A is validated, then B, before the shape
-    check, as two ``symmetrize`` calls up front would.
-    """
-    dec_b = eig_sym(b)
-    if dec_a.basis.shape != dec_b.basis.shape:
-        raise DimensionMismatchError("means need equal dimensions")
-    return dec_b
-
-
 def _functions(p: float):
     """f and f^-1 of the p-mean: X^p and X^(1/p), or log and exp at p = 0: the
     one place where an exponent becomes a function."""
@@ -104,7 +92,10 @@ def power_mean(p: float, a, b) -> np.ndarray:
         beyond tolerance and p <= 0.
     """
     dec_a = eig_sym(a)
-    return _mean_against(dec_a)(p, _decompose_against(dec_a, b))
+    dec_b = eig_sym(b)
+    if dec_a.basis.shape != dec_b.basis.shape:
+        raise DimensionMismatchError("means need equal dimensions")
+    return _mean_against(dec_a)(p, dec_b)
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
@@ -121,12 +112,25 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
 
 def _gap_against(p: float, q: float, a):
     """``b -> power_mean_gap(p, q, a, b)``, with A validated and decomposed
-    here, once, and each mean's f(A) made once by :func:`_mean_against`."""
-    dec_a = eig_sym(a)
-    mean = _mean_against(dec_a)
+    here, once, and each B validated and decomposed per call, before
+    :func:`_decomposed_gap` takes the pair."""
+    gap = _decomposed_gap(p, q, eig_sym(a))
+    return lambda b: gap(eig_sym(b))
 
-    def gap(b):
-        dec_b = _decompose_against(dec_a, b)
+
+def _decomposed_gap(p: float, q: float, dec_a):
+    """``dec_b -> M_q(A, B) - M_p(A, B)`` for the decomposed A and a decomposed
+    B: the one gap routine.  It checks that B's dimension is A's, then takes
+    the q-mean, then the p-mean unless the normalized exponents are equal;
+    each mean's f(A) is made once by :func:`_mean_against`.  A decomposition
+    here is any :class:`~powmean.core.SpectralDecomposition` with ascending
+    eigenvalues, from :func:`~powmean.core.eig_sym` or drawn as one."""
+    mean = _mean_against(dec_a)
+    shape = dec_a.basis.shape
+
+    def gap(dec_b):
+        if dec_b.basis.shape != shape:
+            raise DimensionMismatchError("means need equal dimensions")
         high = mean(q, dec_b)
         if normalize_exponent(p) == normalize_exponent(q):
             return high - high

@@ -48,7 +48,7 @@ def test_scan_bytes_pinned(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "6cfb2d33d2dafc37ac9dd6871ffc60751f98ec2e518d8717fbc5a3369b2e4b7b"
+    assert digest == "bf18fc672907548ebff6870f17fce8a94cd1d6ce58a485a6399f9ba35cbed731"
 
 
 def test_scan_seed_changes_output(tmp_path):

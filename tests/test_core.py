@@ -32,7 +32,7 @@ from powmean import (
 from powmean import core
 from powmean.maps import plane_rotation
 
-from conftest import pd_from_draws, sym_rand
+from conftest import spectrum_from_draws, sym_rand
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ def test_random_pd_validates_arguments():
 
 
 def _random_pd_reference(dim, seed, condition_spread):
-    """The per-matrix construction the stacked builder must reproduce bit for bit."""
+    """The per-matrix construction random_pd must reproduce bit for bit."""
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.uniform(-1.0, 1.0, size=dim) * math.log(condition_spread))
     gauss = rng.standard_normal((dim, dim))
@@ -592,14 +592,17 @@ def test_random_pd_stack_matches_per_matrix_reference(dim):
     for seed in range(40):
         stack_spreads = [pool[(seed + i) % len(pool)] for i in range(25)]
         rng, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        stack = core._random_pd_stack(rng, dim, stack_spreads)
+        vals, bases = core._random_pd_spectra(rng, dim, stack_spreads)
         # A generator in the same state gives one uniform block, then one
-        # normal block; matrix i comes from row i and slice i of them.
+        # normal block; spectrum i comes from row i and slice i of them.
         u = blocks.uniform(-1.0, 1.0, (len(stack_spreads), dim))
         gauss = blocks.standard_normal((len(stack_spreads), dim, dim))
-        assert stack.shape == (len(stack_spreads), dim, dim)
+        assert vals.shape == (len(stack_spreads), dim)
+        assert bases.shape == (len(stack_spreads), dim, dim)
         assert rng.bit_generator.state == blocks.bit_generator.state
         for i, spread in enumerate(stack_spreads):
-            assert np.array_equal(stack[i], pd_from_draws(u[i], gauss[i], spread)), (seed, i)
+            want_vals, want_basis = spectrum_from_draws(u[i], gauss[i], spread)
+            assert np.array_equal(vals[i], want_vals), (seed, i)
+            assert np.array_equal(bases[i], want_basis), (seed, i)
     for seed, spread in draws[:: len(spreads) + 1]:
         assert np.array_equal(random_pd(dim, seed, spread), _random_pd_reference(dim, seed, spread))

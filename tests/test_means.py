@@ -19,6 +19,7 @@ from powmean import (
     apply_power_affine_2x2,
     block_average,
     compression,
+    eig_sym,
     frechet_d1,
     frechet_d2,
     identity_map,
@@ -41,7 +42,7 @@ from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
 from powmean.means import _gap_against
 
-from conftest import count_calls, pd_from_draws, sym_rand
+from conftest import composed, count_calls, spectrum_from_draws, sym_rand
 
 
 def test_normalize_exponent_threshold():
@@ -236,9 +237,9 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     b = random_pd(3, 72, 10.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
-    order_margin(0.5, 2.0, a, b)
-    # A and B are validated; they, the root of each mean and M_q - M_p are
-    # decomposed, the last three as the library built them
+    order_margin(0.5, 2.0, eig_sym(a), eig_sym(b))
+    # A and B are validated by eig_sym; they, the root of each mean and
+    # M_q - M_p are decomposed, the last three as the library built them
     assert len(decompositions) == 5
     assert len(guards) == 2
 
@@ -293,7 +294,7 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
         for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
             # each mean's root and the gap; one mean at p = q
-            assert unvalidated(order_margin, p, q, x, b) == (2 if p == q else 3)
+            assert unvalidated(order_margin, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
     for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
         assert unvalidated(find_counterexample, p, q) > 0
     orders = rank_one_remainder_orders(0.25, 0.5)
@@ -329,7 +330,7 @@ def test_order_verdicts_fail_a_certified_violation():
     # The fixed order slack is far below a certified negative eigenvalue, so
     # both the single check and the fuzz verdict over random pairs fail.
     w = find_counterexample(0.25, 1.0)
-    assert order_margin(0.25, 1.0, w.a, w.b)[0] < 0.0
+    assert order_margin(0.25, 1.0, eig_sym(w.a), eig_sym(w.b))[0] < 0.0
     assert not fuzz_point(0.25, 1.0, 20, 0)[0]
 
 
@@ -347,9 +348,15 @@ def test_map_order_worst_margin_comes_only_from_order_verdicts(monkeypatch):
     assert report.worst == clean.worst
 
 
+def _ascending(vals, basis):
+    order = np.argsort(vals, kind="stable")
+    return core.SpectralDecomposition(vals[order], basis[:, order])
+
+
 def _fuzz_point_reference(p, q, trials, seed, dims):
     """fuzz_point as a per-trial loop over its draw order: per dimension, all
-    spreads, then every matrix's uniform row, then every matrix's normal slice."""
+    spreads, then every matrix's uniform row, then every matrix's normal
+    slice; each pair is checked as its two sorted spectra."""
     rng = fuzz._spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
@@ -357,9 +364,9 @@ def _fuzz_point_reference(p, q, trials, seed, dims):
         u = [rng.uniform(-1.0, 1.0, dim) for _ in range(2 * trials)]
         gauss = [rng.standard_normal((dim, dim)) for _ in range(2 * trials)]
         for t, spread in enumerate(spreads):
-            a = pd_from_draws(u[2 * t], gauss[2 * t], spread)
-            b = pd_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread)
-            margin, lam = order_margin(p, q, a, b)
+            dec_a = _ascending(*spectrum_from_draws(u[2 * t], gauss[2 * t], spread))
+            dec_b = _ascending(*spectrum_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread))
+            margin, lam = order_margin(p, q, dec_a, dec_b)
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -378,31 +385,91 @@ def test_fuzz_point_matches_per_trial_reference(p, q, dims):
 
 
 def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
-    # Every stacked matrix is exactly symmetric with its spectrum in
-    # [1/s, s]; a trial's two matrices share s, and every spread occurs.
-    stacks = []
-    inner = fuzz._random_pd_stack
+    # Every checked spectrum ascends and lies in [1/s, s], every basis is
+    # orthogonal; a trial's two draws share s, and every spread occurs.
+    spectra, checks = [], []
+    inner_spectra, inner_margin = fuzz._random_pd_spectra, fuzz.order_margin
 
-    def recorded(rng, dim, spreads):
-        stacks.append((list(spreads), inner(rng, dim, spreads)))
-        return stacks[-1][1]
+    def recorded_spectra(rng, dim, spreads):
+        spectra.append((dim, list(spreads)))
+        return inner_spectra(rng, dim, spreads)
 
-    monkeypatch.setattr(fuzz, "_random_pd_stack", recorded)
+    def recorded_margin(p, q, dec_a, dec_b):
+        checks.append((dec_a, dec_b))
+        return inner_margin(p, q, dec_a, dec_b)
+
+    monkeypatch.setattr(fuzz, "_random_pd_spectra", recorded_spectra)
+    monkeypatch.setattr(fuzz, "order_margin", recorded_margin)
+    trials = 30
     for seed in range(4):
-        fuzz_point(0.5, 2.0, 30, seed, dims=range(1, 9))
-    assert len(stacks) == 4 * 8
-    for spreads, stack in stacks:
+        fuzz_point(0.5, 2.0, trials, seed, dims=range(1, 9))
+    assert len(spectra) == 4 * 8
+    assert len(checks) == 4 * 8 * trials
+    for k, (dim, spreads) in enumerate(spectra):
         assert spreads[0::2] == spreads[1::2]
         assert set(spreads) == set(fuzz._SPREADS)
-        for spread, m in zip(spreads, stack):
-            assert np.array_equal(m, m.T)
-            lam = np.linalg.eigvalsh(m)
-            assert lam[0] >= (1.0 - 1e-12) / spread and lam[-1] <= (1.0 + 1e-12) * spread
+        for t, pair in enumerate(checks[k * trials:(k + 1) * trials]):
+            spread = spreads[2 * t]
+            for dec in pair:
+                lam, basis = dec
+                assert basis.shape == (dim, dim)
+                assert np.all(np.diff(lam) >= 0.0)
+                assert lam[0] >= (1.0 - 1e-12) / spread and lam[-1] <= (1.0 + 1e-12) * spread
+                assert np.abs(basis.T @ basis - np.eye(dim)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (-1.0, 0.0), (0.0, 0.0), (0.25, 1.0), (-2.0, -0.6)])
+def test_drawn_decompositions_agree_with_composed_matrices(p, q):
+    # order_margin on the spectra as fuzz_point draws and sorts them agrees
+    # with order_margin on eig_sym of the matrices random_pd composes from
+    # them.  A second set of spectra puts the last-drawn eigenvalue inside
+    # the PSD floor, where only an ascending spectrum reads it as zero (p > 0)
+    # or out of the domain (p <= 0), as eig_sym's does.
+    for dim in range(1, 9):
+        spreads = np.repeat(fuzz._SPREADS, 4)
+        vals, bases = core._random_pd_spectra(np.random.default_rng(900 + dim), dim, spreads)
+        floored = vals.copy()
+        floored[:, -1] = 1e-3 * core.PSD_FLOOR * vals.max(axis=1)
+        for spectra in (vals, floored) if dim > 1 else (vals,):
+            decs = fuzz._drawn_decompositions(spectra, bases)
+            mats = [composed(v, basis) for v, basis in zip(spectra, bases)]
+            for dec, m in zip(decs, mats):
+                ref = eig_sym(m).eigenvalues
+                assert np.abs(dec.eigenvalues - ref).max() <= 1e-12 * ref[-1]
+            for i in range(0, len(decs), 2):
+                a, b = mats[i], mats[i + 1]
+                try:
+                    want = order_margin(p, q, eig_sym(a), eig_sym(b))[0]
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        order_margin(p, q, decs[i], decs[i + 1])
+                    continue
+                got = order_margin(p, q, decs[i], decs[i + 1])[0]
+                # Agreement within tol also makes the signs match wherever
+                # |margin| > tol.
+                tol = 1e-12 * (1.0 + float(np.abs(power_mean_gap(p, q, a, b)).max()))
+                assert abs(got - want) <= tol, (dim, i)
+
+
+def test_fuzz_point_decomposes_three_matrices_per_check(monkeypatch):
+    # Drawn spectra need no validation and no decomposition: each check
+    # decomposes the root of each mean and the gap, all built exactly
+    # symmetric, or the one root and the zero gap at equal exponents.
+    decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
+    eigs = count_calls(monkeypatch, core.eig_sym)
+    guards = count_calls(monkeypatch, core.symmetrize)
+    for p, q, per_check in [(0.5, 2.0, 3), (-1.0, 0.0, 3), (0.5, 0.5, 2), (0.0, 0.0, 2)]:
+        del decompositions[:]
+        fuzz_point(p, q, 7, 5, dims=(1, 2, 3, 5))
+        assert len(decompositions) == per_check * 7 * 4
+    assert not eigs and not guards
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         power_mean(1.0, np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        order_margin(0.5, 2.0, eig_sym(np.eye(2)), eig_sym(np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
