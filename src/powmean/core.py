@@ -172,12 +172,16 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
 
 
 def _jacobi_source(n: int) -> str:
-    """Source of ``sweeps(flat, thresh, cap)``, cyclic Jacobi at dimension ``n``.
+    """Source of ``sweeps(flat, rel, cap)``, cyclic Jacobi at dimension ``n``.
 
     The rotation loop unrolled over the (p, q) pairs in cyclic order: the
-    upper triangle of ``flat`` (the matrix, row-major) lives in locals
-    ``a{i}_{j}`` (i <= j) and the basis rows in ``v{i}_{j}``, so a rotation
-    touches no list.  Each statement keeps the loop's products and sums in
+    upper triangle of ``flat`` (the matrix, row-major, exactly symmetric)
+    lives in locals ``a{i}_{j}`` (i <= j) and the basis rows in ``v{i}_{j}``,
+    so a rotation touches no list.  The off-diagonal threshold is ``rel``
+    times the Frobenius norm, its n^2 squares added in the order of numpy's
+    pairwise sum (eight partial sums, then pairs, then the remainder), so it
+    equals ``float((m * m).sum())`` bit for bit; a non-finite sum returns
+    ``None``.  Each statement keeps the loop's products and sums in
     their order, so the results are those of a rotation loop over lists,
     bit for bit.  The function returns the diagonal and the basis rows, or
     raises ``NonConvergenceError`` after ``cap`` sweeps.  It exists for
@@ -194,9 +198,20 @@ def _jacobi_source(n: int) -> str:
     pairs = [(p, q) for p in range(n - 1) for q in idx[p + 1:]]
     upper = ", ".join(a(i, j) if j >= i else "_" for i in idx for j in idx)
     ident = [("v%d_%d" % (i, j), i == j) for i in idx for j in idx]
+    squares = ["%s * %s" % (a(i, j), a(i, j)) for i in idx for j in idx]
+    blocks = len(squares) // 8 * 8  # n >= 3: at least one block of eight
+    partial = [" + ".join(squares[k:blocks:8]) for k in range(8)]
     lines = [
-        "def sweeps(flat, thresh, cap):",
+        "def sweeps(flat, rel, cap):",
         "    %s = flat" % upper,
+        "    frob2 = ((%s + %s) + (%s + %s)) + ((%s + %s) + (%s + %s))"
+        % tuple("(%s)" % s for s in partial),
+    ]
+    lines += ["    frob2 += %s" % sq for sq in squares[blocks:]]
+    lines += [
+        "    if not isfinite(frob2):",
+        "        return None",
+        "    thresh = rel * sqrt(frob2)",
         "    %s = 1.0" % " = ".join(v for v, diag in ident if diag),
         "    %s = 0.0" % " = ".join(v for v, diag in ident if not diag),
         # One extra sweep after crossing the threshold: clustered spectra
@@ -243,24 +258,23 @@ _JACOBI_SWEEPS: dict = {}
 
 
 def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
-    with np.errstate(over="ignore"):
-        frob2 = float((m * m).sum())
-    if not math.isfinite(frob2):
-        # Entries above ~1e154 overflow the squares (an infinite threshold
-        # would stop the sweeps after one pass), and near the top of the
-        # range the rotations overflow too.
-        return _rescaled(m, _eig_jacobi)
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
     n = m.shape[0]
     sweeps = _JACOBI_SWEEPS.get(n)
     if sweeps is None:
-        namespace = {"copysign": math.copysign, "sqrt": math.sqrt,
+        namespace = {"copysign": math.copysign, "sqrt": math.sqrt, "isfinite": math.isfinite,
                      "NonConvergenceError": NonConvergenceError}
         exec(compile(_jacobi_source(n), "<jacobi sweeps n=%d>" % n, "exec"), namespace)
         sweeps = _JACOBI_SWEEPS[n] = namespace["sweeps"]
-    diag, vt = sweeps(m.ravel().tolist(), _JACOBI_THRESHOLD * math.sqrt(frob2), _JACOBI_SWEEP_CAP)
+    done = sweeps(m.ravel().tolist(), _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
+    if done is None:
+        # Entries above ~1e154 overflow the squares (an infinite threshold
+        # would stop the sweeps after one pass), and near the top of the
+        # range the rotations overflow too.
+        return _rescaled(m, _eig_jacobi)
+    diag, vt = done
     order = sorted(range(n), key=diag.__getitem__)  # stable: ties keep their diagonal order
     basis = np.array([_fix_sign(*vt[i]) for i in order]).T
     return SpectralDecomposition(np.array([diag[i] for i in order]), basis)
@@ -309,47 +323,63 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
 
 
 def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
+    """``f`` of each ascending row of ``eigs``, one spectrum ``(n,)`` or a stack
+    ``(N, n)``, under the domain rules of :func:`mat_fun` row by row: the
+    first failing row raises, with the message a call on that row alone gives."""
     if isinstance(f, Exp):
         return np.exp(eigs)
-    # The spectrum ascends (NaN sorts last), so its ends hold the largest |value|.
-    floor = PSD_FLOOR * max(abs(float(eigs[-1])), abs(float(eigs[0])))
-    if isinstance(f, Log):
-        if eigs[0] <= floor:
-            raise DomainError(
-                "log needs eigenvalues > %.3e, smallest is %.3e" % (floor, eigs[0])
-            )
+    log = isinstance(f, Log)
+    if not log:
+        if not isinstance(f, Power):
+            raise TypeError("unsupported scalar function tag: %r" % (f,))
+        r = f.exponent
+        if r == round(r) and r >= 0.0:
+            return eigs ** int(round(r))
+    if eigs.ndim == 1:
+        row = eigs.tolist()
+        ends = ((row[0], row[-1]),)
+    else:
+        ends = zip(eigs[:, 0].tolist(), eigs[:, -1].tolist())
+    clamp = False
+    for lo, hi in ends:
+        # Each row ascends (NaN sorts last), so its ends hold its largest |value|.
+        floor = PSD_FLOOR * max(abs(hi), abs(lo))
+        if lo <= floor:
+            if log:
+                raise DomainError("log needs eigenvalues > %.3e, smallest is %.3e" % (floor, lo))
+            if r <= 0.0:
+                raise DomainError(
+                    "power %g needs eigenvalues > %.3e, smallest is %.3e" % (r, floor, lo)
+                )
+            if lo < -floor:
+                raise DomainError("power %g needs eigenvalues >= 0, smallest is %.3e" % (r, lo))
+            clamp = True
+    if log:
         return np.log(eigs)
-    if not isinstance(f, Power):
-        raise TypeError("unsupported scalar function tag: %r" % (f,))
-    r = f.exponent
-    if r == round(r) and r >= 0.0:
-        return eigs ** int(round(r))
-    if r > 0.0:
-        if eigs[0] < -floor:
-            raise DomainError(
-                "power %g needs eigenvalues >= 0, smallest is %.3e" % (r, eigs[0])
-            )
-        if eigs[0] > floor:
-            return eigs**r
+    if clamp:
         # eigenvalues inside the floor are true zeros up to rounding; mapping
-        # their junk magnitude through a fractional power would inflate it
-        return np.where(eigs <= floor, 0.0, eigs) ** r
-    if eigs[0] <= floor:
-        raise DomainError(
-            "power %g needs eigenvalues > %.3e, smallest is %.3e" % (r, floor, eigs[0])
-        )
+        # their junk magnitude through a fractional power would inflate it.
+        # A stack takes the loop's floors again, row by row (abs and max
+        # round nothing).
+        if eigs.ndim > 1:
+            floor = PSD_FLOOR * np.maximum(np.abs(eigs[:, -1:]), np.abs(eigs[:, :1]))
+        eigs = np.where(eigs <= floor, 0.0, eigs)
     return eigs**r
 
 
 def spectral_fun(dec: SpectralDecomposition, f: ScalarFunction) -> np.ndarray:
-    """``f`` applied to a matrix already decomposed by :func:`eig_sym`.
+    """``f`` applied to a matrix already decomposed by :func:`eig_sym`, or to
+    a stack of them: ``(N, n)`` eigenvalue rows with ``(N, n, n)`` bases.
 
     Computes V diag(f(lambda_i)) V^T, exactly symmetric, under the domain
-    rules of :func:`mat_fun`; one decomposition can serve several functions.
+    rules of :func:`mat_fun` for each matrix; one decomposition can serve
+    several functions.  A stack gives, matrix by matrix, the bits of single
+    calls, and raises the error of its first failing row.
     """
     vals = _spectrum_values(f, dec.eigenvalues)
-    out = (dec.basis * vals) @ dec.basis.T
-    return (out + out.T) / 2.0
+    basis = dec.basis
+    out = (basis * (vals if vals.ndim == 1 else vals[:, None, :])) @ basis.mT
+    return (out + out.mT) / 2.0
 
 
 def mat_fun(m, f: ScalarFunction) -> np.ndarray:

@@ -15,7 +15,7 @@ from .core import (SpectralDecomposition, _order_verdict, _random_pd_spectra, ei
                    loewner_leq, mat_fun, random_pd, spectral_fun)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import _decomposed_gap, _limit_deviations, _map_power_of, power_mean
+from .means import _gap, _limit_deviations, _map_power_of, _power_sums, power_mean
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -59,29 +59,29 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def order_margin(p, q, dec_a, dec_b):
+def order_margin(p, q, s_q, s_p):
     """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B),
-    for A and B given as their decompositions (``eig_sym(a)`` and ``eig_sym(b)``,
-    or spectra drawn as :func:`_drawn_decompositions` sorts them).
+    for A and B given by the sum stages S_q and S_p of their means
+    (:func:`~powmean.means._power_sums`); S_p is read only at unequal
+    normalized exponents.
 
     The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|) for D = M_q - M_p,
     the rule of :func:`~powmean.core.loewner_leq` with the fixed
     :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  A check
-    decomposes each mean's root and D, so three matrices (two at equal
+    decomposes each sum for its root and D, so three matrices (two at equal
     normalized exponents), and validates none.
     """
-    verdict = _order_verdict(_decomposed_gap(p, q, dec_a)(dec_b))
+    verdict = _order_verdict(_gap(p, q, s_q, lambda: s_p))
     return verdict.margin, verdict.min_eigenvalue
 
 
-def _drawn_decompositions(vals, bases):
-    """:class:`~powmean.core.SpectralDecomposition` of each drawn spectrum: row i
-    of ``vals`` sorted ascending (a stable sort), the columns of ``bases[i]``
-    moved with it."""
+def _drawn_decomposition(vals, bases):
+    """One stacked :class:`~powmean.core.SpectralDecomposition` of the drawn
+    spectra: each row of ``vals`` sorted ascending (a stable sort), the
+    columns of its basis moved with it."""
     order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    bases = np.take_along_axis(bases, order[:, None, :], axis=2)
-    return [SpectralDecomposition(v, basis) for v, basis in zip(vals, bases)]
+    return SpectralDecomposition(np.take_along_axis(vals, order, axis=1),
+                                 np.take_along_axis(bases, order[:, None, :], axis=2))
 
 
 def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
@@ -92,15 +92,24 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     dimension draws all its spreads, then all its spectra, from the one cell
     generator; both matrices of a trial share its spread.  A pair is checked
     as drawn, eigenvalues and basis, so no matrix is built, validated or
-    decomposed before the means.
+    decomposed before the means.  The powers and sums of a dimension are
+    taken for all its trials at once, as stacks; each trial's roots and
+    verdict are its own.
     """
     rng = _spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
         spreads = np.repeat(np.take(_SPREADS, rng.integers(len(_SPREADS), size=trials)), 2)
-        decs = _drawn_decompositions(*_random_pd_spectra(rng, dim, spreads))
-        for dec_a, dec_b in zip(decs[0::2], decs[1::2]):
-            margin, lam = order_margin(p, q, dec_a, dec_b)
+        vals, bases = _drawn_decomposition(*_random_pd_spectra(rng, dim, spreads))
+        dec_a = SpectralDecomposition(vals[0::2], bases[0::2])
+        dec_b = SpectralDecomposition(vals[1::2], bases[1::2])
+        # The sums run ahead of the roots: an overflow there must not warn
+        # before an earlier trial's root raises, and a non-finite sum still
+        # raises at its own root, by _decompose's guard.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _power_sums(p, q, dec_a, dec_b)
+        for s_q, s_p in zip(*sums):
+            margin, lam = order_margin(p, q, s_q, s_p)
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -135,7 +144,7 @@ def fuzz_region(trials: int, seed: int) -> FuzzReport:
         spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
         a = random_pd(dim, int(rng.integers(2**63)), spread)
         b = random_pd(dim, int(rng.integers(2**63)), spread)
-        margin, lam = order_margin(p, q, eig_sym(a), eig_sym(b))
+        margin, lam = order_margin(p, q, *_power_sums(p, q, eig_sym(a), eig_sym(b)))
         report.record(margin, "(p=%g, q=%g, dim=%d): min eig %.3e" % (p, q, dim, lam))
     return report
 

@@ -16,6 +16,7 @@ counterexample search and the CLI labels read a pair as given.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,32 +46,45 @@ def scalar_power_mean(p: float, a: float, b: float) -> float:
     return (0.5 * a**p + 0.5 * b**p) ** (1.0 / p)
 
 
+@functools.lru_cache(maxsize=64)
 def _functions(p: float):
     """f and f^-1 of the p-mean: X^p and X^(1/p), or log and exp at p = 0: the
-    one place where an exponent becomes a function."""
+    one place where an exponent becomes a function.  The tags are immutable,
+    so the recent exponents' pairs are kept for the two stages of a mean."""
     p = normalize_exponent(p)
     return (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
 
 
-def _mean_against(dec_a):
-    """``(r, dec_b) -> M_r(A, B)`` for the decomposed A and a decomposed B of
-    its dimension: f^-1((f(A) + f(B)) / 2), f = X^r or log.
+def _sums_against(dec_a):
+    """``(r, dec_b) -> S_r = f(A)/2 + f(B)/2``, the sum stage of the r-mean
+    (f = X^r or log), for the decomposed A and a decomposed B of its shape.
+    A and B may be stacks (see :func:`~powmean.core.spectral_fun`), and S_r
+    then is one.
 
-    Each exponent's f, f^-1 and f(A) are made at the first B that needs them
-    and then reused, so the errors of an exponent or of f(A) are raised at
-    that B, in the place and with the message of a single mean.
+    B's shape is checked first.  Each exponent's f(A)/2 is made at the first
+    B that needs it and then reused, so the errors of an exponent or of f(A)
+    are raised at that B, in the place and with the message of a single mean.
     """
+    shape = dec_a.basis.shape
     sides = {}
 
-    def mean(r, dec_b):
+    def power_sum(r, dec_b):
+        if dec_b.basis.shape != shape:
+            raise DimensionMismatchError("means need equal dimensions")
         side = sides.get(r)
         if side is None:
-            f, inverse = _functions(r)
-            side = sides[r] = f, inverse, spectral_fun(dec_a, f)
-        f, inverse, power_a = side
-        return spectral_fun(_decompose(0.5 * power_a + 0.5 * spectral_fun(dec_b, f)), inverse)
+            f = _functions(r)[0]
+            side = sides[r] = f, 0.5 * spectral_fun(dec_a, f)
+        f, half_a = side
+        return half_a + 0.5 * spectral_fun(dec_b, f)
 
-    return mean
+    return power_sum
+
+
+def _root(r: float, s: np.ndarray) -> np.ndarray:
+    """The root stage of the r-mean: f^-1(S_r) (X^(1/r) or exp) of one sum
+    from :func:`_sums_against`, which is exactly symmetric."""
+    return spectral_fun(_decompose(s), _functions(r)[1])
 
 
 def power_mean(p: float, a, b) -> np.ndarray:
@@ -91,11 +105,7 @@ def power_mean(p: float, a, b) -> np.ndarray:
         Propagated from the spectral functions when an input is singular
         beyond tolerance and p <= 0.
     """
-    dec_a = eig_sym(a)
-    dec_b = eig_sym(b)
-    if dec_a.basis.shape != dec_b.basis.shape:
-        raise DimensionMismatchError("means need equal dimensions")
-    return _mean_against(dec_a)(p, dec_b)
+    return _root(p, _sums_against(eig_sym(a))(p, eig_sym(b)))
 
 
 def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
@@ -120,23 +130,31 @@ def _gap_against(p: float, q: float, a):
 
 def _decomposed_gap(p: float, q: float, dec_a):
     """``dec_b -> M_q(A, B) - M_p(A, B)`` for the decomposed A and a decomposed
-    B: the one gap routine.  It checks that B's dimension is A's, then takes
-    the q-mean, then the p-mean unless the normalized exponents are equal;
-    each mean's f(A) is made once by :func:`_mean_against`.  A decomposition
-    here is any :class:`~powmean.core.SpectralDecomposition` with ascending
-    eigenvalues, from :func:`~powmean.core.eig_sym` or drawn as one."""
-    mean = _mean_against(dec_a)
-    shape = dec_a.basis.shape
+    B: the sum stage of :func:`_sums_against`, drawn lazily, fed to
+    :func:`_gap`.  A decomposition here is any
+    :class:`~powmean.core.SpectralDecomposition` with ascending eigenvalues,
+    from :func:`~powmean.core.eig_sym` or drawn as one."""
+    power_sum = _sums_against(dec_a)
+    return lambda dec_b: _gap(p, q, power_sum(q, dec_b), lambda: power_sum(p, dec_b))
 
-    def gap(dec_b):
-        if dec_b.basis.shape != shape:
-            raise DimensionMismatchError("means need equal dimensions")
-        high = mean(q, dec_b)
-        if normalize_exponent(p) == normalize_exponent(q):
-            return high - high
-        return high - mean(p, dec_b)
 
-    return gap
+def _power_sums(p: float, q: float, dec_a, dec_b):
+    """S_q and S_p of the decomposed A and B, or of stacks of pairs, made at
+    once for :func:`_gap`; at equal normalized exponents S_p is S_q, unread."""
+    power_sum = _sums_against(dec_a)
+    s_q = power_sum(q, dec_b)
+    return s_q, s_q if normalize_exponent(p) == normalize_exponent(q) else power_sum(p, dec_b)
+
+
+def _gap(p: float, q: float, s_q, sum_p) -> np.ndarray:
+    """M_q - M_p from the sum S_q and ``sum_p() -> S_p``: the one gap routine.
+    It takes the q-mean's root, then S_p and the p-mean's root unless the
+    normalized exponents are equal (the gap is then zero), so a lazy S_p
+    raises its errors after the q-mean's.  The gap is exactly symmetric."""
+    high = _root(q, s_q)
+    if normalize_exponent(p) == normalize_exponent(q):
+        return high - high
+    return high - _root(p, sum_p())
 
 
 def map_power(phi, p: float, a) -> np.ndarray:

@@ -435,6 +435,27 @@ def test_eig_sweeps_compile_per_dimension_on_first_use():
     assert done.stdout.splitlines() == ["[]", "[]", "[3]"]
 
 
+def test_jacobi_threshold_sums_squares_as_numpy_does():
+    # The sweeps add the n^2 squares in numpy's pairwise order, so their
+    # threshold is 1e-12 * sqrt(float((m * m).sum())) bit for bit, at every
+    # scale; squares that overflow return None for the rescaled route.
+    rng = np.random.default_rng(2024)
+    for n in range(3, core.MAX_DIM + 1):
+        norms = []
+        namespace = {"copysign": math.copysign, "isfinite": math.isfinite,
+                     "sqrt": lambda x: norms.append(x) or math.sqrt(x),
+                     "NonConvergenceError": NonConvergenceError}
+        exec(core._jacobi_source(n), namespace)
+        for _ in range(300):
+            g = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, (n, n)))
+            m = (g + g.T) * 10.0 ** rng.uniform(-20.0, 20.0)
+            del norms[:]
+            namespace["sweeps"](m.ravel().tolist(), core._JACOBI_THRESHOLD, core._JACOBI_SWEEP_CAP)
+            assert norms[0] == float((m * m).sum())
+        m = np.full((n, n), 1e160)
+        assert namespace["sweeps"](m.ravel().tolist(), 1e-12, 1) is None
+
+
 # ---------------------------------------------------------------------------
 # spectral functions
 # ---------------------------------------------------------------------------
@@ -468,6 +489,63 @@ def test_mat_fun_integer_powers_allow_indefinite():
     m = np.diag([1.0, -2.0])
     assert np.allclose(mat_fun(m, Power(3)), np.diag([1.0, -8.0]))
     assert np.allclose(mat_fun(m, Power(0)), np.eye(2))
+
+
+def _stacked_spectra(dim, rows=7, seed=0):
+    """Ascending spectra and bases of ``rows`` random PD matrices, stacked."""
+    vals, bases = core._random_pd_spectra(np.random.default_rng([dim, seed]), dim,
+                                          [2.0, 5.0, 10.0, 50.0] * (rows // 4 + 1))
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)[:rows]
+    return vals, np.take_along_axis(bases, order[:, None, :], axis=2)[:rows]
+
+
+_STACK_FUNCTIONS = [Power(2.0), Power(3.0), Power(0.0), Power(0.5), Power(1.7), Power(-1.0),
+                    Power(-0.5), Power(-2.3), LOG, EXP]
+
+
+@pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
+@pytest.mark.parametrize("f", _STACK_FUNCTIONS, ids=repr)
+def test_stacked_spectral_fun_matches_single_calls_bitwise(dim, f):
+    # A stack of decompositions gives each matrix the bits of a call on it
+    # alone, contiguous or every other row (as fuzz_point slices its pairs).
+    vals, bases = _stacked_spectra(dim)
+    stacks = [(vals, bases), (vals[0::2], bases[0::2])]
+    if dim > 1 and isinstance(f, Power) and f.exponent > 0.0:
+        # one row with its smallest eigenvalue inside the PSD floor, one
+        # just below zero within it; the others outside, one of them just
+        # above its own floor but below the floor of a row 1e4 times larger
+        floored = vals.copy()
+        floored[2, 0] = 1e-3 * core.PSD_FLOOR * floored[2, -1]
+        floored[4, 0] = -1e-3 * core.PSD_FLOOR * floored[4, -1]
+        floored[5, 0] = 2.0 * core.PSD_FLOOR * floored[5, -1]
+        floored[6] *= 1e4
+        stacks.append((floored, bases))
+    for v, b in stacks:
+        got = core.spectral_fun(core.SpectralDecomposition(v, b), f)
+        assert got.shape == b.shape
+        for i in range(len(v)):
+            one = core.spectral_fun(core.SpectralDecomposition(v[i].copy(), b[i].copy()), f)
+            assert got[i].tobytes() == one.tobytes(), i
+
+
+@pytest.mark.parametrize("f, bad", [(LOG, 0.0), (Power(-1.0), 0.0), (Power(-0.5), -1.0),
+                                    (Power(0.5), -1.0), (Power(1.5), -1e-3)])
+def test_stacked_spectral_fun_raises_the_first_failing_rows_error(f, bad):
+    # Rows 3 and 5 leave the domain: the stack raises what row 3 alone
+    # raises.  For positive powers row 1 sits inside the floor, which they
+    # accept.
+    vals, bases = _stacked_spectra(3)
+    vals = vals.copy()
+    if isinstance(f, Power) and f.exponent > 0.0:
+        vals[1, 0] = 1e-3 * core.PSD_FLOOR * vals[1, -1]
+    vals[3, 0] = bad * vals[3, -1]
+    vals[5, 0] = 2.0 * bad * vals[5, -1] - 1.0
+    with pytest.raises(DomainError) as alone:
+        core.spectral_fun(core.SpectralDecomposition(vals[3], bases[3]), f)
+    with pytest.raises(DomainError) as stacked:
+        core.spectral_fun(core.SpectralDecomposition(vals, bases), f)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_power_composition_roundtrip(rng):

@@ -40,7 +40,7 @@ from powmean import (
 from powmean import core, find_counterexample, fuzz, random_kraus_map
 from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
-from powmean.means import _gap_against
+from powmean.means import _decomposed_gap, _gap_against, _power_sums
 
 from conftest import composed, count_calls, spectrum_from_draws, sym_rand
 
@@ -237,9 +237,9 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     b = random_pd(3, 72, 10.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
-    order_margin(0.5, 2.0, eig_sym(a), eig_sym(b))
-    # A and B are validated by eig_sym; they, the root of each mean and
-    # M_q - M_p are decomposed, the last three as the library built them
+    order_margin(0.5, 2.0, *_power_sums(0.5, 2.0, eig_sym(a), eig_sym(b)))
+    # A and B are validated by eig_sym; they, each mean's sum (for its root)
+    # and M_q - M_p are decomposed, the last three as the library built them
     assert len(decompositions) == 5
     assert len(guards) == 2
 
@@ -285,6 +285,9 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         route(*args, **kwargs)
         return len(decompositions) - len(validated) - before
 
+    def order_check(p, q, dec_a, dec_b):
+        return order_margin(p, q, *_power_sums(p, q, dec_a, dec_b))
+
     rng = np.random.default_rng(17)
     for dim in range(1, 9):
         a = random_pd(dim, 500 + dim, 10.0)
@@ -294,7 +297,7 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
         for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
             # each mean's root and the gap; one mean at p = q
-            assert unvalidated(order_margin, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
+            assert unvalidated(order_check, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
     for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
         assert unvalidated(find_counterexample, p, q) > 0
     orders = rank_one_remainder_orders(0.25, 0.5)
@@ -330,7 +333,7 @@ def test_order_verdicts_fail_a_certified_violation():
     # The fixed order slack is far below a certified negative eigenvalue, so
     # both the single check and the fuzz verdict over random pairs fail.
     w = find_counterexample(0.25, 1.0)
-    assert order_margin(0.25, 1.0, eig_sym(w.a), eig_sym(w.b))[0] < 0.0
+    assert order_margin(0.25, 1.0, *_power_sums(0.25, 1.0, eig_sym(w.a), eig_sym(w.b)))[0] < 0.0
     assert not fuzz_point(0.25, 1.0, 20, 0)[0]
 
 
@@ -354,9 +357,10 @@ def _ascending(vals, basis):
 
 
 def _fuzz_point_reference(p, q, trials, seed, dims):
-    """fuzz_point as a per-trial loop over its draw order: per dimension, all
-    spreads, then every matrix's uniform row, then every matrix's normal
-    slice; each pair is checked as its two sorted spectra."""
+    """fuzz_point as a per-trial loop over its draw order on the single-pair
+    route: per dimension, all spreads, then every matrix's uniform row, then
+    every matrix's normal slice; each pair's two sorted spectra go to the gap
+    routine of power_mean_gap and to the order verdict, one pair at a time."""
     rng = fuzz._spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
@@ -366,7 +370,8 @@ def _fuzz_point_reference(p, q, trials, seed, dims):
         for t, spread in enumerate(spreads):
             dec_a = _ascending(*spectrum_from_draws(u[2 * t], gauss[2 * t], spread))
             dec_b = _ascending(*spectrum_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread))
-            margin, lam = order_margin(p, q, dec_a, dec_b)
+            verdict = core._order_verdict(_decomposed_gap(p, q, dec_a)(dec_b))
+            margin, lam = verdict.margin, verdict.min_eigenvalue
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -385,53 +390,61 @@ def test_fuzz_point_matches_per_trial_reference(p, q, dims):
 
 
 def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
-    # Every checked spectrum ascends and lies in [1/s, s], every basis is
-    # orthogonal; a trial's two draws share s, and every spread occurs.
-    spectra, checks = [], []
-    inner_spectra, inner_margin = fuzz._random_pd_spectra, fuzz.order_margin
+    # Every drawn spectrum lies in [1/s, s] and every basis is orthogonal; a
+    # trial's two draws share s, every spread occurs, each spectrum is checked
+    # ascending, and each trial is one order check.
+    spectra, sorted_draws, checks = [], [], []
+    inner_spectra, inner_sorted = fuzz._random_pd_spectra, fuzz._drawn_decomposition
+    inner_margin = fuzz.order_margin
 
     def recorded_spectra(rng, dim, spreads):
-        spectra.append((dim, list(spreads)))
-        return inner_spectra(rng, dim, spreads)
+        spectra.append((dim, list(spreads), inner_spectra(rng, dim, spreads)))
+        return spectra[-1][2]
 
-    def recorded_margin(p, q, dec_a, dec_b):
-        checks.append((dec_a, dec_b))
-        return inner_margin(p, q, dec_a, dec_b)
+    def recorded_sorted(vals, bases):
+        sorted_draws.append(inner_sorted(vals, bases))
+        return sorted_draws[-1]
+
+    def counted_margin(*args):
+        checks.append(args[:2])
+        return inner_margin(*args)
 
     monkeypatch.setattr(fuzz, "_random_pd_spectra", recorded_spectra)
-    monkeypatch.setattr(fuzz, "order_margin", recorded_margin)
+    monkeypatch.setattr(fuzz, "_drawn_decomposition", recorded_sorted)
+    monkeypatch.setattr(fuzz, "order_margin", counted_margin)
     trials = 30
     for seed in range(4):
         fuzz_point(0.5, 2.0, trials, seed, dims=range(1, 9))
-    assert len(spectra) == 4 * 8
-    assert len(checks) == 4 * 8 * trials
-    for k, (dim, spreads) in enumerate(spectra):
+    assert len(spectra) == len(sorted_draws) == 4 * 8
+    assert checks == [(0.5, 2.0)] * (4 * 8 * trials)
+    for (dim, spreads, (vals, bases)), (lam, basis) in zip(spectra, sorted_draws):
         assert spreads[0::2] == spreads[1::2]
         assert set(spreads) == set(fuzz._SPREADS)
-        for t, pair in enumerate(checks[k * trials:(k + 1) * trials]):
-            spread = spreads[2 * t]
-            for dec in pair:
-                lam, basis = dec
-                assert basis.shape == (dim, dim)
-                assert np.all(np.diff(lam) >= 0.0)
-                assert lam[0] >= (1.0 - 1e-12) / spread and lam[-1] <= (1.0 + 1e-12) * spread
-                assert np.abs(basis.T @ basis - np.eye(dim)).max() <= 1e-13
+        assert vals.shape == lam.shape == (2 * trials, dim)
+        assert bases.shape == basis.shape == (2 * trials, dim, dim)
+        assert np.all(np.diff(lam, axis=1) >= 0.0)
+        assert np.array_equal(np.sort(vals, axis=1), lam)
+        for v, q, spread in zip(vals, bases, spreads):
+            assert v.min() >= (1.0 - 1e-12) / spread and v.max() <= (1.0 + 1e-12) * spread
+            assert np.abs(q.T @ q - np.eye(dim)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 2.0), (-1.0, 0.0), (0.0, 0.0), (0.25, 1.0), (-2.0, -0.6)])
 def test_drawn_decompositions_agree_with_composed_matrices(p, q):
-    # order_margin on the spectra as fuzz_point draws and sorts them agrees
-    # with order_margin on eig_sym of the matrices random_pd composes from
-    # them.  A second set of spectra puts the last-drawn eigenvalue inside
-    # the PSD floor, where only an ascending spectrum reads it as zero (p > 0)
-    # or out of the domain (p <= 0), as eig_sym's does.
+    # order_margin on the sums of the spectra as fuzz_point draws and sorts
+    # them agrees with order_margin on the sums of eig_sym of the matrices
+    # random_pd composes from them.  A second set of spectra puts the
+    # last-drawn eigenvalue inside the PSD floor, where only an ascending
+    # spectrum reads it as zero (p > 0) or out of the domain (p <= 0), as
+    # eig_sym's does.
     for dim in range(1, 9):
         spreads = np.repeat(fuzz._SPREADS, 4)
         vals, bases = core._random_pd_spectra(np.random.default_rng(900 + dim), dim, spreads)
         floored = vals.copy()
         floored[:, -1] = 1e-3 * core.PSD_FLOOR * vals.max(axis=1)
         for spectra in (vals, floored) if dim > 1 else (vals,):
-            decs = fuzz._drawn_decompositions(spectra, bases)
+            drawn = fuzz._drawn_decomposition(spectra, bases)
+            decs = [core.SpectralDecomposition(*row) for row in zip(*drawn)]
             mats = [composed(v, basis) for v, basis in zip(spectra, bases)]
             for dec, m in zip(decs, mats):
                 ref = eig_sym(m).eigenvalues
@@ -439,12 +452,12 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
             for i in range(0, len(decs), 2):
                 a, b = mats[i], mats[i + 1]
                 try:
-                    want = order_margin(p, q, eig_sym(a), eig_sym(b))[0]
+                    want = order_margin(p, q, *_power_sums(p, q, eig_sym(a), eig_sym(b)))[0]
                 except DomainError:
                     with pytest.raises(DomainError):
-                        order_margin(p, q, decs[i], decs[i + 1])
+                        order_margin(p, q, *_power_sums(p, q, decs[i], decs[i + 1]))
                     continue
-                got = order_margin(p, q, decs[i], decs[i + 1])[0]
+                got = order_margin(p, q, *_power_sums(p, q, decs[i], decs[i + 1]))[0]
                 # Agreement within tol also makes the signs match wherever
                 # |margin| > tol.
                 tol = 1e-12 * (1.0 + float(np.abs(power_mean_gap(p, q, a, b)).max()))
@@ -453,23 +466,50 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
 
 def test_fuzz_point_decomposes_three_matrices_per_check(monkeypatch):
     # Drawn spectra need no validation and no decomposition: each check
-    # decomposes the root of each mean and the gap, all built exactly
-    # symmetric, or the one root and the zero gap at equal exponents.
+    # decomposes the sum of each mean (for its root) and the gap, all built
+    # exactly symmetric, or the one sum and the zero gap at equal exponents.
+    # The powers of A and of B are one stacked call per exponent and
+    # dimension; each root is its own call.
     decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
+    functions = count_calls(monkeypatch, core.spectral_fun)
     eigs = count_calls(monkeypatch, core.eig_sym)
     guards = count_calls(monkeypatch, core.symmetrize)
     for p, q, per_check in [(0.5, 2.0, 3), (-1.0, 0.0, 3), (0.5, 0.5, 2), (0.0, 0.0, 2)]:
-        del decompositions[:]
+        del decompositions[:], functions[:]
         fuzz_point(p, q, 7, 5, dims=(1, 2, 3, 5))
         assert len(decompositions) == per_check * 7 * 4
+        means = per_check - 1
+        stacked = [dec.eigenvalues.shape for dec, _ in functions if dec.eigenvalues.ndim == 2]
+        assert stacked == [(7, dim) for dim in (1, 2, 3, 5) for _ in range(2 * means)]
+        assert len(functions) - len(stacked) == means * 7 * 4
     assert not eigs and not guards
+
+
+def test_fuzz_point_keeps_the_errors_of_extreme_exponents():
+    # The stacked sums run ahead of the roots without a warning; the first
+    # failing root raises what a check at a time raised.
+    with pytest.raises(PreconditionError) as err:
+        fuzz_point(300, 400, 3, 0)
+    assert str(err.value) == "matrix entries must be finite"
+    with pytest.raises(DomainError) as err:
+        fuzz_point(-400, -300, 3, 0)
+    assert str(err.value) == (
+        "power -0.00333333 needs eigenvalues > 6.059e+279, smallest is 1.309e+275"
+    )
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         power_mean(1.0, np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatchError):
-        order_margin(0.5, 2.0, eig_sym(np.eye(2)), eig_sym(np.eye(3)))
+        power_mean_gap(0.5, 2.0, np.eye(2), np.eye(3))
+    # the order check's sums: pairs of unequal dimension, or a stack against
+    # one matrix
+    with pytest.raises(DimensionMismatchError):
+        _power_sums(0.5, 2.0, eig_sym(np.eye(2)), eig_sym(np.eye(3)))
+    stack = core.SpectralDecomposition(np.ones((4, 2)), np.tile(np.eye(2), (4, 1, 1)))
+    with pytest.raises(DimensionMismatchError):
+        _power_sums(0.5, 2.0, stack, eig_sym(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
