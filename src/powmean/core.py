@@ -7,9 +7,10 @@ Loewner-order verdict that always carries a witness vector.
 
 :func:`eig_sym` validates a caller's matrix once, by :func:`symmetrize`,
 so callers that only decompose pass their matrices straight to it; those the
-library builds exactly symmetric (a mean's root, an order gap) skip the
-guard through :func:`_decompose`.  The solvers rely on exact symmetry:
-Jacobi keeps it through every rotation, computing each mirrored pair once.
+library builds exactly symmetric (a mean's root, an order gap, a search
+candidate) skip the guard through :func:`_decompose`.  The solvers rely on
+exact symmetry: Jacobi keeps it through every rotation, computing each
+mirrored pair once.
 
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.

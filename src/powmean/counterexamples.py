@@ -49,7 +49,7 @@ from .errors import (
 from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
-from .means import _gap_against, normalize_exponent, power_mean_gap, scalar_power_mean
+from .means import _decomposed_gap, normalize_exponent, power_mean_gap, scalar_power_mean
 from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
@@ -134,9 +134,10 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
 
 def _certify(gap, b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, from the unvalidated ``_decompose`` of the exact gap
-    ``gap(b)`` against a prepared A."""
-    dec = _decompose(gap(b))
+    ``-CERT_TOL``, from the exact gap against a prepared A.  The library
+    built B exactly symmetric, so B and the gap take the unvalidated
+    ``_decompose``."""
+    dec = _decompose(gap(_decompose(b)))
     lam = float(dec.eigenvalues[0])
     if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()
@@ -191,7 +192,7 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
     and j grow.
     """
     for k, x, y, a, b_at in walks:
-        gap = _gap_against(p, q, a)
+        gap = _decomposed_gap(p, q, eig_sym(a))
         for j, theta in enumerate(_THETA_SCHEDULE):
             b = b_at(theta)
             try:
@@ -216,7 +217,8 @@ def find_counterexample(p: float, q: float) -> Witness:
     walk the family at (-q, -p) on the closed-form reciprocals of its pairs
     (the singular rank-one pair is first shifted by 1e-9 I); the duality
     identity guides the search but is never trusted for the certificate,
-    :func:`eig_sym`'s smallest eigenvalue of M_q - M_p on the returned pair.
+    the smallest eigenvalue of M_q - M_p on the returned pair, from the
+    unvalidated decomposition behind :func:`eig_sym`.
 
     The pair is classified and searched as given.  Only the means snap an
     exponent near zero to 0, so a pair outside the region whose exponents
@@ -235,7 +237,7 @@ def find_counterexample(p: float, q: float) -> Witness:
     # certifies.  c = 4 unless c^p or c^q would pass 2^1000.
     c = 2.0 ** min(2.0, 1000.0 / max(abs(p), abs(q)))
     a, b = np.eye(2), c * np.eye(2)
-    hit = _certify(_gap_against(p, q, a), b)
+    hit = _certify(_decomposed_gap(p, q, eig_sym(a)), b)
     if hit is None:
         raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
     expected = scalar_power_mean(q, 1.0, c) - scalar_power_mean(p, 1.0, c)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -37,13 +38,27 @@ def normalize_exponent(p: float) -> float:
 
 
 def scalar_power_mean(p: float, a: float, b: float) -> float:
-    """Power mean of two positive scalars (geometric mean at p = 0)."""
+    """Power mean of two positive scalars (geometric mean at p = 0).
+
+    With s the argument that dominates a^p + b^p (the larger for p > 0, the
+    smaller for p < 0) and t the other, the mean is
+    s exp(log1p(expm1(p log(t/s)) / 2) / p): p log(t/s) <= 0, so no power
+    overflows or underflows to a wrong mean at any exponent.  Ratios t/s
+    and factors exp(...) beyond the normal range go through logarithms.
+    """
     if a <= 0.0 or b <= 0.0:
         raise PreconditionError("scalar power mean needs positive arguments")
     p = normalize_exponent(p)
     if p == 0.0:
         return math.exp(0.5 * math.log(a) + 0.5 * math.log(b))
-    return (0.5 * a**p + 0.5 * b**p) ** (1.0 / p)
+    t, s = sorted((a, b), reverse=p < 0.0)
+    ratio = t / s
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(t) - math.log(s)
+    y = math.log1p(0.5 * math.expm1(p * log_ratio)) / p
+    return s * math.exp(y) if abs(y) < 700.0 else math.exp(math.log(s) + y)
 
 
 @functools.lru_cache(maxsize=64)
@@ -83,7 +98,8 @@ def _sums_against(dec_a):
 
 def _root(r: float, s: np.ndarray) -> np.ndarray:
     """The root stage of the r-mean: f^-1(S_r) (X^(1/r) or exp) of one sum
-    from :func:`_sums_against`, which is exactly symmetric."""
+    from :func:`_sums_against`, or of a unital map's phi(f(A)); either is
+    exactly symmetric."""
     return spectral_fun(_decompose(s), _functions(r)[1])
 
 
@@ -114,18 +130,10 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
     Bit for bit ``power_mean(q, a, b) - power_mean(p, a, b)``, with the
     q-mean evaluated first, so errors are those of that two-call form; equal
     normalized exponents take one mean.  The gap is exactly symmetric.
-    This is :func:`_gap_against` applied once; the counterexample search
-    prepares the fixed A of each theta walk once and applies it to every B.
+    A is validated before B; the counterexample search prepares the
+    :func:`_decomposed_gap` of each theta walk's fixed A once instead.
     """
-    return _gap_against(p, q, a)(b)
-
-
-def _gap_against(p: float, q: float, a):
-    """``b -> power_mean_gap(p, q, a, b)``, with A validated and decomposed
-    here, once, and each B validated and decomposed per call, before
-    :func:`_decomposed_gap` takes the pair."""
-    gap = _decomposed_gap(p, q, eig_sym(a))
-    return lambda b: gap(eig_sym(b))
+    return _decomposed_gap(p, q, eig_sym(a))(eig_sym(b))
 
 
 def _decomposed_gap(p: float, q: float, dec_a):
@@ -190,8 +198,7 @@ def _map_power_of(phi, p: float, dec) -> np.ndarray:
         raise DimensionMismatchError(
             "matrix dim %d does not match map input dim %d" % (n, phi.in_dim)
         )
-    f, inverse = _functions(p)
-    return spectral_fun(_decompose(phi.apply(spectral_fun(dec, f))), inverse)
+    return _root(p, phi.apply(spectral_fun(dec, _functions(p)[0])))
 
 
 def limit_slope_check(phi, a, p_sequence) -> np.ndarray:

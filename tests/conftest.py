@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 import sys
 
 import numpy as np
@@ -46,3 +49,25 @@ def count_calls(monkeypatch, fn, check=None):
         if name.split(".")[0] == "powmean" and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counted)
     return calls
+
+
+def blas_kernel() -> str:
+    """The name of the kernel numpy's bundled OpenBLAS runs: the one it picked
+    for this CPU ("SkylakeX" on AVX-512 hosts) or the one ``OPENBLAS_CORETYPE``
+    selects; "unknown" for a numpy without the bundled library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def assert_pinned(digest: str, pins: dict) -> None:
+    """Assert ``digest`` equals the one recorded in ``pins`` for the running
+    BLAS kernel (test helper).  Kernels differ in how numpy's small matmuls
+    round, so each keeps one exact digest; a kernel with none fails."""
+    kernel = blas_kernel()
+    if kernel not in pins:
+        pytest.fail("no digest recorded for BLAS kernel %s; this run gives %s" % (kernel, digest))
+    assert digest == pins[kernel], "BLAS kernel %s" % kernel

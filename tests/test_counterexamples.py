@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import powmean.counterexamples as ce
-from powmean.means import _gap_against
+from powmean.means import _decomposed_gap
 from powmean import (
     CHOI_MATRIX,
     Case,
@@ -25,6 +25,7 @@ from powmean import (
     classify,
     core,
     det_coeff_power_pair,
+    eig_sym,
     find_counterexample,
     in_sufficient_region,
     pd_rotation_pair,
@@ -35,7 +36,7 @@ from powmean import (
     scalar_power_mean,
 )
 
-from conftest import count_calls
+from conftest import assert_pinned, count_calls
 
 
 def _independent_check(witness):
@@ -237,8 +238,9 @@ def _gap_min_eigenvalue_80_digits(witness):
         return min(mpmath.eigsy((gap + gap.T) / 2)[0])
 
 
-@pytest.mark.xfail(strict=True, reason="the small eigenvalue of (A^q + B^q)/2 is "
-                   "rounding noise at theta <= 1.2e-5, and 1/q amplifies it")
+@pytest.mark.xfail(strict=True, reason="PSD_FLOOR's clamp in core._spectrum_values "
+                   "sends the accurate small eigenvalue of (A^q + B^q)/2, below "
+                   "1e-10 of its largest, to 0 before the 1/q root")
 @pytest.mark.parametrize("p,q", [(0.4522959785774172, 2.9050183317942757),
                                  (-0.9464167002216444, 2.8631592556529846)])
 def test_direct_pd_rotation_witness_is_true_or_uncertified(p, q):
@@ -339,7 +341,11 @@ def test_witness_bits_pinned():
                 break
         words += _witness_words(p, q)
     digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
-    assert digest == "c0aacb2ac47389ffc861156e1ec00af79307092717cd4da59fa678a6f1115334"
+    assert_pinned(digest, {
+        "SkylakeX": "c0aacb2ac47389ffc861156e1ec00af79307092717cd4da59fa678a6f1115334",
+        "Haswell": "c0aacb2ac47389ffc861156e1ec00af79307092717cd4da59fa678a6f1115334",
+        "Sandybridge": "6976d0b90bb6df23d3bc4d7b3e5735c0bfa3742c188f1769ad8c21a7a5bc937b",
+    })
 
 
 def test_coefficient_guidance_becomes_and_stays_negative():
@@ -370,7 +376,7 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
             stopped = ended
             for j, theta in enumerate(ce._THETA_SCHEDULE):
                 try:
-                    ce._certify(_gap_against(*exponents, a), b_at(theta))
+                    ce._certify(_decomposed_gap(*exponents, eig_sym(a)), b_at(theta))
                     fails = False
                 except DomainError:
                     fails = True
@@ -402,15 +408,40 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     w = find_counterexample(0.25, 2.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
-    gap = _gap_against(w.p, w.q, w.a)
+    gap = _decomposed_gap(w.p, w.q, eig_sym(w.a))
     # a walk's A is validated and decomposed once
     assert (len(guards), len(decompositions)) == (1, 1)
     for _ in range(2):
         lam, vec = ce._certify(gap, w.b)
         assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
-    # each candidate's B is validated; it, the root of each mean and the gap
-    # are decomposed, the last three as the library built them
-    assert (len(guards), len(decompositions)) == (1 + 2 * 1, 1 + 2 * 4)
+    # the library built each candidate's B, so _certify validates nothing; B,
+    # the root of each mean and the gap are decomposed as they were built
+    assert (len(guards), len(decompositions)) == (1, 1 + 2 * 4)
+
+
+#: One pair per label, as the CI's counterexample step runs them.
+_LABEL_PAIRS = [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.8),
+                (-0.8, -0.6), (2.0, 1.0), (600.0, 1.0), (1.0, -600.0)]
+
+
+@pytest.mark.parametrize("p, q", _LABEL_PAIRS)
+def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
+    # A rotated B_t is validated once, by _rotated; a projection or c I is
+    # never validated.  Every other validation is of a walk's A, once each.
+    symmetrize = core.symmetrize
+    candidates = []
+    certify = ce._certify
+    monkeypatch.setattr(ce, "_certify", lambda gap, b: candidates.append(b) or certify(gap, b))
+    prepared = count_calls(monkeypatch, ce._decomposed_gap)
+    guards = count_calls(monkeypatch, core.symmetrize)
+    find_counterexample(p, q)
+    validated = [symmetrize(*args) for args in guards]
+    label = classify(p, q)
+    rotated = label.case in (Case.PD_ROTATION, Case.LOG_EUCLIDEAN) or (
+        label.case is Case.RANK_ONE and label.via_dual)
+    per_candidate = [sum(np.array_equal(v, b) for v in validated) for b in candidates]
+    assert candidates and per_candidate == [int(rotated)] * len(candidates)
+    assert len(guards) == len(prepared) + sum(per_candidate)
 
 
 def test_search_prepares_each_walks_a_once(monkeypatch):
