@@ -145,18 +145,17 @@ def cmd_scan(args) -> int:
             label = classify(p, q)
             seed = _cell_seed(args.seed, pi, qi)
             witness = None
-            if label.case is Case.IN_REGION:
-                passed, detail = fuzz_point(p, q, args.trials, seed)
-                verdict = "fuzz-pass" if passed else "in-region"
-                consistent &= passed
-            else:
-                try:
-                    witness = find_counterexample(p, q)
-                except PowerMeanError as exc:
-                    verdict, detail = "uncertified", type(exc).__name__
-                    consistent = False
+            try:
+                if label.case is Case.IN_REGION:
+                    passed, detail = fuzz_point(p, q, args.trials, seed)
+                    verdict = "fuzz-pass" if passed else "in-region"
+                    consistent &= passed
                 else:
+                    witness = find_counterexample(p, q)
                     verdict, detail = _witness_verdict(label), witness.neg_eigenvalue
+            except PowerMeanError as exc:
+                verdict, detail = "uncertified", type(exc).__name__
+                consistent = False
             rows.append(_csv_row(p, q, label, verdict, detail, witness, seed))
     if not _write_csv(args.out, rows):
         return 1

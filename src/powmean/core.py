@@ -341,10 +341,11 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
         ends = ((row[0], row[-1]),)
     else:
         ends = zip(eigs[:, 0].tolist(), eigs[:, -1].tolist())
-    clamp = False
+    clamp, floors = False, []
     for lo, hi in ends:
         # Each row ascends (NaN sorts last), so its ends hold its largest |value|.
         floor = PSD_FLOOR * max(abs(hi), abs(lo))
+        floors.append(floor)
         if lo <= floor:
             if log:
                 raise DomainError("log needs eigenvalues > %.3e, smallest is %.3e" % (floor, lo))
@@ -360,11 +361,7 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
     if clamp:
         # eigenvalues inside the floor are true zeros up to rounding; mapping
         # their junk magnitude through a fractional power would inflate it.
-        # A stack takes the loop's floors again, row by row (abs and max
-        # round nothing).
-        if eigs.ndim > 1:
-            floor = PSD_FLOOR * np.maximum(np.abs(eigs[:, -1:]), np.abs(eigs[:, :1]))
-        eigs = np.where(eigs <= floor, 0.0, eigs)
+        eigs = np.where(eigs <= np.reshape(floors, eigs.shape[:-1] + (1,)), 0.0, eigs)
     return eigs**r
 
 

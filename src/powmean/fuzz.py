@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (SpectralDecomposition, _order_verdict, _random_pd_spectra, eig_sym,
-                   loewner_leq, mat_fun, random_pd, spectral_fun)
+                   mat_fun, random_pd, spectral_fun)
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
-from .means import _gap, _limit_deviations, _map_power_of, _power_sums, power_mean
+from .means import _gap, _limit_deviations, _map_sum, _power_sums, power_mean
 from .region import in_sufficient_region
 
 _SPREADS = (2.0, 5.0, 10.0)
@@ -60,9 +60,10 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
 
 
 def order_margin(p, q, s_q, s_p):
-    """Margin and raw smallest eigenvalue of the check M_p(A, B) <= M_q(A, B),
-    for A and B given by the sum stages S_q and S_p of their means
-    (:func:`~powmean.means._power_sums`); S_p is read only at unequal
+    """Margin and raw smallest eigenvalue of the order check M_p <= M_q, for
+    means given by their sum stages S_q and S_p: f(A)/2 + f(B)/2 for M_r(A, B)
+    (:func:`~powmean.means._power_sums`) or phi(f(A)) for phi(A^r)^(1/r)
+    (:func:`~powmean.means._map_sum`).  S_p is read only at unequal
     normalized exponents.
 
     The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|) for D = M_q - M_p,
@@ -162,9 +163,10 @@ def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
     """Order preservation under random unital CP maps with a 2x2 domain.
 
     For every unital positive map with 2-dimensional domain the inequality
-    phi(A^p)^(1/p) <= phi(A^q)^(1/q) holds for all p <= q; the affine fast
-    path for phi(A^p) must also match the direct route.  ``worst`` is the
-    smallest order margin; an affine mismatch counts only as a failure.
+    phi(A^p)^(1/p) <= phi(A^q)^(1/q) holds for all p <= q, judged by
+    :func:`order_margin` on the map sums phi(f(A)); the affine fast path for
+    phi(A^p) must also match the direct route.  ``worst`` is the smallest
+    order margin; an affine mismatch counts only as a failure.
     """
     rng = _spawn(seed, 2)
     report = FuzzReport("map-order", trials)
@@ -173,12 +175,11 @@ def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
         phi = random_kraus_map(2, out_dim, int(rng.integers(2**63)))
         a = random_pd(2, int(rng.integers(2**63)), 10.0)
         p, q = _sample_exponent_pair(rng)
-        # One decomposition of A serves both powers and the direct route;
+        # One decomposition of A serves both map sums and the direct route;
         # random_kraus_map returns only maps kraus_map checked as unital.
         dec = eig_sym(a)
-        verdict = loewner_leq(_map_power_of(phi, p, dec), _map_power_of(phi, q, dec))
-        note = "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, verdict.min_eigenvalue)
-        report.record(verdict.margin, note)
+        margin, lam = order_margin(p, q, _map_sum(phi, q, dec), _map_sum(phi, p, dec))
+        report.record(margin, "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, lam))
         direct = phi.apply(spectral_fun(dec, Power(p)))
         affine = apply_power_affine_2x2(phi, p, a)
         gap = float(np.abs(affine - direct).max())

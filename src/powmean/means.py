@@ -98,8 +98,8 @@ def _sums_against(dec_a):
 
 def _root(r: float, s: np.ndarray) -> np.ndarray:
     """The root stage of the r-mean: f^-1(S_r) (X^(1/r) or exp) of one sum
-    from :func:`_sums_against`, or of a unital map's phi(f(A)); either is
-    exactly symmetric."""
+    from :func:`_sums_against`, or of a map sum phi(f(A)) from
+    :func:`_map_sum`; either is exactly symmetric."""
     return spectral_fun(_decompose(s), _functions(r)[1])
 
 
@@ -179,26 +179,26 @@ def map_power(phi, p: float, a) -> np.ndarray:
         If phi(A^p) is not positive definite above ``core.PSD_FLOOR``, which
         signals a non-positive map.
     """
-    return _map_power_of(phi, p, _unital_decomposition(phi, a))
+    return _root(p, _map_sum(phi, p, _unital_decomposition(phi, a)))
 
 
 def _unital_decomposition(phi, a):
-    """``eig_sym(a)`` once ``phi`` is checked unital, for map powers to share."""
+    """``eig_sym(a)``, once ``phi`` is checked unital and A fits its input, for map sums."""
     if not phi.is_unital():
         raise NotUnitalError("map_power requires a unital map")
-    return eig_sym(a)
-
-
-def _map_power_of(phi, p: float, dec) -> np.ndarray:
-    """:func:`map_power` of A given as its decomposition ``dec`` by
-    :func:`~powmean.core.eig_sym`, for a map already known to be unital;
-    several exponents can share one decomposition."""
+    dec = eig_sym(a)
     n = dec.basis.shape[0]
     if n != phi.in_dim:
         raise DimensionMismatchError(
             "matrix dim %d does not match map input dim %d" % (n, phi.in_dim)
         )
-    return _root(p, phi.apply(spectral_fun(dec, _functions(p)[0])))
+    return dec
+
+
+def _map_sum(phi, r: float, dec) -> np.ndarray:
+    """phi(f(A)), f = X^r or log: the sum stage of the map r-mean, which
+    :func:`_root` completes; A is given by :func:`_unital_decomposition`."""
+    return phi.apply(spectral_fun(dec, _functions(r)[0]))
 
 
 def limit_slope_check(phi, a, p_sequence) -> np.ndarray:
@@ -220,5 +220,5 @@ def _limit_deviations(phi, a, ps):
     """``map_power(phi, 0, a)`` and the deviations of :func:`limit_slope_check`
     along valid ``ps``, from one unital check and one decomposition of A."""
     dec = _unital_decomposition(phi, a)
-    base = _map_power_of(phi, 0.0, dec)
-    return base, np.array([float(np.abs(_map_power_of(phi, p, dec) - base).max()) for p in ps])
+    base, *means = (_root(r, _map_sum(phi, r, dec)) for r in (0.0, *ps))
+    return base, np.array([float(np.abs(m - base).max()) for m in means])
