@@ -29,8 +29,8 @@ from .counterexamples import (
     pd_rotation_difference,
     rank_one_difference,
 )
-from .errors import (DegenerateFrameError, DomainError, InRegionError, PowerMeanError,
-                     PreconditionError)
+from .errors import (DegenerateFrameError, DomainError, InRegionError, NonConvergenceError,
+                     PowerMeanError, PreconditionError)
 from .expansions import (
     det_coeff_log_pair,
     det_coeff_power_pair,
@@ -47,6 +47,9 @@ _CHOI_POWERS = (-2.0, -0.5, 0.5, 1.5, 3.0)
 #: Most cells a scan grid may have: far above the 0.1-step default grid's
 #: 1,681, far below a grid whose values alone would exhaust memory.
 _MAX_SCAN_CELLS = 1_000_000
+#: Most random pairs per in-region cell: a cell draws all of a dimension's
+#: pairs at once, about 0.75 KB a trial at dimension 3, so about 75 MB here.
+_MAX_SCAN_TRIALS = 100_000
 
 
 def _fmt(value) -> str:
@@ -129,6 +132,8 @@ def cmd_scan(args) -> int:
         _usage_error("--step must be positive")
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
+    if args.trials > _MAX_SCAN_TRIALS:
+        _usage_error("--trials must be at most %d" % _MAX_SCAN_TRIALS)
     if args.pmin > args.pmax:
         _usage_error("--pmin must not exceed --pmax")
     if args.qmin > args.qmax:
@@ -240,6 +245,9 @@ def cmd_verify_lemma(args) -> int:
     except (DomainError, PreconditionError) as exc:
         print("parameters outside the %s family: %s" % (args.family, exc), file=sys.stderr)
         return 2
+    except NonConvergenceError as exc:
+        print("the oracle did not converge: %s" % exc, file=sys.stderr)
+        return 1
     gap = abs(closed - oracle.value)
     bound = _LEMMA_GAP_BOUND * (1.0 + abs(closed))
     print("closed form:   %s" % _fmt(closed))

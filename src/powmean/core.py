@@ -361,7 +361,9 @@ def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:
     if clamp:
         # eigenvalues inside the floor are true zeros up to rounding; mapping
         # their junk magnitude through a fractional power would inflate it.
-        eigs = np.where(eigs <= np.reshape(floors, eigs.shape[:-1] + (1,)), 0.0, eigs)
+        if eigs.ndim > 1:
+            floor = np.array(floors)[:, None]
+        eigs = np.where(eigs <= floor, 0.0, eigs)
     return eigs**r
 
 

@@ -208,6 +208,7 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
     raise SearchExhaustedError(exhausted)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_counterexample(p: float, q: float) -> Witness:
     """Dispatch an exponent pair to its family and certify a witness.
 
@@ -223,6 +224,8 @@ def find_counterexample(p: float, q: float) -> Witness:
     The pair is classified and searched as given.  Only the means snap an
     exponent near zero to 0, so a pair outside the region whose exponents
     both evaluate at 0 ends ``SearchExhaustedError``, never ``InRegionError``.
+    Numpy's overflow and invalid-value warnings are held back, so a mean that
+    overflows raises ``PreconditionError`` at the decomposition that reads it.
     """
     label = classify(p, q)
     if label.case is Case.IN_REGION:

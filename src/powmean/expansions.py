@@ -23,6 +23,7 @@ stay as general tools, and as an independent route to the entries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -184,29 +185,39 @@ def _terms(r: float | None, x: float, y: float) -> _Terms:
 
     Raises ``DegenerateFrameError`` where the denominators degenerate:
     x^r + y^r - 2 within ``CONFLUENT_GAP`` of |x^r - 1| + |y^r - 1|, or xy too
-    close to 1 in the limit.
+    close to 1 in the limit; ``PreconditionError`` where a power or xy leaves
+    the float range.
     """
     if r == 0.0:
         raise PreconditionError("power frame needs a nonzero exponent")
     if x <= 0.0 or y <= 0.0:
         raise PreconditionError("x and y must be positive")
     if r is None:
+        if x * y == 0.0:
+            raise PreconditionError("x * y underflows to 0")
         lxy = math.log(x * y)
         if abs(lxy) <= _LOG_XY_GAP:
             raise DegenerateFrameError("x * y is too close to 1")
         ly = math.log(y)
         return _Terms(math.sqrt(x * y), -math.log(x) * ly / lxy, ly / lxy)
-    xr, yr = x**r, y**r
-    dx, dy = _minus_one(xr, x, r), _minus_one(yr, y, r)
-    e = dx + dy  # x^r + y^r - 2, keeping its digits where it cancels
-    if abs(e) <= CONFLUENT_GAP * (abs(dx) + abs(dy)):
-        raise DegenerateFrameError("x^p + y^p is too close to 2")
-    if abs(e) < 1.0:
-        m = math.exp(math.log1p(0.5 * e) / r)
-    else:  # nothing cancels, and the direct forms round fewer times
-        e = (xr + yr) - 2.0
-        m = ((xr + yr) / 2.0) ** (1.0 / r)
-    return _Terms(m, -dx * dy / (r * e), dy / e)
+    try:
+        xr, yr = x**r, y**r
+        dx, dy = _minus_one(xr, x, r), _minus_one(yr, y, r)
+        e = dx + dy  # x^r + y^r - 2, keeping its digits where it cancels
+        if abs(e) <= CONFLUENT_GAP * (abs(dx) + abs(dy)):
+            raise DegenerateFrameError("x^p + y^p is too close to 2")
+        if abs(e) < 1.0:
+            m = math.exp(math.log1p(0.5 * e) / r)
+        else:  # nothing cancels, and the direct forms round fewer times
+            e = (xr + yr) - 2.0
+            m = ((xr + yr) / 2.0) ** (1.0 / r)
+    except (OverflowError, ZeroDivisionError):  # x^r past the range; m = 0^(1/r), r < 0
+        raise PreconditionError("a power of x or y leaves the float range at r = %g" % r) from None
+    if abs(r * e) >= sys.float_info.min:
+        c = -dx * dy / (r * e)
+    else:  # below |r| ~ 1e-154 the product underflows; the quotients do not
+        c = -(dx / r) * (dy / e)
+    return _Terms(m, c, dy / e)
 
 
 def _minus_one(xr: float, x: float, r: float) -> float:

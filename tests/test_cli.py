@@ -177,6 +177,10 @@ def test_non_finite_numeric_option_is_usage_error(argv, tmp_path, capsys):
     (["--family", "log-euclidean", "--q", "2", "--x", "0.5", "--y", "0"], "must be positive"),
     (["--family", "pd-rotation", "--p", "0", "--q", "2", "--x", "0.5", "--y", "0.25"],
      "nonzero exponent"),
+    (["--family", "log-euclidean", "--q=-1e308", "--x", "0.5", "--y", "0.25"],
+     "a power of x or y leaves the float range at r = -1e+308"),
+    (["--family", "log-euclidean", "--q", "2", "--x", "1e-200", "--y", "1e-200"],
+     "x * y underflows to 0"),
 ])
 def test_verify_lemma_outside_family_domain_is_usage_error(argv, reason, capsys):
     assert main(["verify-lemma", *argv]) == 2
@@ -257,7 +261,9 @@ _UNCERTIFIED = [((-0.987, -0.92), "SearchExhaustedError"),
                 # outside the region as given, with both exponents evaluated
                 # at 0 (5.55e-17 is the grid value -0.3 + 3 * 0.1)
                 ((-5e-9, 5e-9), "SearchExhaustedError"),
-                ((5.551115123125783e-17, 0.0), "SearchExhaustedError")]
+                ((5.551115123125783e-17, 0.0), "SearchExhaustedError"),
+                # the q-mean overflows
+                ((0.4, 1e308), "PreconditionError")]
 
 
 @pytest.mark.parametrize("pair,reason", _UNCERTIFIED)
@@ -279,6 +285,57 @@ def test_counterexample_uncertified_exit(pair, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "uncertified: %s" % reason in captured.err
+
+
+def test_in_region_cell_whose_check_raises_is_uncertified(tmp_path, capsys):
+    # x^400 overflows the sums of the order check, as in an out-of-region
+    # cell's search; the row is written and the scan goes on
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--pmin", "400", "--pmax", "400", "--qmin", "400", "--qmax", "400",
+                 "--step", "1", "--trials", "2", "--out", str(out)]) == 1
+    assert "INCONSISTENT" in capsys.readouterr().out
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[2:5] == ["in-region", "uncertified", "PreconditionError"]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,code,stream,message", [
+    (["scan", "--trials", "0"], 2, "err", "--trials must be at least 1\n"),
+    # rejected before any pair is drawn
+    (["scan", "--trials", "100001"], 2, "err", "--trials must be at most 100000\n"),
+    (["scan", "--trials", "20000000"], 2, "err", "--trials must be at most 100000\n"),
+    (["scan", "--pmin", "1", "--pmax", "1", "--qmin", "0.5", "--qmax", "0.5", "--out", "{dir}"],
+     1, "err", "cannot write {dir}: [Errno 21] Is a directory: '{dir}'\n"),
+    (["counterexample", "--p", "1", "--q", "0.5", "--out", "{dir}"],
+     1, "err", "cannot write {dir}: [Errno 21] Is a directory: '{dir}'\n"),
+    (["verify-lemma", "--family", "log-euclidean", "--q", "2", "--x", "0.25", "--y", "0.0625"],
+     0, "out", "closed form:   0.0031046546557321128\n"),
+    (["verify-lemma", "--family", "pd-rotation", "--p=-1.4", "--q", "2.9", "--x", "0.01",
+      "--y", "0.0001"], 1, "err",
+     "the oracle did not converge: extrapolants disagree by 1.031e-01 at value 1.495773e+00\n"),
+])
+def test_cli_exit_paths(argv, code, stream, message, tmp_path, capsys):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert _exit_code(argv) == code
+    text = getattr(capsys.readouterr(), stream)
+    assert message.format(dir=tmp_path) in text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("p,q,evaluated", [("5e-324", "1", "p = 0, q = 1"),
+                                          ("-1e-300", "0.3", "p = 0, q = 0.29999999999999999"),
+                                          ("-0.5", "-1e-300", "p = -0.5, q = 0")])
+def test_counterexample_at_tiny_exponents_certifies(p, q, evaluated, capsys):
+    assert main(["counterexample", "--p", p, "--q", q]) == 0
+    out = capsys.readouterr().out
+    assert "\nevaluated at: %s\n" % evaluated in out
+    assert "negative eigenvalue of M_q - M_p: -" in out
 
 
 def test_negative_exponent_notation_reads_as_a_value(capsys):

@@ -514,12 +514,15 @@ def test_stacked_spectral_fun_matches_single_calls_bitwise(dim, f):
     if dim > 1 and isinstance(f, Power) and f.exponent > 0.0:
         # one row with its smallest eigenvalue inside the PSD floor, one
         # just below zero within it; the others outside, one of them just
-        # above its own floor but below the floor of a row 1e4 times larger
+        # above its own floor but below the floor of a row 1e4 times larger,
+        # whose smallest is inside its own floor and above every other
+        # row's, so each row must be clamped at its own floor
         floored = vals.copy()
         floored[2, 0] = 1e-3 * core.PSD_FLOOR * floored[2, -1]
         floored[4, 0] = -1e-3 * core.PSD_FLOOR * floored[4, -1]
         floored[5, 0] = 2.0 * core.PSD_FLOOR * floored[5, -1]
         floored[6] *= 1e4
+        floored[6, 0] = 0.5 * core.PSD_FLOOR * floored[6, -1]
         stacks.append((floored, bases))
     for v, b in stacks:
         got = core.spectral_fun(core.SpectralDecomposition(v, b), f)
@@ -576,6 +579,25 @@ def test_unitary_covariance(rng):
         lhs = mat_fun(symmetrize(u @ m @ u.T), f)
         rhs = u @ mat_fun(m, f) @ u.T
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1.0 + np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("call,expected", [
+    # the scalar tags at the edges of their domains
+    (lambda: Power(0.5)(0.0), 0.0),
+    (lambda: Power(0.0)(0.0), 1.0),
+    (lambda: Power(0.5)(-1.0), (DomainError, "fractional power 0.5 undefined at -1")),
+    (lambda: LOG.deriv(0.0), (DomainError, "log derivative undefined at 0")),
+    # a spectral function takes only the three tags
+    (lambda: mat_fun(np.eye(2), "sqrt"), (TypeError, "unsupported scalar function tag: 'sqrt'")),
+])
+def test_scalar_function_edges(call, expected):
+    if isinstance(expected, float):
+        assert call() == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from powmean import (
     eig_sym,
     find_counterexample,
     in_sufficient_region,
+    normalize_exponent,
     pd_rotation_pair,
     plane_rotation,
     power_mean,
@@ -310,6 +311,36 @@ def test_scalar_gap_below_the_tolerance_is_uncertified(p, q, at):
     with pytest.raises(SearchExhaustedError) as info:
         find_counterexample(p, q)
     assert str(info.value) == "scalar gap did not certify at " + at
+
+
+@pytest.mark.parametrize("p,q", [(5e-324, 1.0), (-1e-300, 0.3), (-0.5, -1e-300)])
+def test_search_guided_at_tiny_exponents_certifies(p, q):
+    # r * e underflows at an exponent this small, yet the walk's coefficient
+    # still guides the search; the witness is one for the snapped pair.
+    witness = find_counterexample(p, q)
+    assert (witness.p, witness.q) == (normalize_exponent(p), normalize_exponent(q))
+    _assert_certified(witness)
+
+
+def _scalar_mean_off(monkeypatch):
+    monkeypatch.setattr(ce, "scalar_power_mean", lambda p, a, b: 1.0)
+    return find_counterexample(2.0, 1.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda mp: pd_rotation_pair(0.0, 0.25, 0.1), PreconditionError,
+     "x and y must be positive"),
+    # the scalar witness is checked against the scalar mean
+    (_scalar_mean_off, SearchExhaustedError,
+     "scalar witness inconsistent with the scalar mean"),
+    # the q-mean overflows; it raises where it is decomposed, with no warning
+    (lambda mp: find_counterexample(0.4, 1e308), PreconditionError,
+     "matrix entries must be finite"),
+])
+def test_search_error_paths(call, error, message, monkeypatch):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert str(info.value) == message
 
 
 def _witness_words(p, q):

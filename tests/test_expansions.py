@@ -38,6 +38,7 @@ from powmean import (
     power_mean,
     random_pd,
     rank_one_difference,
+    rank_one_remainder_orders,
 )
 from powmean import core
 
@@ -358,6 +359,16 @@ def test_power_pair_evaluates_at_a_walk_point_near_zero():
     assert abs(got - log_val) <= 2e-7 * abs(log_val)
 
 
+@pytest.mark.parametrize("r", [1e-150, -1e-150, 1e-300, -1e-300])
+def test_power_pair_meets_the_log_limit_at_tiny_exponents(r):
+    # r (x^r + y^r - 2) is about 8e-300 at |r| = 1e-150, a normal float, and
+    # underflows to 0 at 1e-300, where c_r is formed from two quotients
+    # instead; either way the terms meet the log limit to rounding.
+    got = det_coeff_power_pair(r, 2.0, 2.0**-4, 2.0**-8).total
+    log_val = det_coeff_log_pair(2.0, 2.0**-4, 2.0**-8).total
+    assert abs(got - log_val) <= 1e-12 * abs(log_val)
+
+
 def _coeff_words(fn, *args):
     """float.hex words of a breakdown, or the error's type and message.
     Adding 0.0 folds the sign of a zero, which nothing reads."""
@@ -444,6 +455,14 @@ def test_det_coeff_values_pinned(group):
      "x * y is too close to 1"),
     (det_coeff_log_pair, (0.0, -4.0, 0.25), PreconditionError,
      "x and y must be positive"),
+    # powers and products beyond the float range
+    (det_coeff_log_pair, (-1e308, 0.5, 0.25), PreconditionError,
+     "a power of x or y leaves the float range at r = -1e+308"),
+    (det_coeff_power_pair, (0.5, 2.0, 1e300, 1e300), PreconditionError,
+     "a power of x or y leaves the float range at r = 2"),
+    (det_coeff_power_pair, (-1.3, -1e47, 1e254, 1e71), PreconditionError,
+     "a power of x or y leaves the float range at r = -1e+47"),
+    (det_coeff_log_pair, (2.0, 1e-200, 1e-200), PreconditionError, "x * y underflows to 0"),
 ])
 def test_det_coeff_errors(fn, args, error, message):
     with pytest.raises(PowerMeanError) as info:
@@ -551,3 +570,19 @@ def test_log_pair_statement_adjudicated_against_variant_grouping():
     assert abs(variant - oracle) > 10.0 * bound
     limit = det_coeff_power_pair(1e-6, q, x, y).total
     assert abs(statement - limit) <= 1e-3 * (1.0 + abs(statement))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: frechet_d1(LOG, np.eye(2), np.eye(3)), PreconditionError,
+     "base and direction need equal dimensions"),
+    (lambda: frechet_d2(LOG, np.eye(2), np.eye(2), np.eye(3)), PreconditionError,
+     "base and directions need equal dimensions"),
+    (lambda: rank_one_remainder_orders(0.5, 1.5), DomainError,
+     "rank-one remainder orders need p, q in (0, 1)"),
+    (lambda: numeric_det_coeff(lambda t: np.eye(3)), PreconditionError,
+     "difference_at must return a 2x2 matrix"),
+])
+def test_expansion_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

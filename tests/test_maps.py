@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from powmean import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotUnitalError,
     Power,
@@ -236,3 +237,22 @@ def test_order_preserved_by_maps_with_2x2_domain():
             map_power(phi, v, a),
         )
         assert verdict.holds
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: identity_map(2).apply(np.eye(3)), DimensionMismatchError,
+     "map expects 2x2 input, got (3, 3)"),
+    (lambda: random_kraus_map(0, 2, 1), PreconditionError, "map dimensions must lie in 1..8"),
+    (lambda: kraus_map([]), PreconditionError, "kraus_map needs at least one factor"),
+    (lambda: kraus_map([np.eye(2), np.eye(3)]), DimensionMismatchError,
+     "kraus factors must share one shape"),
+    (lambda: block_average(5), PreconditionError, "block size must lie in 1..4"),
+    (lambda: rotated_pinch((0,), (1, 2), 0.1), PreconditionError,
+     "rotated_pinch needs index pairs of size 2"),
+    (lambda: apply_power_affine_2x2(random_kraus_map(3, 2, 1), 0.5, np.eye(3)),
+     DimensionMismatchError, "affine route needs a 2x2 domain"),
+])
+def test_map_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

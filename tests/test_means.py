@@ -24,6 +24,7 @@ from powmean import (
     frechet_d2,
     identity_map,
     limit_slope_check,
+    loewner_leq,
     map_power,
     mat_fun,
     normalize_exponent,
@@ -375,6 +376,23 @@ def test_map_order_worst_margin_comes_only_from_order_verdicts(monkeypatch):
     assert report.worst == clean.worst
 
 
+def test_map_order_margins_are_loewner_margins_of_map_powers(monkeypatch):
+    # Each map-order trial's order_margin on its two map sums is the margin
+    # loewner_leq gives on the two map powers, bit for bit.
+    made = {name: [] for name in ("random_kraus_map", "random_pd", "_sample_exponent_pair",
+                                  "order_margin")}
+    for name, calls in made.items():
+        inner = getattr(fuzz, name)
+        monkeypatch.setattr(fuzz, name, lambda *args, inner=inner, calls=calls:
+                            calls.append(inner(*args)) or calls[-1])
+    trials = 30
+    fuzz.fuzz_map_order(trials, 7)
+    assert len(made["order_margin"]) == trials
+    for phi, a, (p, q), (margin, lam) in zip(*made.values()):
+        verdict = loewner_leq(map_power(phi, p, a), map_power(phi, q, a))
+        assert (margin, lam) == (verdict.margin, verdict.min_eigenvalue)
+
+
 def _ascending(vals, basis):
     order = np.argsort(vals, kind="stable")
     return core.SpectralDecomposition(vals[order], basis[:, order])
@@ -635,6 +653,31 @@ def test_map_power_requires_unital_map():
 def test_map_power_dimension_check():
     with pytest.raises(DimensionMismatchError):
         map_power(identity_map(2), 1.0, np.eye(3))
+
+
+_HALF = LinearMatrixMap(2, 2, 0.5 * np.eye(4), tag="general")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: scalar_power_mean(1.0, 0.0, 1.0), PreconditionError,
+     "scalar power mean needs positive arguments"),
+    # a map mean checks unitality, then validates A, then A's dimension,
+    # all before any exponent is read
+    (lambda: map_power(_HALF, np.nan, [[1.0, 1.0], [0.0, 1.0]]), NotUnitalError,
+     "map_power requires a unital map"),
+    (lambda: map_power(identity_map(3), np.nan, [[1.0, 1.0], [0.0, 1.0]]), PreconditionError,
+     "asymmetry 1.000e+00 exceeds the construction guard"),
+    (lambda: map_power(identity_map(2), np.nan, np.eye(3)), DimensionMismatchError,
+     "matrix dim 3 does not match map input dim 2"),
+    (lambda: map_power(identity_map(2), np.nan, np.eye(2)), PreconditionError,
+     "exponent must be finite"),
+    (lambda: limit_slope_check(identity_map(2), np.eye(3), [1e-2]), DimensionMismatchError,
+     "matrix dim 3 does not match map input dim 2"),
+])
+def test_mean_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
