@@ -6,13 +6,14 @@ counterexamples, CSV report), ``counterexample`` (single-pair witness dump),
 example), ``verify-lemma`` (closed-form coefficient vs extrapolation
 oracle), and ``fuzz`` (randomized property suites).
 
-Exit codes: 0 success, 1 inconsistency, uncertified pair or property
-failure, 2 usage error, 3 counterexample requested inside the sufficiency
-region, 4 degenerate expansion hypotheses.  The master seed, a non-negative
-integer, defaults to the POWMEAN_SEED environment variable.  No numerical
-threshold is an option: ``scan`` and ``counterexample`` certify through
-``find_counterexample`` at its fixed ``CERT_TOL`` (1e-12), and every order
-verdict of ``scan`` and ``fuzz`` uses the fixed ``core.ORDER_SLACK`` (1e-10).
+Exit codes: 0 success, 1 inconsistency, uncertified pair or cell, property
+failure or an oracle that does not converge, 2 usage error, 3 counterexample
+requested inside the sufficiency region, 4 degenerate expansion hypotheses.
+The master seed, a non-negative integer, defaults to the POWMEAN_SEED
+environment variable.  No numerical threshold is an option: ``scan`` and
+``counterexample`` certify through ``find_counterexample`` at its fixed
+``CERT_TOL`` (1e-12), and every order verdict of ``scan`` and ``fuzz`` uses
+the fixed ``core.ORDER_SLACK`` (1e-10).
 """
 
 from __future__ import annotations
