@@ -8,9 +8,9 @@ Loewner-order verdict that always carries a witness vector.
 :func:`eig_sym` validates a caller's matrix once, by :func:`symmetrize`,
 so callers that only decompose pass their matrices straight to it; those the
 library builds exactly symmetric (a mean's root, an order gap, a search
-candidate) skip the guard through :func:`_decompose`.  The solvers rely on
-exact symmetry: Jacobi keeps it through every rotation, computing each
-mirrored pair once.
+candidate) skip the guard through :func:`_decompose`, one matrix or a stack
+of them.  The solvers rely on exact symmetry: Jacobi keeps it through every
+rotation, computing each mirrored pair once.
 
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.
@@ -49,6 +49,7 @@ CONFLUENT_GAP = 1e-7
 #: lambda_min(D) + ORDER_SLACK * (1 + max|D|) >= 0.  It absorbs rounding
 #: only; the library, the fuzz and ``scan`` all read this one value.
 ORDER_SLACK = 1e-10
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class SpectralDecomposition(NamedTuple):
@@ -143,14 +144,14 @@ def _eig_1x1(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array([m[0, 0]]), np.ones((1, 1)))
 
 
-def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
-    a = float(m[0, 0])
-    b = float(m[0, 1])
-    d = float(m[1, 1])
+def _eig_2x2_row(a: float, b: float, d: float):
+    """The 2x2 closed form on the Python floats of [[a, b], [b, d]], for one
+    matrix or a stack's row: ascending eigenvalues and the basis rows, or
+    ``None`` where big^2 leaves the normal range (the caller rescales)."""
     if b == 0.0:
         if a <= d:
-            return SpectralDecomposition(np.array([a, d]), np.eye(2))
-        return SpectralDecomposition(np.array([d, a]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+            return [a, d], [[1.0, 0.0], [0.0, 1.0]]
+        return [d, a], [[0.0, 1.0], [1.0, 0.0]]
     half = 0.5 * (a - d)
     r = math.hypot(half, b)
     mid = 0.5 * (a + d)
@@ -158,7 +159,7 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     # other det / big, so neither cancels.  big^2 bounds det's products.
     big = mid + math.copysign(r, mid)
     if not sys.float_info.min <= big * big < math.inf:
-        return _rescaled(m, _eig_2x2)
+        return None
     other = (a * d - b * b) / big  # clamped below: rounding may cross big
     lo, hi = (min(other, big), big) if big > 0.0 else (big, max(other, big))
     # Cancellation-free eigenvector for the larger eigenvalue.
@@ -169,7 +170,15 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     nrm = math.hypot(ux, uy)
     c, s = ux / nrm, uy / nrm
     (x0, y0), (x1, y1) = _fix_sign(-s, c), _fix_sign(c, s)
-    return SpectralDecomposition(np.array([lo, hi]), np.array([[x0, x1], [y0, y1]]))
+    return [lo, hi], [[x0, x1], [y0, y1]]
+
+
+def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
+    (a, b), (_, d) = m.tolist()
+    done = _eig_2x2_row(a, b, d)
+    if done is None:
+        return _rescaled(m, _eig_2x2)
+    return SpectralDecomposition(np.array(done[0]), np.array(done[1]))
 
 
 def _jacobi_source(n: int) -> str:
@@ -258,27 +267,37 @@ def _jacobi_source(n: int) -> str:
 _JACOBI_SWEEPS: dict = {}
 
 
-def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
+def _jacobi_row(flat: list, n: int):
+    """Cyclic Jacobi on the Python floats of one n x n matrix, row-major in
+    ``flat``, for one matrix or a stack's row: ascending eigenvalues (a stable
+    sort, so ties keep their diagonal order) and the eigenvectors, the basis
+    columns, with their signs fixed; ``None`` where the squares overflow (the
+    caller rescales)."""
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
-    n = m.shape[0]
     sweeps = _JACOBI_SWEEPS.get(n)
     if sweeps is None:
         namespace = {"copysign": math.copysign, "sqrt": math.sqrt, "isfinite": math.isfinite,
                      "NonConvergenceError": NonConvergenceError}
         exec(compile(_jacobi_source(n), "<jacobi sweeps n=%d>" % n, "exec"), namespace)
         sweeps = _JACOBI_SWEEPS[n] = namespace["sweeps"]
-    done = sweeps(m.ravel().tolist(), _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
+    done = sweeps(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
+    if done is None:
+        return None
+    diag, vt = done
+    order = sorted(range(n), key=diag.__getitem__)
+    return [diag[i] for i in order], [_fix_sign(*vt[i]) for i in order]
+
+
+def _eig_jacobi(m: np.ndarray) -> SpectralDecomposition:
+    done = _jacobi_row(m.ravel().tolist(), m.shape[0])
     if done is None:
         # Entries above ~1e154 overflow the squares (an infinite threshold
         # would stop the sweeps after one pass), and near the top of the
         # range the rotations overflow too.
         return _rescaled(m, _eig_jacobi)
-    diag, vt = done
-    order = sorted(range(n), key=diag.__getitem__)  # stable: ties keep their diagonal order
-    basis = np.array([_fix_sign(*vt[i]) for i in order]).T
-    return SpectralDecomposition(np.array([diag[i] for i in order]), basis)
+    return SpectralDecomposition(np.array(done[0]), np.array(done[1]).T)
 
 
 def eig_sym(m) -> SpectralDecomposition:
@@ -312,7 +331,15 @@ def eig_sym(m) -> SpectralDecomposition:
 
 def _decompose(m: np.ndarray) -> SpectralDecomposition:
     """:func:`eig_sym` of ``m`` bitwise equal to its transpose: its own symmetric
-    part, so :func:`symmetrize` runs only to raise on a non-finite ``m + m``."""
+    part, so :func:`symmetrize` runs only to raise on a non-finite ``m + m``.
+
+    ``m`` may be an ``(N, n, n)`` stack of such matrices: the result is then
+    stacked, ``(N, n)`` eigenvalues and ``(N, n, n)`` bases, and row i has
+    the bits of ``_decompose(m[i])``; the first row whose call alone raises
+    raises that error.
+    """
+    if m.ndim == 3:
+        return _decompose_stack(m)
     if not all(map(math.isfinite, (m + m).flat)):
         symmetrize(m)  # raises
     n = m.shape[0]
@@ -321,6 +348,32 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
     if n == 2:
         return _eig_2x2(m)
     return _eig_jacobi(m)
+
+
+def _decompose_stack(m: np.ndarray) -> SpectralDecomposition:
+    """:func:`_decompose` of a stack: the solver of its dimension on each row,
+    read once as Python floats, and the results built as one array each."""
+    count, n = m.shape[:2]
+    # |x| <= max / 2 iff x + x is finite: the guard of a single call, per row.
+    guarded = (np.abs(m) <= _HALF_MAX).all(axis=(1, 2)).tolist()
+    if n == 1:
+        if not all(guarded):
+            _decompose(m[guarded.index(False)])  # raises
+        return SpectralDecomposition(m[:, 0].copy(), np.ones((count, 1, 1)))
+    vals, vecs = [], []
+    for i, (flat, ok) in enumerate(zip(m.reshape(count, n * n).tolist(), guarded)):
+        done = ok and (_eig_2x2_row(flat[0], flat[1], flat[3]) if n == 2 else _jacobi_row(flat, n))
+        if not done:
+            # The row raises, or takes _rescaled, as a single call.
+            dec = _decompose(m[i])
+            done = dec.eigenvalues.tolist(), (dec.basis if n == 2 else dec.basis.T).tolist()
+        vals.append(done[0])
+        vecs.append(done[1])
+    # Each basis keeps the memory order of a single call's (a Jacobi basis is
+    # a transposed array), so numpy's matmul rounds a stack's rows alike.
+    vecs = np.array(vecs).reshape(count, n, n)
+    return SpectralDecomposition(np.array(vals).reshape(count, n),
+                                 vecs if n == 2 else vecs.transpose(0, 2, 1))
 
 
 def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:

@@ -238,7 +238,11 @@ def _alpha(t: _Terms, r: float) -> ExpansionCoefficients:
     log limit); c_r m_r / s_r with s_r = x^r + y^r is c_r m_r^(1-r) / 2."""
     w = 1.0 - t.m
     a2w = t.a**2 * w
-    return ExpansionCoefficients(-0.5 * t.c - a2w, t.a * w, 0.5 * t.c * t.m ** (1.0 - r) + a2w)
+    try:
+        mr = t.m ** (1.0 - r)
+    except (OverflowError, ZeroDivisionError):  # m_r^(1-r) past the range; m_r = 0, r > 1
+        raise PreconditionError("m_r^(1 - r) leaves the float range at r = %g" % r) from None
+    return ExpansionCoefficients(-0.5 * t.c - a2w, t.a * w, 0.5 * t.c * mr + a2w)
 
 
 def alpha_power(p: float, x: float, y: float) -> ExpansionCoefficients:
@@ -250,7 +254,8 @@ def alpha_power(p: float, x: float, y: float) -> ExpansionCoefficients:
         alpha11 = -c_p/2 - a_p^2 w_p,  alpha12 = a_p w_p,
         alpha22 = c_p m_p / s_p + a_p^2 w_p.
 
-    Raises ``DegenerateFrameError`` when s_p is too close to 2.
+    Raises ``DegenerateFrameError`` when s_p is too close to 2, and
+    ``PreconditionError`` where a power of x, y or m_p leaves the float range.
     """
     return _alpha(_terms(p, x, y), p)
 

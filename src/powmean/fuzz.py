@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (SpectralDecomposition, _order_verdict, _random_pd_spectra, eig_sym,
                    mat_fun, random_pd, spectral_fun)
+from .errors import PowerMeanError
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import _gap, _limit_deviations, _map_sum, _power_sums, power_mean
@@ -59,20 +60,18 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def order_margin(p, q, s_q, s_p):
-    """Margin and raw smallest eigenvalue of the order check M_p <= M_q, for
-    means given by their sum stages S_q and S_p: f(A)/2 + f(B)/2 for M_r(A, B)
-    (:func:`~powmean.means._power_sums`) or phi(f(A)) for phi(A^r)^(1/r)
-    (:func:`~powmean.means._map_sum`).  S_p is read only at unequal
-    normalized exponents.
+def order_margin(d):
+    """Margin and raw smallest eigenvalue of one order check M_p <= M_q, on
+    its gap D = M_q - M_p (exactly symmetric, as :func:`~powmean.means._gap`
+    builds it from the sums of the means).
 
-    The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|) for D = M_q - M_p,
-    the rule of :func:`~powmean.core.loewner_leq` with the fixed
-    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  A check
-    decomposes each sum for its root and D, so three matrices (two at equal
-    normalized exponents), and validates none.
+    The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|), the rule of
+    :func:`~powmean.core.loewner_leq` with the fixed
+    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  It
+    decomposes D once and validates nothing.  Every check of the fuzz suites
+    and of ``scan`` makes one call.
     """
-    verdict = _order_verdict(_gap(p, q, s_q, lambda: s_p))
+    verdict = _order_verdict(d)
     return verdict.margin, verdict.min_eigenvalue
 
 
@@ -93,9 +92,12 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     dimension draws all its spreads, then all its spectra, from the one cell
     generator; both matrices of a trial share its spread.  A pair is checked
     as drawn, eigenvalues and basis, so no matrix is built, validated or
-    decomposed before the means.  The powers and sums of a dimension are
-    taken for all its trials at once, as stacks; each trial's roots and
-    verdict are its own.
+    decomposed before the means.  The powers, sums, roots and gaps of a
+    dimension are taken for all its trials at once, as stacks, with the bits
+    of one trial at a time; each trial's verdict is its own call.  A stage
+    of a stack raises its first failing row, so when one raises (or a
+    floating-point warning would be issued) the dimension is run again
+    trial by trial, and raises or warns as that loop does.
     """
     rng = _spawn(seed, 0)
     passed, worst = True, float("inf")
@@ -108,9 +110,14 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
         # before an earlier trial's root raises, and a non-finite sum still
         # raises at its own root, by _decompose's guard.
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _power_sums(p, q, dec_a, dec_b)
-        for s_q, s_p in zip(*sums):
-            margin, lam = order_margin(p, q, s_q, s_p)
+            s_q, s_p = _power_sums(p, q, dec_a, dec_b)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                gaps = _gap(p, q, s_q, lambda: s_p)
+        except (PowerMeanError, FloatingPointError):
+            gaps = map(lambda s_q, s_p: _gap(p, q, s_q, lambda: s_p), s_q, s_p)
+        for d in gaps:
+            margin, lam = order_margin(d)
             worst = min(worst, lam)
             passed &= margin >= 0.0
     return passed, worst
@@ -145,7 +152,8 @@ def fuzz_region(trials: int, seed: int) -> FuzzReport:
         spread = _SPREADS[int(rng.integers(len(_SPREADS)))]
         a = random_pd(dim, int(rng.integers(2**63)), spread)
         b = random_pd(dim, int(rng.integers(2**63)), spread)
-        margin, lam = order_margin(p, q, *_power_sums(p, q, eig_sym(a), eig_sym(b)))
+        s_q, s_p = _power_sums(p, q, eig_sym(a), eig_sym(b))
+        margin, lam = order_margin(_gap(p, q, s_q, lambda: s_p))
         report.record(margin, "(p=%g, q=%g, dim=%d): min eig %.3e" % (p, q, dim, lam))
     return report
 
@@ -164,9 +172,9 @@ def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
 
     For every unital positive map with 2-dimensional domain the inequality
     phi(A^p)^(1/p) <= phi(A^q)^(1/q) holds for all p <= q, judged by
-    :func:`order_margin` on the map sums phi(f(A)); the affine fast path for
-    phi(A^p) must also match the direct route.  ``worst`` is the smallest
-    order margin; an affine mismatch counts only as a failure.
+    :func:`order_margin` on the gap of the map sums phi(f(A)); the affine
+    fast path for phi(A^p) must also match the direct route.  ``worst`` is
+    the smallest order margin; an affine mismatch counts only as a failure.
     """
     rng = _spawn(seed, 2)
     report = FuzzReport("map-order", trials)
@@ -178,7 +186,8 @@ def fuzz_map_order(trials: int, seed: int, dims=(2, 3, 4)) -> FuzzReport:
         # One decomposition of A serves both map sums and the direct route;
         # random_kraus_map returns only maps kraus_map checked as unital.
         dec = eig_sym(a)
-        margin, lam = order_margin(p, q, _map_sum(phi, q, dec), _map_sum(phi, p, dec))
+        s_q, s_p = _map_sum(phi, q, dec), _map_sum(phi, p, dec)
+        margin, lam = order_margin(_gap(p, q, s_q, lambda: s_p))
         report.record(margin, "order (p=%g, q=%g, n=%d): min eig %.3e" % (p, q, out_dim, lam))
         direct = phi.apply(spectral_fun(dec, Power(p)))
         affine = apply_power_affine_2x2(phi, p, a)

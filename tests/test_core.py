@@ -32,7 +32,7 @@ from powmean import (
 from powmean import core
 from powmean.maps import plane_rotation
 
-from conftest import spectrum_from_draws, sym_rand
+from conftest import count_calls, spectrum_from_draws, sym_rand
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,64 @@ def test_jacobi_threshold_sums_squares_as_numpy_does():
             assert norms[0] == float((m * m).sum())
         m = np.full((n, n), 1e160)
         assert namespace["sweeps"](m.ravel().tolist(), 1e-12, 1) is None
+
+
+@pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
+def test_stacked_decomposition_matches_single_calls_bitwise(dim, monkeypatch):
+    # Row i of a stacked _decompose has the bits of _decompose of matrix i
+    # alone, eigenvalues and basis, and its basis the same memory order, so
+    # numpy's matmul rounds a stacked root as it rounds a single one.  The
+    # inputs include rows whose entry products leave the normal range (2x2)
+    # or whose squares overflow (n >= 3): those take the rescaled route.
+    rows = [symmetrize(m) for seed in range(3) for m in _reference_inputs(dim, seed)]
+    rows.append(rows[0] * 1e-160)
+    if dim == 2:
+        rows.append(np.array([[8.9e307, 8.9e307], [8.9e307, -8.9e307]]))
+    stack = np.array(rows)
+    rescaled = count_calls(monkeypatch, core._rescaled)
+    for m in (stack, stack[1::2]):
+        del rescaled[:]
+        got = core._decompose(m)
+        assert got.eigenvalues.shape == m.shape[:2] and got.basis.shape == m.shape
+        stacked = len(rescaled)
+        for i, row in enumerate(m):
+            one = core._decompose(row)
+            assert got.eigenvalues[i].tobytes() == one.eigenvalues.tobytes(), i
+            assert got.basis[i].tobytes() == one.basis.tobytes(), i
+            assert got.basis[i].strides == one.basis.strides, i
+        assert len(rescaled) == 2 * stacked
+        assert stacked > 0 or dim == 1
+    empty = core._decompose(np.empty((0, dim, dim)))
+    assert empty.eigenvalues.shape == (0, dim) and empty.basis.shape == (0, dim, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_stacked_decomposition_raises_the_first_bad_rows_error(dim, bad):
+    # Rows 1 and 3 fail the guard of a single call: the stack raises what
+    # row 1 alone raises.
+    rows = [random_pd(dim, seed, 10.0) for seed in range(5)]
+    rows[1][0, 0] = bad
+    rows[3][-1, -1] = np.nan
+    with pytest.raises(PreconditionError) as alone:
+        core._decompose(rows[1])
+    with pytest.raises(PreconditionError) as stacked:
+        core._decompose(np.array(rows))
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_stacked_decomposition_raises_an_earlier_rows_solver_error(rng, monkeypatch):
+    # A row before the non-finite one raises its own error first: a spectrum
+    # beyond the float range, or the sweep cap.
+    finite, beyond = sym_rand(rng, 3), np.full((3, 3), 8e307)
+    non_finite = np.diag([1.0, np.inf, 1.0])
+    with pytest.raises(PreconditionError, match="spectrum exceeds the float range"):
+        core._decompose(np.array([finite, beyond, non_finite]))
+    monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
+    with pytest.raises(NonConvergenceError, match="exceeded the cap of 1"):
+        core._decompose(np.array([finite, non_finite]))
 
 
 # ---------------------------------------------------------------------------

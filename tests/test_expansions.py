@@ -471,6 +471,21 @@ def test_det_coeff_errors(fn, args, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("args, message", [
+    # m_p underflows to 0 at p > 1, so m_p^(1 - p) divides by zero
+    ((1.716657151455835e+50, 6.103515625e-05, 7.275957614183426e-12),
+     "m_r^(1 - r) leaves the float range at r = 1.71666e+50"),
+    # m_p is huge at p < 0, so m_p^(1 - p) overflows
+    ((-2.1969730936356306, 5.591890070480142e+170, 1.1455192517924174e+98),
+     "m_r^(1 - r) leaves the float range at r = -2.19697"),
+])
+def test_alpha_power_raises_precondition_where_its_power_leaves_the_range(args, message):
+    with pytest.raises(PowerMeanError) as info:
+        alpha_power(*args)
+    assert type(info.value) is PreconditionError
+    assert str(info.value) == message
+
+
 def test_rank_one_coefficient_values():
     assert det_coeff_rank_one(0.5, 0.5) == 0.0
     assert det_coeff_rank_one(0.25, 0.5) == pytest.approx(-3.791260736238831e-3, rel=1e-12)

@@ -38,10 +38,10 @@ from powmean import (
     scalar_power_mean,
     symmetrize,
 )
-from powmean import core, find_counterexample, fuzz, random_kraus_map
+from powmean import core, find_counterexample, fuzz, means, random_kraus_map
 from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
-from powmean.means import _decomposed_gap, _power_sums
+from powmean.means import _decomposed_gap, _gap, _power_sums
 
 from conftest import assert_pinned, composed, count_calls, spectrum_from_draws, sym_rand
 
@@ -257,12 +257,19 @@ def test_argument_errors_keep_their_order(a, b, p, error):
     assert str(err.value) == error
 
 
+def _order_check(p, q, dec_a, dec_b):
+    """order_margin of one pair as fuzz_region judges it: on the gap of the
+    pair's two sums."""
+    s_q, s_p = _power_sums(p, q, dec_a, dec_b)
+    return order_margin(_gap(p, q, s_q, lambda: s_p))
+
+
 def test_order_check_validates_once_per_decomposition(monkeypatch):
     a = random_pd(3, 71, 10.0)
     b = random_pd(3, 72, 10.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
-    order_margin(0.5, 2.0, *_power_sums(0.5, 2.0, eig_sym(a), eig_sym(b)))
+    _order_check(0.5, 2.0, eig_sym(a), eig_sym(b))
     # A and B are validated by eig_sym; they, each mean's sum (for its root)
     # and M_q - M_p are decomposed, the last three as the library built them
     assert len(decompositions) == 5
@@ -295,7 +302,8 @@ def test_overflowing_mean_keeps_the_guard_message(monkeypatch):
 
 
 def _assert_bitwise_symmetric(m):
-    assert m.tobytes() == m.T.tobytes()
+    # a matrix, or each matrix of a stack
+    assert m.tobytes() == m.mT.tobytes()
 
 
 def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
@@ -310,9 +318,6 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         route(*args, **kwargs)
         return len(decompositions) - len(validated) - before
 
-    def order_check(p, q, dec_a, dec_b):
-        return order_margin(p, q, *_power_sums(p, q, dec_a, dec_b))
-
     rng = np.random.default_rng(17)
     for dim in range(1, 9):
         a = random_pd(dim, 500 + dim, 10.0)
@@ -322,7 +327,7 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
         for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
             # each mean's root and the gap; one mean at p = q
-            assert unvalidated(order_check, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
+            assert unvalidated(_order_check, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
     for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
         assert unvalidated(find_counterexample, p, q) > 0
     orders = rank_one_remainder_orders(0.25, 0.5)
@@ -358,7 +363,7 @@ def test_order_verdicts_fail_a_certified_violation():
     # The fixed order slack is far below a certified negative eigenvalue, so
     # both the single check and the fuzz verdict over random pairs fail.
     w = find_counterexample(0.25, 1.0)
-    assert order_margin(0.25, 1.0, *_power_sums(0.25, 1.0, eig_sym(w.a), eig_sym(w.b)))[0] < 0.0
+    assert _order_check(0.25, 1.0, eig_sym(w.a), eig_sym(w.b))[0] < 0.0
     assert not fuzz_point(0.25, 1.0, 20, 0)[0]
 
 
@@ -401,8 +406,9 @@ def _ascending(vals, basis):
 def _fuzz_point_reference(p, q, trials, seed, dims):
     """fuzz_point as a per-trial loop over its draw order on the single-pair
     route: per dimension, all spreads, then every matrix's uniform row, then
-    every matrix's normal slice; each pair's two sorted spectra go to the gap
-    routine of power_mean_gap and to the order verdict, one pair at a time."""
+    every matrix's normal slice; each pair's two sorted spectra go to the sum
+    stage (its overflows silenced, as fuzz_point's are), the one gap routine
+    and the order verdict, one pair at a time."""
     rng = fuzz._spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
@@ -412,7 +418,9 @@ def _fuzz_point_reference(p, q, trials, seed, dims):
         for t, spread in enumerate(spreads):
             dec_a = _ascending(*spectrum_from_draws(u[2 * t], gauss[2 * t], spread))
             dec_b = _ascending(*spectrum_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread))
-            verdict = core._order_verdict(_decomposed_gap(p, q, dec_a)(dec_b))
+            with np.errstate(over="ignore", invalid="ignore"):
+                s_q, s_p = _power_sums(p, q, dec_a, dec_b)
+            verdict = core._order_verdict(_gap(p, q, s_q, lambda: s_p))
             margin, lam = verdict.margin, verdict.min_eigenvalue
             worst = min(worst, lam)
             passed &= margin >= 0.0
@@ -448,7 +456,7 @@ def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
         return sorted_draws[-1]
 
     def counted_margin(*args):
-        checks.append(args[:2])
+        checks.append(args[0].shape)
         return inner_margin(*args)
 
     monkeypatch.setattr(fuzz, "_random_pd_spectra", recorded_spectra)
@@ -458,7 +466,7 @@ def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
     for seed in range(4):
         fuzz_point(0.5, 2.0, trials, seed, dims=range(1, 9))
     assert len(spectra) == len(sorted_draws) == 4 * 8
-    assert checks == [(0.5, 2.0)] * (4 * 8 * trials)
+    assert checks == [(dim, dim) for _ in range(4) for dim in range(1, 9) for _ in range(trials)]
     for (dim, spreads, (vals, bases)), (lam, basis) in zip(spectra, sorted_draws):
         assert spreads[0::2] == spreads[1::2]
         assert set(spreads) == set(fuzz._SPREADS)
@@ -473,8 +481,8 @@ def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
 
 @pytest.mark.parametrize("p, q", [(0.5, 2.0), (-1.0, 0.0), (0.0, 0.0), (0.25, 1.0), (-2.0, -0.6)])
 def test_drawn_decompositions_agree_with_composed_matrices(p, q):
-    # order_margin on the sums of the spectra as fuzz_point draws and sorts
-    # them agrees with order_margin on the sums of eig_sym of the matrices
+    # order_margin on the gap of the spectra as fuzz_point draws and sorts
+    # them agrees with order_margin on the gap of eig_sym of the matrices
     # random_pd composes from them.  A second set of spectra puts the
     # last-drawn eigenvalue inside the PSD floor, where only an ascending
     # spectrum reads it as zero (p > 0) or out of the domain (p <= 0), as
@@ -494,12 +502,12 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
             for i in range(0, len(decs), 2):
                 a, b = mats[i], mats[i + 1]
                 try:
-                    want = order_margin(p, q, *_power_sums(p, q, eig_sym(a), eig_sym(b)))[0]
+                    want = _order_check(p, q, eig_sym(a), eig_sym(b))[0]
                 except DomainError:
                     with pytest.raises(DomainError):
-                        order_margin(p, q, *_power_sums(p, q, decs[i], decs[i + 1]))
+                        _order_check(p, q, decs[i], decs[i + 1])
                     continue
-                got = order_margin(p, q, *_power_sums(p, q, decs[i], decs[i + 1]))[0]
+                got = _order_check(p, q, decs[i], decs[i + 1])[0]
                 # Agreement within tol also makes the signs match wherever
                 # |margin| > tol.
                 tol = 1e-12 * (1.0 + float(np.abs(power_mean_gap(p, q, a, b)).max()))
@@ -509,35 +517,81 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
 def test_fuzz_point_decomposes_three_matrices_per_check(monkeypatch):
     # Drawn spectra need no validation and no decomposition: each check
     # decomposes the sum of each mean (for its root) and the gap, all built
-    # exactly symmetric, or the one sum and the zero gap at equal exponents.
-    # The powers of A and of B are one stacked call per exponent and
-    # dimension; each root is its own call.
+    # exactly symmetric, or the one sum and the zero gap at equal exponents;
+    # a stack counts as its rows.  The powers of A and of B, and each mean's
+    # roots, are one stacked call per exponent and dimension; each verdict
+    # decomposes its own gap.
     decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
     functions = count_calls(monkeypatch, core.spectral_fun)
     eigs = count_calls(monkeypatch, core.eig_sym)
     guards = count_calls(monkeypatch, core.symmetrize)
+    dims = (1, 2, 3, 5)
     for p, q, per_check in [(0.5, 2.0, 3), (-1.0, 0.0, 3), (0.5, 0.5, 2), (0.0, 0.0, 2)]:
         del decompositions[:], functions[:]
-        fuzz_point(p, q, 7, 5, dims=(1, 2, 3, 5))
-        assert len(decompositions) == per_check * 7 * 4
+        fuzz_point(p, q, 7, 5, dims=dims)
+        assert sum(len(m) if m.ndim == 3 else 1 for m, in decompositions) == per_check * 7 * 4
         means = per_check - 1
+        stacks = [m.shape for m, in decompositions if m.ndim == 3]
+        assert stacks == [(7, dim, dim) for dim in dims for _ in range(means)]
+        assert len(decompositions) - len(stacks) == 7 * 4
         stacked = [dec.eigenvalues.shape for dec, _ in functions if dec.eigenvalues.ndim == 2]
-        assert stacked == [(7, dim) for dim in (1, 2, 3, 5) for _ in range(2 * means)]
-        assert len(functions) - len(stacked) == means * 7 * 4
+        assert stacked == [(7, dim) for dim in dims for _ in range(3 * means)]
+        assert len(functions) == len(stacked)
     assert not eigs and not guards
 
 
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except PowerMeanError as err:
+        return type(err), str(err)
+
+
 def test_fuzz_point_keeps_the_errors_of_extreme_exponents():
-    # The stacked sums run ahead of the roots without a warning; the first
-    # failing root raises what a check at a time raised.
-    with pytest.raises(PreconditionError) as err:
-        fuzz_point(300, 400, 3, 0)
-    assert str(err.value) == "matrix entries must be finite"
-    with pytest.raises(DomainError) as err:
-        fuzz_point(-400, -300, 3, 0)
-    assert str(err.value) == (
-        "power -0.00333333 needs eigenvalues > 6.059e+279, smallest is 1.309e+275"
-    )
+    # The stacked sums run ahead of the roots without a warning; a stacked
+    # root stage raises, so the dimension runs again trial by trial and
+    # raises what the per-trial loop raises.
+    finite = (PreconditionError, "matrix entries must be finite")
+    for args, error in [
+        ((300, 400, 3, 0), finite),
+        ((-400, -300, 3, 0), (DomainError, "power -0.00333333 needs eigenvalues > 6.059e+279, "
+                                           "smallest is 1.309e+275")),
+        ((400, 400, 20, 3), finite),
+        ((300, 500, 20, 3), finite),
+        ((2, 700, 20, 3), finite),
+        ((-400, -300, 20, 3), (DomainError, "power -0.00333333 needs eigenvalues > 9.163e+54, "
+                                            "smallest is 0.000e+00")),
+    ]:
+        assert _outcome(fuzz_point, *args) == error, args
+        assert _outcome(_fuzz_point_reference, *args, (2, 3)) == error, args
+
+
+def test_fuzz_point_raises_the_first_failing_trials_error(monkeypatch):
+    # Trial 2's p-root and trial 5's q-root fail.  The stacked q-roots meet
+    # trial 5 first, but the per-trial loop reaches trial 2's p-root before
+    # trial 5, so that error wins.
+    p, q, trials = 0.5, 2.0, 8
+    sums, inner_sums = [], fuzz._power_sums
+    monkeypatch.setattr(fuzz, "_power_sums",
+                        lambda *args: sums.append(inner_sums(*args)) or sums[-1])
+    fuzz_point(p, q, trials, 3, dims=(3,))
+    [(s_q, s_p)] = sums
+    bad = {(p, s_p[2].tobytes()): "p-root of trial 2", (q, s_q[5].tobytes()): "q-root of trial 5"}
+    inner_root = means._root
+
+    def failing_root(r, s):
+        for m in s.reshape(-1, 3, 3):
+            if (r, m.tobytes()) in bad:
+                raise DomainError(bad[r, m.tobytes()])
+        return inner_root(r, s)
+
+    monkeypatch.setattr(means, "_root", failing_root)
+    args = (p, q, trials, 3, (3,))
+    assert _outcome(fuzz_point, *args) == (DomainError, "p-root of trial 2")
+    assert _outcome(_fuzz_point_reference, *args) == (DomainError, "p-root of trial 2")
+    del bad[p, s_p[2].tobytes()]
+    assert _outcome(fuzz_point, *args) == (DomainError, "q-root of trial 5")
 
 
 def test_dimension_mismatch():
