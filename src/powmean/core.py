@@ -7,10 +7,11 @@ Loewner-order verdict that always carries a witness vector.
 
 :func:`eig_sym` validates a caller's matrix once, by :func:`symmetrize`,
 so callers that only decompose pass their matrices straight to it; those the
-library builds exactly symmetric (a mean's root, an order gap, a search
-candidate) skip the guard through :func:`_decompose`, one matrix or a stack
-of them.  The solvers rely on exact symmetry: Jacobi keeps it through every
-rotation, computing each mirrored pair once.
+library builds exactly symmetric (a mean's root, a search candidate) skip the
+guard through :func:`_decompose`, one matrix or a stack of them, and an order
+gap's smallest eigenvalue comes from :func:`_min_eigenvalue`, with no basis.
+The solvers rely on exact symmetry: Jacobi keeps it through every rotation,
+computing each mirrored pair once.
 
 All operations are pure functions of their inputs; arrays are never mutated
 in place once returned.
@@ -181,22 +182,25 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(np.array(done[0]), np.array(done[1]))
 
 
-def _jacobi_source(n: int) -> str:
+def _jacobi_source(n: int, vectors: bool) -> str:
     """Source of ``sweeps(flat, rel, cap)``, cyclic Jacobi at dimension ``n``.
 
     The rotation loop unrolled over the (p, q) pairs in cyclic order: the
     upper triangle of ``flat`` (the matrix, row-major, exactly symmetric)
-    lives in locals ``a{i}_{j}`` (i <= j) and the basis rows in ``v{i}_{j}``,
-    so a rotation touches no list.  The off-diagonal threshold is ``rel``
-    times the Frobenius norm, its n^2 squares added in the order of numpy's
-    pairwise sum (eight partial sums, then pairs, then the remainder), so it
-    equals ``float((m * m).sum())`` bit for bit; a non-finite sum returns
-    ``None``.  Each statement keeps the loop's products and sums in
-    their order, so the results are those of a rotation loop over lists,
-    bit for bit.  The function returns the diagonal and the basis rows, or
-    raises ``NonConvergenceError`` after ``cap`` sweeps.  It exists for
-    speed only: when LAPACK replaces :func:`_eig_jacobi`, this generator
-    goes with it.
+    lives in locals ``a{i}_{j}`` (i <= j) and, with ``vectors``, the basis
+    rows in ``v{i}_{j}``, so a rotation touches no list.  The off-diagonal
+    threshold is ``rel`` times the Frobenius norm, its n^2 squares added in
+    the order of numpy's pairwise sum (eight partial sums, then pairs, then
+    the remainder), so it equals ``float((m * m).sum())`` bit for bit; a
+    non-finite sum returns ``None``.  Each statement keeps the loop's
+    products and sums in their order, so the results are those of a
+    rotation loop over lists, bit for bit.  With ``vectors`` the function
+    returns the diagonal and the basis rows; without, it leaves out every
+    ``v`` line and returns ``min`` of the diagonal, the same float as the
+    first of its stable sort, since no rotation of the diagonal and no
+    stop test reads the basis.  Either raises ``NonConvergenceError``
+    after ``cap`` sweeps.  It exists for speed only: when LAPACK replaces
+    :func:`_eig_jacobi`, this generator goes with it.
     """
     def a(i, j):
         return "a%d_%d" % (min(i, j), max(i, j))
@@ -222,8 +226,13 @@ def _jacobi_source(n: int) -> str:
         "    if not isfinite(frob2):",
         "        return None",
         "    thresh = rel * sqrt(frob2)",
-        "    %s = 1.0" % " = ".join(v for v, diag in ident if diag),
-        "    %s = 0.0" % " = ".join(v for v, diag in ident if not diag),
+    ]
+    if vectors:
+        lines += [
+            "    %s = 1.0" % " = ".join(v for v, diag in ident if diag),
+            "    %s = 0.0" % " = ".join(v for v, diag in ident if not diag),
+        ]
+    lines += [
         # One extra sweep after crossing the threshold: clustered spectra
         # need off-diagonals at machine level for accurate eigenvectors.
         "    polish = 1",
@@ -250,21 +259,37 @@ def _jacobi_source(n: int) -> str:
             % (app, apq, apq, aqq),
             "            %s = 0.0" % apq,
         ]
-        lines += ["            " + rotate("v%d_%d" % (p, j), "v%d_%d" % (q, j)) for j in idx]
+        if vectors:
+            lines += ["            " + rotate("v%d_%d" % (p, j), "v%d_%d" % (q, j)) for j in idx]
+    diagonal = ", ".join(a(i, i) for i in idx)
     lines += [
         "    else:",
         "        raise NonConvergenceError('Jacobi sweeps exceeded the cap of %d' % cap)",
-        "    return [%s], [%s]" % (
-            ", ".join(a(i, i) for i in idx),
-            ", ".join("[%s]" % ", ".join("v%d_%d" % (i, j) for j in idx) for i in idx),
-        ),
     ]
+    if vectors:
+        basis = ", ".join("[%s]" % ", ".join("v%d_%d" % (i, j) for j in idx) for i in idx)
+        lines.append("    return [%s], [%s]" % (diagonal, basis))
+    else:
+        lines.append("    return min(%s)" % diagonal)
     return "\n".join(lines) + "\n"
 
 
-#: Compiled Jacobi sweeps by dimension, filled on first use: compiling all
-#: six at import would slow every start-up.
+#: Compiled Jacobi sweeps by ``(n, vectors)``, filled on first use: compiling
+#: all twelve at import would slow every start-up.  Order checks need only
+#: the eigenvalue-only variants, decompositions only the full ones.
 _JACOBI_SWEEPS: dict = {}
+
+
+def _sweeps(n: int, vectors: bool):
+    """The compiled :func:`_jacobi_source` ``(n, vectors)``, compiled on first use."""
+    sweeps = _JACOBI_SWEEPS.get((n, vectors))
+    if sweeps is None:
+        namespace = {"copysign": math.copysign, "sqrt": math.sqrt, "isfinite": math.isfinite,
+                     "NonConvergenceError": NonConvergenceError}
+        name = "<jacobi sweeps n=%d%s>" % (n, "" if vectors else " eigenvalues")
+        exec(compile(_jacobi_source(n, vectors), name, "exec"), namespace)
+        sweeps = _JACOBI_SWEEPS[n, vectors] = namespace["sweeps"]
+    return sweeps
 
 
 def _jacobi_row(flat: list, n: int):
@@ -276,13 +301,7 @@ def _jacobi_row(flat: list, n: int):
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
-    sweeps = _JACOBI_SWEEPS.get(n)
-    if sweeps is None:
-        namespace = {"copysign": math.copysign, "sqrt": math.sqrt, "isfinite": math.isfinite,
-                     "NonConvergenceError": NonConvergenceError}
-        exec(compile(_jacobi_source(n), "<jacobi sweeps n=%d>" % n, "exec"), namespace)
-        sweeps = _JACOBI_SWEEPS[n] = namespace["sweeps"]
-    done = sweeps(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
+    done = _sweeps(n, True)(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
     if done is None:
         return None
     diag, vt = done
@@ -477,6 +496,35 @@ def _order_verdict(d) -> OrderVerdict:
     lam = float(dec.eigenvalues[0])
     margin = lam + ORDER_SLACK * (1.0 + float(np.abs(d).max()))
     return OrderVerdict(margin, lam, dec.basis[:, 0].copy())
+
+
+def _min_eigenvalue(d):
+    """lambda_min(D) and max|D| of ``d`` exactly symmetric, on its Python floats,
+    with the bits :func:`_order_verdict` reads from :func:`_decompose`; ``None``
+    where that call would raise or rescale (the caller takes the full verdict).
+
+    A 2x2 takes the closed form's smaller eigenvalue, and n >= 3 the
+    eigenvalue-only Jacobi sweeps.  Only the sweep cap raises here, with the
+    message a decomposition gives.
+    """
+    flat = d.ravel().tolist()
+    mags = list(map(abs, flat))
+    # Every entry is tested: max() skips a NaN that does not come first.
+    if not all(map(_HALF_MAX.__ge__, mags)):
+        return None
+    n = d.shape[0]
+    if n == 1:
+        lam = flat[0]
+    elif n == 2:
+        done = _eig_2x2_row(flat[0], flat[1], flat[3])
+        if done is None:
+            return None
+        lam = done[0][0]
+    else:
+        lam = _sweeps(n, False)(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP)
+        if lam is None:
+            return None
+    return lam, max(mags)
 
 
 def random_pd(dim: int, seed: int, condition_spread: float = 10.0) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SpectralDecomposition, _order_verdict, _random_pd_spectra, eig_sym,
-                   mat_fun, random_pd, spectral_fun)
+from .core import (ORDER_SLACK, SpectralDecomposition, _min_eigenvalue, _order_verdict,
+                   _random_pd_spectra, eig_sym, mat_fun, random_pd, spectral_fun)
 from .errors import PowerMeanError
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
@@ -67,12 +67,19 @@ def order_margin(d):
 
     The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|), the rule of
     :func:`~powmean.core.loewner_leq` with the fixed
-    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  It
-    decomposes D once and validates nothing.  Every check of the fuzz suites
-    and of ``scan`` makes one call.
+    :data:`~powmean.core.ORDER_SLACK`: nonnegative iff it passes.  It reads
+    lambda_min and max|D| from the eigenvalue-only kernel
+    :func:`~powmean.core._min_eigenvalue` and validates nothing; where that
+    kernel defers (D non-finite or huge, or rescaled), the full verdict gives
+    the same bits or error.  Every check of the fuzz suites and of ``scan``
+    makes one call.
     """
-    verdict = _order_verdict(d)
-    return verdict.margin, verdict.min_eigenvalue
+    done = _min_eigenvalue(d)
+    if done is None:
+        verdict = _order_verdict(d)
+        return verdict.margin, verdict.min_eigenvalue
+    lam, top = done
+    return lam + ORDER_SLACK * (1.0 + top), lam
 
 
 def _drawn_decomposition(vals, bases):
@@ -94,7 +101,8 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     as drawn, eigenvalues and basis, so no matrix is built, validated or
     decomposed before the means.  The powers, sums, roots and gaps of a
     dimension are taken for all its trials at once, as stacks, with the bits
-    of one trial at a time; each trial's verdict is its own call.  A stage
+    of one trial at a time; each trial's verdict is its own
+    :func:`order_margin` call, on the smallest eigenvalue alone.  A stage
     of a stack raises its first failing row, so when one raises (or a
     floating-point warning would be issued) the dimension is run again
     trial by trial, and raises or warns as that loop does.

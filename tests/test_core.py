@@ -6,6 +6,7 @@ forms and algebraic identities.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from powmean import (
     LOG,
     NonConvergenceError,
     Power,
+    PowerMeanError,
     PreconditionError,
     eig_sym,
     loewner_leq,
@@ -30,6 +32,7 @@ from powmean import (
     symmetrize,
 )
 from powmean import core
+from powmean.fuzz import order_margin
 from powmean.maps import plane_rotation
 
 from conftest import count_calls, spectrum_from_draws, sym_rand
@@ -401,12 +404,26 @@ def _reference_inputs(dim, seed):
 
 @pytest.mark.parametrize("dim", range(3, core.MAX_DIM + 1))
 def test_eig_sweeps_match_the_rotation_loop_bit_for_bit(dim):
+    # The full sweeps give the loop's eigenvalues and basis; the
+    # eigenvalue-only sweeps its smallest eigenvalue, or None where its
+    # squares overflow and the loop rescales.
+    rescaled = 0
     for seed in range(8):
         for m in _reference_inputs(dim, seed):
             dec = eig_sym(m)
-            ref = _reference_jacobi(symmetrize(m))
+            m = symmetrize(m)
+            ref = _reference_jacobi(m)
             assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
             assert dec.basis.tobytes() == ref.basis.tobytes()
+            lam = core._sweeps(dim, False)(m.ravel().tolist(), core._JACOBI_THRESHOLD,
+                                           core._JACOBI_SWEEP_CAP)
+            if lam is None:
+                rescaled += 1
+                with np.errstate(over="ignore"):
+                    assert not math.isfinite(float((m * m).sum()))
+            else:
+                assert lam.hex() == float(ref.eigenvalues[0]).hex()
+    assert rescaled == 2 * 8
 
 
 def test_eig_sweep_cap_message_matches_the_rotation_loop(rng, monkeypatch):
@@ -421,31 +438,34 @@ def test_eig_sweep_cap_message_matches_the_rotation_loop(rng, monkeypatch):
 
 def test_eig_sweeps_compile_per_dimension_on_first_use():
     # Compiling every dimension's sweeps at import would slow each start-up:
-    # importing compiles none, a 2x2 none, and a 3x3 only dimension 3.
+    # importing compiles none, a 2x2 none, and a 3x3 only dimension 3, its
+    # eigenvalue-only sweeps for an order check and its full ones for eig_sym.
     code = (
-        "import numpy as np, powmean; from powmean import core; "
+        "import numpy as np, powmean; from powmean import core, fuzz; "
         "print(sorted(core._JACOBI_SWEEPS)); powmean.eig_sym(np.eye(2)); "
-        "print(sorted(core._JACOBI_SWEEPS)); powmean.eig_sym(np.ones((3, 3))); "
-        "print(sorted(core._JACOBI_SWEEPS))"
+        "fuzz.order_margin(np.eye(2)); print(sorted(core._JACOBI_SWEEPS)); "
+        "fuzz.order_margin(np.ones((3, 3))); print(sorted(core._JACOBI_SWEEPS)); "
+        "powmean.eig_sym(np.ones((3, 3))); print(sorted(core._JACOBI_SWEEPS))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(core.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["[]", "[]", "[3]"]
+    assert done.stdout.splitlines() == ["[]", "[]", "[(3, False)]", "[(3, False), (3, True)]"]
 
 
 def test_jacobi_threshold_sums_squares_as_numpy_does():
-    # The sweeps add the n^2 squares in numpy's pairwise order, so their
-    # threshold is 1e-12 * sqrt(float((m * m).sum())) bit for bit, at every
-    # scale; squares that overflow return None for the rescaled route.
+    # The sweeps, with or without the basis, add the n^2 squares in numpy's
+    # pairwise order, so their threshold is 1e-12 * sqrt(float((m * m).sum()))
+    # bit for bit, at every scale; squares that overflow return None for the
+    # rescaled route.
     rng = np.random.default_rng(2024)
-    for n in range(3, core.MAX_DIM + 1):
+    for n, vectors in itertools.product(range(3, core.MAX_DIM + 1), (True, False)):
         norms = []
         namespace = {"copysign": math.copysign, "isfinite": math.isfinite,
                      "sqrt": lambda x: norms.append(x) or math.sqrt(x),
                      "NonConvergenceError": NonConvergenceError}
-        exec(core._jacobi_source(n), namespace)
+        exec(core._jacobi_source(n, vectors), namespace)
         for _ in range(300):
             g = rng.standard_normal((n, n)) * np.exp(rng.uniform(-5.0, 5.0, (n, n)))
             m = (g + g.T) * 10.0 ** rng.uniform(-20.0, 20.0)
@@ -696,6 +716,69 @@ def test_loewner_antisymmetry_forces_equality(rng):
 def test_loewner_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         loewner_leq(np.eye(2), np.eye(3))
+
+
+def _verdict_bits(call, d):
+    """The hex bits of (margin, min eigenvalue) from ``call(d)``, or the type
+    and message of its error."""
+    try:
+        margin, lam = call(d)
+    except PowerMeanError as err:
+        return type(err), str(err)
+    return margin.hex(), lam.hex()
+
+
+def _full_verdict(d):
+    verdict = core._order_verdict(d)
+    return verdict.margin, verdict.min_eigenvalue
+
+
+def _order_margin_inputs(dim):
+    """Exactly symmetric gaps of every kind order_margin must judge as the
+    full verdict does: the sweeps' reference inputs, near-degenerate and
+    near-zero spectra, ties and signed zeros, rows on the rescaled route,
+    and entries past the decomposition's guard at every position."""
+    rng = np.random.default_rng([30, dim])
+    ms = [symmetrize(m) for seed in range(3) for m in _reference_inputs(dim, seed)]
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    for vals in (1.0 + 1e-15 * rng.standard_normal(dim), 1e-12 * rng.standard_normal(dim),
+                 np.arange(dim) // 2 - 1.0):
+        m = (q * vals) @ q.T
+        ms.append((m + m.T) / 2.0)
+    ms += [np.zeros((dim, dim)), np.full((dim, dim), -0.0), 2.0 * np.eye(dim),
+           np.ones((dim, dim)), np.diag(np.tile([0.0, -0.0], dim)[:dim]),
+           np.where(np.eye(dim) > 0.0, 1.0, -0.0)]
+    if dim == 2:  # b = 0, either order, and a tie
+        ms += [np.diag([3.0, -1.0]), np.diag([-1.0, 3.0]), np.diag([2.0, 2.0])]
+    ms += [m * scale for m in ms[:5] for scale in (1e-160, 1e160)]
+    top = np.nextafter(core._HALF_MAX, math.inf)
+    ms += [np.diag(np.full(dim, top)), np.diag(np.full(dim, core._HALF_MAX))]
+    for bad in (math.inf, -math.inf, math.nan):
+        for i, j in itertools.combinations_with_replacement(range(dim), 2):
+            m = ms[0].copy()
+            m[i, j] = m[j, i] = bad
+            ms.append(m)
+    return ms
+
+
+@pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_order_margin_has_the_full_verdicts_bits(dim, monkeypatch):
+    # The order check reads lambda_min and max|D| from the eigenvalue-only
+    # kernel; margin and eigenvalue carry the full verdict's bits, and where
+    # the kernel defers (rescaled or rejected rows) so do errors.
+    ms = _order_margin_inputs(dim)
+    deferred = 0
+    for m in ms:
+        assert m.tobytes() == m.T.tobytes()
+        deferred += core._min_eigenvalue(m) is None
+        assert _verdict_bits(order_margin, m) == _verdict_bits(_full_verdict, m)
+    assert 0 < deferred < len(ms)
+    if dim >= 3:
+        monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
+        m = ms[1]
+        assert _verdict_bits(order_margin, m) == _verdict_bits(_full_verdict, m) == (
+            NonConvergenceError, "Jacobi sweeps exceeded the cap of 1")
 
 
 # ---------------------------------------------------------------------------

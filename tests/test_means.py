@@ -268,11 +268,14 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     a = random_pd(3, 71, 10.0)
     b = random_pd(3, 72, 10.0)
     decompositions = count_calls(monkeypatch, core._decompose)
+    kernels = count_calls(monkeypatch, core._min_eigenvalue)
     guards = count_calls(monkeypatch, core.symmetrize)
     _order_check(0.5, 2.0, eig_sym(a), eig_sym(b))
-    # A and B are validated by eig_sym; they, each mean's sum (for its root)
-    # and M_q - M_p are decomposed, the last three as the library built them
-    assert len(decompositions) == 5
+    # A and B are validated by eig_sym; they and each mean's sum (for its
+    # root) are decomposed, the sums as the library built them, and
+    # M_q - M_p goes once through the lambda_min kernel
+    assert len(decompositions) == 4
+    assert len(kernels) == 1
     assert len(guards) == 2
 
 
@@ -311,6 +314,7 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
     # to their transpose (their own symmetric part): every route must build
     # them so.
     decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
+    kernels = count_calls(monkeypatch, core._min_eigenvalue, check=_assert_bitwise_symmetric)
     validated = count_calls(monkeypatch, core.eig_sym)
 
     def unvalidated(route, *args, **kwargs):
@@ -326,8 +330,10 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         g[:, 0] = 0.0
         singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
         for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
-            # each mean's root and the gap; one mean at p = q
-            assert unvalidated(_order_check, p, q, eig_sym(x), eig_sym(b)) == (2 if p == q else 3)
+            # each mean's root, one mean at p = q, and the gap's lambda_min
+            del kernels[:]
+            assert unvalidated(_order_check, p, q, eig_sym(x), eig_sym(b)) == (1 if p == q else 2)
+            assert len(kernels) == 1
     for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
         assert unvalidated(find_counterexample, p, q) > 0
     orders = rank_one_remainder_orders(0.25, 0.5)
@@ -514,26 +520,25 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
                 assert abs(got - want) <= tol, (dim, i)
 
 
-def test_fuzz_point_decomposes_three_matrices_per_check(monkeypatch):
+def test_fuzz_point_decomposes_two_matrices_per_check(monkeypatch):
     # Drawn spectra need no validation and no decomposition: each check
-    # decomposes the sum of each mean (for its root) and the gap, all built
-    # exactly symmetric, or the one sum and the zero gap at equal exponents;
-    # a stack counts as its rows.  The powers of A and of B, and each mean's
-    # roots, are one stacked call per exponent and dimension; each verdict
-    # decomposes its own gap.
+    # decomposes the sum of each mean (for its root), or the one sum at
+    # equal exponents, and takes its gap's lambda_min from the kernel, all
+    # built exactly symmetric; a stack counts as its rows.  The powers of A
+    # and of B, and each mean's roots, are one stacked call per exponent and
+    # dimension; each verdict is one kernel call on its own gap.
     decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
+    kernels = count_calls(monkeypatch, core._min_eigenvalue, check=_assert_bitwise_symmetric)
     functions = count_calls(monkeypatch, core.spectral_fun)
     eigs = count_calls(monkeypatch, core.eig_sym)
     guards = count_calls(monkeypatch, core.symmetrize)
     dims = (1, 2, 3, 5)
-    for p, q, per_check in [(0.5, 2.0, 3), (-1.0, 0.0, 3), (0.5, 0.5, 2), (0.0, 0.0, 2)]:
-        del decompositions[:], functions[:]
+    for p, q, means in [(0.5, 2.0, 2), (-1.0, 0.0, 2), (0.5, 0.5, 1), (0.0, 0.0, 1)]:
+        del decompositions[:], kernels[:], functions[:]
         fuzz_point(p, q, 7, 5, dims=dims)
-        assert sum(len(m) if m.ndim == 3 else 1 for m, in decompositions) == per_check * 7 * 4
-        means = per_check - 1
-        stacks = [m.shape for m, in decompositions if m.ndim == 3]
+        stacks = [m.shape for m, in decompositions]
         assert stacks == [(7, dim, dim) for dim in dims for _ in range(means)]
-        assert len(decompositions) - len(stacks) == 7 * 4
+        assert [d.shape for d, in kernels] == [(dim, dim) for dim in dims for _ in range(7)]
         stacked = [dec.eigenvalues.shape for dec, _ in functions if dec.eigenvalues.ndim == 2]
         assert stacked == [(7, dim) for dim in dims for _ in range(3 * means)]
         assert len(functions) == len(stacked)
