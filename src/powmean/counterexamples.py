@@ -11,10 +11,14 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 * rank-one:      A = diag(2, 0) against the rank-one projection at angle t,
   whose coefficient is negative for every 0 < p < q < 1.
 
-A theta walk is data, (k, x, y, A, t -> B_t): only B_t moves along it.  One
-loop prepares each walk's fixed A once (validated, decomposed and raised to
-each mean's power), certifies B_t at each angle of the schedule in order,
-returns the first hit and ends a walk at a ``DomainError``.
+A theta walk is data, (k, x, y, A, t -> (B_t, its decomposition)): only B_t
+moves along it.  One loop prepares each walk's fixed A once (validated,
+decomposed and raised to each mean's power), certifies B_t at each angle of
+the schedule in order, returns the first hit and ends a walk at a
+``DomainError``.  B_t depends only on its schedule position, so
+``_candidate`` builds each once per process (1,596 at most; a rotation is
+validated as it is built, a projection never), decomposes it unvalidated
+and shares both, read-only, with every later search and ``_certify``.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
 family of the reflected pair, guided at (-q, -p), but yield the exact
 reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
@@ -33,7 +37,7 @@ returned matrices, never from the expansion that guided the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -76,7 +80,8 @@ class Witness:
     ``witness`` a unit vector achieving it; ``x``, ``y``, ``theta`` record
     the construction parameters when applicable, and ``k``, ``j`` their
     schedule position x = 2^-k, theta = 0.1 * 2^-j (``None`` where the
-    family has no such index).  ``dual_applied`` marks
+    family has no such index).  A searched ``b`` is a read-only array that
+    every search reaching its candidate shares.  ``dual_applied`` marks
     witnesses built as the reciprocal of a construction at (-q, -p); their
     ``x``, ``y``, ``theta`` are those of the base construction, so a dual
     pd-rotation witness has ``a = diag(1, 1/x)``.
@@ -132,12 +137,22 @@ def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
     return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta))
 
 
-def _certify(gap, b):
+@cache
+def _candidate(diagonal, theta):
+    """B_t = R_t diag(diagonal) R_t^T, or the projection at t for ``diagonal``
+    None, and its unvalidated decomposition: read-only, cached by position."""
+    b = _projection(theta) if diagonal is None else _rotated(diagonal, theta)
+    dec = _decompose(b)
+    for m in (b, *dec):
+        m.flags.writeable = False
+    return b, dec
+
+
+def _certify(gap, dec_b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, from the exact gap against a prepared A.  The library
-    built B exactly symmetric, so B and the gap take the unvalidated
-    ``_decompose``."""
-    dec = _decompose(gap(_decompose(b)))
+    ``-CERT_TOL``, from the gap of a prepared A and a decomposed B; the gap
+    is exactly symmetric, so it takes the unvalidated ``_decompose``."""
+    dec = _decompose(gap(dec_b))
     lam = float(dec.eigenvalues[0])
     if lam < -CERT_TOL:
         return lam, dec.basis[:, 0].copy()
@@ -146,8 +161,8 @@ def _certify(gap, b):
 
 def _walks(case, p, q, via_dual):
     """The theta walks (k, x, y, A, b_at) of the family of ``case`` at its
-    base pair (p, q): one fixed A each, and ``b_at`` building B_t at each
-    angle t of ``_THETA_SCHEDULE``.
+    base pair (p, q): one fixed A each, and ``b_at`` giving ``_candidate``'s
+    B_t and its decomposition at each angle t of ``_THETA_SCHEDULE``.
 
     Rank-one has one walk, A = diag(2, 0) against the projection at t.  The
     rotations walk each x = 2^-k, y = x^2 whose closed-form t^2 coefficient
@@ -159,10 +174,10 @@ def _walks(case, p, q, via_dual):
     if case is Case.RANK_ONE:
         if via_dual:
             e = _DUAL_RANK_ONE_SHIFT
-            a, b_at = np.diag([1 / (2 + e), 1 / e]), partial(_rotated, [1 / (1 + e), 1 / e])
+            a, diagonal = np.diag([1 / (2 + e), 1 / e]), (1 / (1 + e), 1 / e)
         else:
-            a, b_at = np.diag([2.0, 0.0]), _projection
-        yield None, None, None, a, b_at
+            a, diagonal = np.diag([2.0, 0.0]), None
+        yield None, None, None, a, partial(_candidate, diagonal)
         return
     for k in _X_SCHEDULE:
         x = 2.0**-k
@@ -177,7 +192,7 @@ def _walks(case, p, q, via_dual):
         except DegenerateFrameError:
             continue
         ax, by = (1.0 / x, 1.0 / y) if via_dual else (x, y)
-        yield k, x, y, np.diag([1.0, ax]), partial(_rotated, [1.0, by])
+        yield k, x, y, np.diag([1.0, ax]), partial(_candidate, (1.0, by))
 
 
 def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
@@ -194,9 +209,9 @@ def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
     for k, x, y, a, b_at in walks:
         gap = _decomposed_gap(p, q, eig_sym(a))
         for j, theta in enumerate(_THETA_SCHEDULE):
-            b = b_at(theta)
+            b, dec_b = b_at(theta)
             try:
-                hit = _certify(gap, b)
+                hit = _certify(gap, dec_b)
             except DomainError:
                 if j == 0:
                     raise SearchExhaustedError(exhausted) from None
@@ -240,7 +255,7 @@ def find_counterexample(p: float, q: float) -> Witness:
     # certifies.  c = 4 unless c^p or c^q would pass 2^1000.
     c = 2.0 ** min(2.0, 1000.0 / max(abs(p), abs(q)))
     a, b = np.eye(2), c * np.eye(2)
-    hit = _certify(_decomposed_gap(p, q, eig_sym(a)), b)
+    hit = _certify(_decomposed_gap(p, q, eig_sym(a)), _decompose(b))
     if hit is None:
         raise SearchExhaustedError("scalar gap did not certify at (%g, %g)" % (p, q))
     expected = scalar_power_mean(q, 1.0, c) - scalar_power_mean(p, 1.0, c)

@@ -29,10 +29,12 @@ from powmean import (
     find_counterexample,
     in_sufficient_region,
     normalize_exponent,
+    pd_rotation_difference,
     pd_rotation_pair,
     plane_rotation,
     power_mean,
     power_mean_gap,
+    rank_one_difference,
     rank_one_pair,
     scalar_power_mean,
 )
@@ -356,13 +358,10 @@ def _witness_words(p, q):
     return [float.hex(v + 0.0) for v in floats] + [repr(w.k), repr(w.j), repr(w.dual_applied)]
 
 
-def test_witness_bits_pinned():
-    # 500 seeded pairs outside the region, about one in five with p > q and
-    # 16 uncertified, recorded once the 2x2 small eigenvalue became det / big
-    # and the rank-one dual shift 1e-9.  A change to any witness or search
-    # outcome must re-record this deliberately.
+def _pinned_pairs():
+    """The 500 seeded pairs outside the region of the witness pin."""
     rng = random.Random(11)
-    words = []
+    pairs = []
     for _ in range(500):
         while True:
             p, q = sorted((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
@@ -370,6 +369,17 @@ def test_witness_bits_pinned():
                 p, q = q, p
             if not in_sufficient_region(p, q):
                 break
+        pairs.append((p, q))
+    return pairs
+
+
+def test_witness_bits_pinned():
+    # 500 seeded pairs outside the region, about one in five with p > q and
+    # 16 uncertified, recorded once the 2x2 small eigenvalue became det / big
+    # and the rank-one dual shift 1e-9.  A change to any witness or search
+    # outcome must re-record this deliberately.
+    words = []
+    for p, q in _pinned_pairs():
         words += _witness_words(p, q)
     digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
     assert_pinned(digest, {
@@ -407,7 +417,7 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
             stopped = ended
             for j, theta in enumerate(ce._THETA_SCHEDULE):
                 try:
-                    ce._certify(_decomposed_gap(*exponents, eig_sym(a)), b_at(theta))
+                    ce._certify(_decomposed_gap(*exponents, eig_sym(a)), b_at(theta)[1])
                     fails = False
                 except DomainError:
                     fails = True
@@ -421,13 +431,14 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
 def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
     # Scripted walks on the one A of a certified witness: B = A misses (a
     # zero gap), a B with y = 4^-20 below the floor raises DomainError, and
-    # the witness's B certifies.
+    # the witness's B certifies.  Each angle gives a B and its decomposition.
     p, q = -0.5, 1.0
     hit = find_counterexample(p, q)
     quiet, fails = hit.a, ce._rotated([1.0, 4.0**-20], 0.1)
 
     def walk(*bs):
-        return None, None, None, hit.a, dict(zip(ce._THETA_SCHEDULE, bs)).__getitem__
+        candidates = [(b, core._decompose(b)) for b in bs]
+        return None, None, None, hit.a, dict(zip(ce._THETA_SCHEDULE, candidates)).__getitem__
 
     w = ce._first_witness(p, q, [walk(quiet, fails, hit.b), walk(hit.b)], "x", False)
     assert w.j == 0 and w.b is hit.b
@@ -436,18 +447,22 @@ def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
 
 
 def test_certify_validates_once_per_decomposition(monkeypatch):
+    ce._candidate.cache_clear()
     w = find_counterexample(0.25, 2.0)
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
     gap = _decomposed_gap(w.p, w.q, eig_sym(w.a))
     # a walk's A is validated and decomposed once
     assert (len(guards), len(decompositions)) == (1, 1)
+    # the search left its B, validated and decomposed, in the cache
+    b, dec_b = ce._candidate((1.0, w.y), w.theta)
+    assert b is w.b and (len(guards), len(decompositions)) == (1, 1)
     for _ in range(2):
-        lam, vec = ce._certify(gap, w.b)
+        lam, vec = ce._certify(gap, dec_b)
         assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
-    # the library built each candidate's B, so _certify validates nothing; B,
-    # the root of each mean and the gap are decomposed as they were built
-    assert (len(guards), len(decompositions)) == (1, 1 + 2 * 4)
+    # _certify validates nothing; the root of each mean and the gap are
+    # decomposed as they were built
+    assert (len(guards), len(decompositions)) == (1, 1 + 2 * 3)
 
 
 #: One pair per label, as the CI's counterexample step runs them.
@@ -457,22 +472,33 @@ _LABEL_PAIRS = [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.8),
 
 @pytest.mark.parametrize("p, q", _LABEL_PAIRS)
 def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
-    # A rotated B_t is validated once, by _rotated; a projection or c I is
-    # never validated.  Every other validation is of a walk's A, once each.
-    symmetrize = core.symmetrize
-    candidates = []
-    certify = ce._certify
-    monkeypatch.setattr(ce, "_certify", lambda gap, b: candidates.append(b) or certify(gap, b))
-    prepared = count_calls(monkeypatch, ce._decomposed_gap)
-    guards = count_calls(monkeypatch, core.symmetrize)
-    find_counterexample(p, q)
-    validated = [symmetrize(*args) for args in guards]
+    # A first search validates each rotated B_t once, where _candidate builds
+    # it, and an identical second search none, as it reads them from the
+    # cache; a projection or c I is never validated.  Every other validation
+    # is of a walk's A, once each.
+    ce._candidate.cache_clear()
     label = classify(p, q)
     rotated = label.case in (Case.PD_ROTATION, Case.LOG_EUCLIDEAN) or (
         label.case is Case.RANK_ONE and label.via_dual)
-    per_candidate = [sum(np.array_equal(v, b) for v in validated) for b in candidates]
-    assert candidates and per_candidate == [int(rotated)] * len(candidates)
-    assert len(guards) == len(prepared) + sum(per_candidate)
+    symmetrize, candidate, certify = core.symmetrize, ce._candidate, ce._certify
+    built, certified = [], []
+    monkeypatch.setattr(ce, "_candidate", lambda *key: built.append(candidate(*key)) or built[-1])
+    monkeypatch.setattr(ce, "_certify",
+                        lambda gap, dec_b: certified.append(dec_b) or certify(gap, dec_b))
+    prepared = count_calls(monkeypatch, ce._decomposed_gap)
+    guards = count_calls(monkeypatch, core.symmetrize)
+    for first in (True, False):
+        for calls in (built, certified, prepared, guards):
+            calls.clear()
+        w = find_counterexample(p, q)
+        validated = [symmetrize(*args) for args in guards]
+        # every decomposition certified is a built candidate's, or c I's
+        assert [id(dec) for _, dec in built] == list(map(id, certified)) or (
+            not built and len(certified) == 1)
+        candidates = [b for b, _ in built] or [w.b]
+        per_candidate = [sum(np.array_equal(v, b) for v in validated) for b in candidates]
+        assert per_candidate == [int(rotated and first)] * len(candidates)
+        assert len(guards) == len(prepared) + sum(per_candidate)
 
 
 def test_search_prepares_each_walks_a_once(monkeypatch):
@@ -512,6 +538,55 @@ def test_exhausted_search_skips_candidates_below_the_floor(monkeypatch, p, q):
         find_counterexample(p, q)
     assert str(info.value) == "pd-rotation schedule exhausted at (%g, %g)" % (p, q)
     assert len(calls) == 1
+
+
+def test_candidate_cache_is_bounded_by_the_schedule():
+    # A key is a schedule position: an x-walk of _X_SCHEDULE, direct or dual,
+    # or one of the two rank-one walks, at an angle of _THETA_SCHEDULE.  The
+    # public builders, and so the lemma oracle, add no entry at any angle.
+    bound = (2 * len(ce._X_SCHEDULE) + 2) * len(ce._THETA_SCHEDULE)
+    assert bound == 1596
+    for p, q in _pinned_pairs() + _LABEL_PAIRS:
+        _witness_words(p, q)
+    size = ce._candidate.cache_info().currsize
+    assert 0 < size <= bound
+    rng = random.Random(3)
+    for theta in [rng.uniform(-3.0, 3.0) for _ in range(20)] + list(ce._THETA_SCHEDULE):
+        pd_rotation_pair(0.25, 0.0625, theta)
+        rank_one_pair(theta)
+        pd_rotation_difference(0.25, 2.0, 0.25, 0.0625)(theta)
+        rank_one_difference(0.6, 0.8)(theta)
+    assert ce._candidate.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("p, q", _LABEL_PAIRS[:6])
+def test_searched_candidate_is_read_only(monkeypatch, p, q):
+    # A caller's write to a searched B, or to its cached decomposition, raises
+    # instead of corrupting later searches, and a repeated search shares it.
+    words = _witness_words(p, q)
+    certify, certified = ce._certify, []
+    monkeypatch.setattr(ce, "_certify",
+                        lambda gap, dec_b: certified.append(dec_b) or certify(gap, dec_b))
+    w = find_counterexample(p, q)
+    with pytest.raises(ValueError):
+        w.b[0, 0] = 0.0
+    for m in certified[-1]:
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+    assert find_counterexample(p, q).b is w.b
+    assert _witness_words(p, q) == words
+
+
+def test_cold_and_warm_searches_give_the_same_bits():
+    # Each pinned pair searched on an emptied cache, then every pair twice on
+    # the shared one: the witnesses and messages are the same bits.
+    cold = []
+    for p, q in _pinned_pairs():
+        ce._candidate.cache_clear()
+        cold.append(_witness_words(p, q))
+    warm = [[_witness_words(p, q) for p, q in _pinned_pairs()] for _ in range(2)]
+    assert ce._candidate.cache_info().hits > 0
+    assert warm == [cold, cold]
 
 
 # ---------------------------------------------------------------------------
