@@ -53,7 +53,7 @@ from .errors import (
 from .expansions import det_coeff_log_pair, det_coeff_power_pair
 from .functions import Power
 from .maps import compression, plane_rotation
-from .means import _decomposed_gap, normalize_exponent, power_mean_gap, scalar_power_mean
+from .means import _decomposed_gap, normalize_exponent, scalar_power_mean
 from .region import Case, classify, dual
 
 CERT_TOL = 1e-12
@@ -129,12 +129,17 @@ def pd_rotation_difference(
     p: float, q: float, x: float, y: float
 ) -> Callable[[float], np.ndarray]:
     """theta -> M_q(A, B_theta) - M_p(A, B_theta) for the rotated family."""
-    return lambda theta: power_mean_gap(p, q, *pd_rotation_pair(x, y, theta))
+    return lambda theta: _built_gap(p, q, *pd_rotation_pair(x, y, theta))
 
 
 def rank_one_difference(p: float, q: float) -> Callable[[float], np.ndarray]:
     """theta -> M_q - M_p for the singular rank-one family."""
-    return lambda theta: power_mean_gap(p, q, *rank_one_pair(theta))
+    return lambda theta: _built_gap(p, q, *rank_one_pair(theta))
+
+
+def _built_gap(p, q, a, b):
+    """``power_mean_gap`` of A and a B_t built exactly symmetric, so unvalidated."""
+    return _decomposed_gap(p, q, eig_sym(a))(_decompose(b))
 
 
 @cache

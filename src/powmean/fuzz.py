@@ -3,6 +3,11 @@
 Each suite draws deterministic samples from a numpy generator and returns a
 small report; all randomness is explicit, so reruns with one seed are
 byte-identical.
+
+Every order check, here and in ``scan``, is one :func:`order_margin` call on
+its gap D = M_q - M_p, which :func:`~powmean.means._gap` builds exactly
+symmetric from the means' sums.  The suites decompose their matrices by
+``eig_sym``; :func:`fuzz_point` takes its draws as stacked decompositions.
 """
 
 from __future__ import annotations
@@ -61,9 +66,7 @@ def _spawn(seed: int, *key: int) -> np.random.Generator:
 
 
 def order_margin(d):
-    """Margin and raw smallest eigenvalue of one order check M_p <= M_q, on
-    its gap D = M_q - M_p (exactly symmetric, as :func:`~powmean.means._gap`
-    builds it from the sums of the means).
+    """Margin and raw smallest eigenvalue of the order check on D = M_q - M_p.
 
     The margin is lambda_min(D) + ORDER_SLACK * (1 + max|D|), the rule of
     :func:`~powmean.core.loewner_leq` with the fixed
@@ -71,8 +74,7 @@ def order_margin(d):
     lambda_min and max|D| from the eigenvalue-only kernel
     :func:`~powmean.core._min_eigenvalue` and validates nothing; where that
     kernel defers (D non-finite or huge, or rescaled), the full verdict gives
-    the same bits or error.  Every check of the fuzz suites and of ``scan``
-    makes one call.
+    the same bits or error.
     """
     done = _min_eigenvalue(d)
     if done is None:
@@ -97,15 +99,13 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     Returns (passed, worst raw min-eigenvalue) over ``trials`` seeded pairs
     per dimension; a pair passes iff its :func:`order_margin` is >= 0.  Each
     dimension draws all its spreads, then all its spectra, from the one cell
-    generator; both matrices of a trial share its spread.  A pair is checked
-    as drawn, eigenvalues and basis, so no matrix is built, validated or
-    decomposed before the means.  The powers, sums, roots and gaps of a
-    dimension are taken for all its trials at once, as stacks, with the bits
-    of one trial at a time; each trial's verdict is its own
-    :func:`order_margin` call, on the smallest eigenvalue alone.  A stage
-    of a stack raises its first failing row, so when one raises (or a
-    floating-point warning would be issued) the dimension is run again
-    trial by trial, and raises or warns as that loop does.
+    generator; both matrices of a trial share its spread.  No matrix is
+    built, validated or decomposed before the means, and their powers, sums,
+    roots and gaps are taken for all trials of a dimension at once, with the
+    bits of one trial at a time.  A stage of a stack raises its first
+    failing row, so when one raises (or a floating-point warning would be
+    issued) the dimension runs again trial by trial, raising or warning as
+    that loop does.
     """
     rng = _spawn(seed, 0)
     passed, worst = True, float("inf")

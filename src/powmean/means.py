@@ -12,6 +12,12 @@ Exponents within 1e-8 of zero are evaluated on the log-Euclidean branch:
 A^p^(1/p) amplifies rounding by ~1/|p|, while the limit formula is exact.
 Only this module snaps an exponent; the region's classification, the
 counterexample search and the CLI labels read a pair as given.
+
+Every mean has two stages on decomposed input: the sum stage S_r, which is
+f(A)/2 + f(B)/2 (:func:`_sums_against`) or phi(f(A)) (:func:`_map_sum`) with
+f = X^r or log from :func:`_functions`, then the root stage f^-1(S_r) of
+:func:`_root`.  The public means compose the two; :func:`_gap`, the one gap
+routine, serves ``power_mean_gap``, the counterexample search and the fuzz.
 """
 
 from __future__ import annotations
@@ -71,10 +77,8 @@ def _functions(p: float):
 
 
 def _sums_against(dec_a):
-    """``(r, dec_b) -> S_r = f(A)/2 + f(B)/2``, the sum stage of the r-mean
-    (f = X^r or log), for the decomposed A and a decomposed B of its shape.
-    A and B may be stacks (see :func:`~powmean.core.spectral_fun`), and S_r
-    then is one.
+    """``(r, dec_b) -> S_r`` for the decomposed A and a decomposed B of its
+    shape, or for stacks of them (see :func:`~powmean.core.spectral_fun`).
 
     B's shape is checked first.  Each exponent's f(A)/2 is made at the first
     B that needs it and then reused, so the errors of an exponent or of f(A)
@@ -97,9 +101,7 @@ def _sums_against(dec_a):
 
 
 def _root(r: float, s: np.ndarray) -> np.ndarray:
-    """The root stage of the r-mean: f^-1(S_r) (X^(1/r) or exp) of one sum
-    from :func:`_sums_against`, or of a map sum phi(f(A)) from
-    :func:`_map_sum`; either is exactly symmetric."""
+    """f^-1(S_r) of one exactly symmetric sum, a stack of them or a map sum."""
     return spectral_fun(_decompose(s), _functions(r)[1])
 
 
@@ -138,8 +140,7 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
 
 def _decomposed_gap(p: float, q: float, dec_a):
     """``dec_b -> M_q(A, B) - M_p(A, B)`` for the decomposed A and a decomposed
-    B: the sum stage of :func:`_sums_against`, drawn lazily, fed to
-    :func:`_gap`.  A decomposition here is any
+    B, its sums drawn lazily for :func:`_gap`.  A decomposition here is any
     :class:`~powmean.core.SpectralDecomposition` with ascending eigenvalues,
     from :func:`~powmean.core.eig_sym` or drawn as one."""
     power_sum = _sums_against(dec_a)
@@ -196,8 +197,7 @@ def _unital_decomposition(phi, a):
 
 
 def _map_sum(phi, r: float, dec) -> np.ndarray:
-    """phi(f(A)), f = X^r or log: the sum stage of the map r-mean, which
-    :func:`_root` completes; A is given by :func:`_unital_decomposition`."""
+    """phi(f(A)) for A from :func:`_unital_decomposition`."""
     return phi.apply(spectral_fun(dec, _functions(r)[0]))
 
 

@@ -7,6 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from powmean import core
+
+
+@pytest.fixture(autouse=True)
+def fresh_decompositions():
+    """Empty ``eig_sym``'s memo of recent decompositions before each test, so
+    no call count depends on which tests ran before."""
+    core._recent.cache_clear()
+
 
 @pytest.fixture
 def rng():

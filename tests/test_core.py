@@ -28,11 +28,12 @@ from powmean import (
     eig_sym,
     loewner_leq,
     mat_fun,
+    power_mean,
     random_pd,
     symmetrize,
 )
 from powmean import core
-from powmean.fuzz import order_margin
+from powmean.fuzz import FUZZ_TARGETS, fuzz_map_order, fuzz_point, order_margin
 from powmean.maps import plane_rotation
 
 from conftest import count_calls, spectrum_from_draws, sym_rand
@@ -532,6 +533,73 @@ def test_stacked_decomposition_raises_an_earlier_rows_solver_error(rng, monkeypa
     monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
     with pytest.raises(NonConvergenceError, match="exceeded the cap of 1"):
         core._decompose(np.array([finite, non_finite]))
+
+
+# ---------------------------------------------------------------------------
+# eig_sym's memo of recent decompositions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_eig_sym_results_are_shared_and_read_only(dim, scale, rng):
+    # A repeated matrix, as a new array, is a lookup: the result is shared,
+    # so every array of it (a rescaled one too) refuses a write.
+    m = sym_rand(rng, dim) * scale
+    dec = eig_sym(m)
+    assert eig_sym(m.copy()) is dec
+    assert core._recent.cache_info()[:2] == (1, 1)
+    for arr in dec:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    fresh = core._decompose(symmetrize(m))
+    assert [a.tobytes() for a in dec] == [a.tobytes() for a in fresh]
+    assert dec.basis.strides == fresh.basis.strides
+
+
+def test_eig_sym_keeps_no_error(rng, monkeypatch):
+    # A failed decomposition is not kept: each call under the sweep cap of 1
+    # runs the sweeps and raises, and with the cap restored the same matrix
+    # decomposes.
+    m = sym_rand(rng, 5)
+    decompositions = count_calls(monkeypatch, core._decompose)
+    monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
+    for _ in range(2):
+        with pytest.raises(NonConvergenceError, match="exceeded the cap of 1"):
+            eig_sym(m)
+    assert len(decompositions) == 2 and core._recent.cache_info().currsize == 0
+    monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 100)
+    dec = eig_sym(m)
+    assert len(decompositions) == 3 and core._recent.cache_info().currsize == 1
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+
+
+def test_eig_sym_memo_stays_within_its_bound_on_wide_inputs():
+    # The benchmark's wide operations at dims 4-8: order checks, map-order
+    # trials and inversion-duality checks, which read their A and B back.
+    inverse = Power(-1.0)
+    for n in range(4, 9):
+        for seed in range(3):
+            a, b = random_pd(n, 2 * seed, 10.0), random_pd(n, 2 * seed + 1, 10.0)
+            mat_fun(power_mean(1.5, a, b), inverse)
+            power_mean(-1.5, mat_fun(a, inverse), mat_fun(b, inverse))
+            fuzz_point(0.5, 2.0, 1, seed, dims=(n,))
+            if n <= 6:
+                fuzz_map_order(1, seed, dims=(n,))
+            info = core._recent.cache_info()
+            assert info.currsize <= info.maxsize == 8
+    assert info.hits >= 2 * 5 * 3
+
+
+@pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
+def test_fuzz_targets_give_the_same_bits_cold_and_warm(target, monkeypatch):
+    # Twice in one process with the memo, then with every decomposition made
+    # afresh: the same reports, bit for bit.
+    def words():
+        report = FUZZ_TARGETS[target](300, 7)
+        return report.summary(), float.hex(report.worst), report.failures
+    warm = [words(), words()]
+    monkeypatch.setattr(core, "_recent", core._recent.__wrapped__)
+    assert warm == [words()] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from powmean import (
     find_counterexample,
     in_sufficient_region,
     normalize_exponent,
+    numeric_det_coeff,
     pd_rotation_difference,
     pd_rotation_pair,
     plane_rotation,
@@ -36,6 +37,7 @@ from powmean import (
     power_mean_gap,
     rank_one_difference,
     rank_one_pair,
+    rank_one_remainder_orders,
     scalar_power_mean,
 )
 
@@ -449,6 +451,7 @@ def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
 def test_certify_validates_once_per_decomposition(monkeypatch):
     ce._candidate.cache_clear()
     w = find_counterexample(0.25, 2.0)
+    core._recent.cache_clear()  # the search left its A in eig_sym's memo
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
     gap = _decomposed_gap(w.p, w.q, eig_sym(w.a))
@@ -587,6 +590,57 @@ def test_cold_and_warm_searches_give_the_same_bits():
     warm = [[_witness_words(p, q) for p, q in _pinned_pairs()] for _ in range(2)]
     assert ce._candidate.cache_info().hits > 0
     assert warm == [cold, cold]
+
+
+def _oracle_words():
+    """float.hex words of the lemma oracle's value and error on each family."""
+    results = [numeric_det_coeff(rank_one_difference(0.6, 0.8),
+                                 orders=rank_one_remainder_orders(0.6, 0.8)),
+               numeric_det_coeff(pd_rotation_difference(0.5, 2.0, 0.25, 0.0625)),
+               numeric_det_coeff(pd_rotation_difference(0.0, 2.0, 0.25, 0.0625))]
+    return [float.hex(v) for result in results for v in result]
+
+
+def test_eig_sym_memo_gives_the_same_bits_cold_and_warm(monkeypatch):
+    # Each pinned pair's witness and the lemma oracle of each family, twice
+    # with eig_sym's memo, then with every decomposition made afresh.
+    def words():
+        return [_witness_words(p, q) for p, q in _pinned_pairs()] + _oracle_words()
+    warm = [words(), words()]
+    assert core._recent.cache_info().hits > 0
+    monkeypatch.setattr(core, "_recent", core._recent.__wrapped__)
+    assert warm == [words()] * 2
+
+
+@pytest.mark.parametrize("family", ["pd-rotation", "rank-one"])
+def test_lemma_oracle_guards_each_matrix_once(monkeypatch, family):
+    # Over the oracle's eight angles A is validated at each (eig_sym) but
+    # decomposed once, at the first; each B_t is validated only where
+    # _rotated builds it (a projection never) and decomposed once.
+    if family == "pd-rotation":
+        difference, a = pd_rotation_difference(0.5, 2.0, 0.25, 0.0625), np.diag([1.0, 0.25])
+    else:
+        difference, a = rank_one_difference(0.6, 0.8), np.diag([2.0, 0.0])
+    thetas = [0.1 * 2.0**-k for k in range(8)]
+    bs = [(pd_rotation_pair(0.25, 0.0625, t) if family == "pd-rotation" else rank_one_pair(t))[1]
+          for t in thetas]
+    guards = count_calls(monkeypatch, core.symmetrize)
+    decompositions = count_calls(monkeypatch, core._decompose)
+    for theta in thetas:
+        difference(theta)
+    guarded = [np.asarray(m) for m, *_ in guards]
+    assert sum(np.array_equal(m, a) for m in guarded) == len(thetas)
+    assert len(guarded) == len(thetas) * (2 if family == "pd-rotation" else 1)
+    decomposed = [m for m, *_ in decompositions]
+    assert sum(np.array_equal(m, a) for m in decomposed) == 1
+    assert [sum(np.array_equal(m, b) for m in decomposed) for b in bs] == [1] * len(thetas)
+
+
+@pytest.mark.parametrize("difference", [pd_rotation_difference(0.5, 2.0, 0.25, 0.0625),
+                                        rank_one_difference(0.6, 0.8)])
+def test_lemma_oracle_rejects_a_non_finite_angle(difference):
+    with pytest.raises(PreconditionError, match="^matrix entries must be finite$"):
+        difference(math.nan)
 
 
 # ---------------------------------------------------------------------------
