@@ -11,14 +11,16 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 * rank-one:      A = diag(2, 0) against the rank-one projection at angle t,
   whose coefficient is negative for every 0 < p < q < 1.
 
-A theta walk is data, (k, x, y, A, t -> (B_t, its decomposition)): only B_t
-moves along it.  One loop prepares each walk's fixed A once (validated,
-decomposed and raised to each mean's power), certifies B_t at each angle of
-the schedule in order, returns the first hit and ends a walk at a
-``DomainError``.  B_t depends only on its schedule position, so
-``_candidate`` builds each once per process (1,596 at most; a rotation is
-validated as it is built, a projection never), decomposes it unvalidated
-and shares both, read-only, with every later search and ``_certify``.
+A theta walk is data, (k, x, y, A, diagonal of B_t): only B_t moves along
+it.  One loop prepares each walk's fixed A once (validated, decomposed and
+raised to each mean's power), certifies B_t in the schedule's blocks (the
+first three angles alone, where most searches end, then j = 3-6, 7-14 and
+15-20 each as one stack), returns the first hit in schedule order and ends
+a walk at a ``DomainError``; witnesses and errors are those of certifying
+one candidate at a time.  B_t depends only on its schedule position, so
+``_block`` builds each block once per process (456 blocks of 1,596 B_t at
+most; a rotation is validated as it is built, a projection never),
+decomposes it unvalidated and shares both, read-only, with every search.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
 family of the reflected pair, guided at (-q, -p), but yield the exact
 reciprocals of its pairs in closed form: by M_p(A^-1, B^-1) =
@@ -42,11 +44,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _decompose, eig_sym, mat_fun, symmetrize
+from .core import SpectralDecomposition, _decompose, eig_sym, mat_fun, symmetrize
 from .errors import (
     DegenerateFrameError,
     DomainError,
     InRegionError,
+    PowerMeanError,
     PreconditionError,
     SearchExhaustedError,
 )
@@ -59,6 +62,8 @@ from .region import Case, classify, dual
 CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
 _THETA_SCHEDULE = tuple(0.1 * 2.0**-j for j in range(21))
+#: The (start, stop) blocks in which a walk certifies ``_THETA_SCHEDULE``.
+_BLOCKS = ((0, 1), (1, 2), (2, 3), (3, 7), (7, 15), (15, 21))
 _DUAL_RANK_ONE_SHIFT = 1e-9
 
 #: Classic 3x3 positive definite matrix (due to Choi) whose top-left 2x2
@@ -143,19 +148,21 @@ def _built_gap(p, q, a, b):
 
 
 @cache
-def _candidate(diagonal, theta):
+def _block(diagonal, start, stop):
     """B_t = R_t diag(diagonal) R_t^T, or the projection at t for ``diagonal``
-    None, and its unvalidated decomposition: read-only, cached by position."""
-    b = _projection(theta) if diagonal is None else _rotated(diagonal, theta)
-    dec = _decompose(b)
-    for m in (b, *dec):
+    None, at the angles start..stop-1, and their unvalidated decomposition,
+    stacked unless the block has one angle: read-only, cached by position."""
+    build = _projection if diagonal is None else partial(_rotated, diagonal)
+    bs = tuple(build(theta) for theta in _THETA_SCHEDULE[start:stop])
+    dec = _decompose(bs[0] if len(bs) == 1 else np.stack(bs))
+    for m in (*bs, *dec):
         m.flags.writeable = False
-    return b, dec
+    return bs, dec
 
 
 def _certify(gap, dec_b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, from the gap of a prepared A and a decomposed B; the gap
+    ``-CERT_TOL``, from the gap of a prepared A and one decomposed B; the gap
     is exactly symmetric, so it takes the unvalidated ``_decompose``."""
     dec = _decompose(gap(dec_b))
     lam = float(dec.eigenvalues[0])
@@ -164,10 +171,34 @@ def _certify(gap, dec_b):
     return None
 
 
+def _first_hit(gap, dec_b):
+    """(i, eigenvalue, witness) of the first B_i of a ``_block`` that
+    ``_certify`` accepts, or ``None``.  A stack takes one stacked gap, row i
+    with the bits of B_i's; if it raises, ``_certify`` takes the rows one by
+    one, so an error is raised only where B_i alone raises it, and only if
+    no earlier row certifies."""
+    rows = (dec_b,)
+    if dec_b.basis.ndim == 3:
+        try:
+            dec = _decompose(gap(dec_b))
+        except PowerMeanError:
+            rows = map(SpectralDecomposition, dec_b.eigenvalues, dec_b.basis)
+        else:
+            for i, lam in enumerate(dec.eigenvalues[:, 0].tolist()):
+                if lam < -CERT_TOL:
+                    return i, lam, dec.basis[i, :, 0].copy()
+            return None
+    for i, row in enumerate(rows):
+        hit = _certify(gap, row)
+        if hit is not None:
+            return (i, *hit)
+    return None
+
+
 def _walks(case, p, q, via_dual):
-    """The theta walks (k, x, y, A, b_at) of the family of ``case`` at its
-    base pair (p, q): one fixed A each, and ``b_at`` giving ``_candidate``'s
-    B_t and its decomposition at each angle t of ``_THETA_SCHEDULE``.
+    """The theta walks (k, x, y, A, diagonal) of the family of ``case`` at its
+    base pair (p, q): one fixed A each, and the ``diagonal`` whose ``_block``
+    gives B_t and its decomposition at the angles t of ``_THETA_SCHEDULE``.
 
     Rank-one has one walk, A = diag(2, 0) against the projection at t.  The
     rotations walk each x = 2^-k, y = x^2 whose closed-form t^2 coefficient
@@ -182,7 +213,7 @@ def _walks(case, p, q, via_dual):
             a, diagonal = np.diag([1 / (2 + e), 1 / e]), (1 / (1 + e), 1 / e)
         else:
             a, diagonal = np.diag([2.0, 0.0]), None
-        yield None, None, None, a, partial(_candidate, diagonal)
+        yield None, None, None, a, diagonal
         return
     for k in _X_SCHEDULE:
         x = 2.0**-k
@@ -197,34 +228,36 @@ def _walks(case, p, q, via_dual):
         except DegenerateFrameError:
             continue
         ax, by = (1.0 / x, 1.0 / y) if via_dual else (x, y)
-        yield k, x, y, np.diag([1.0, ax]), partial(_candidate, (1.0, by))
+        yield k, x, y, np.diag([1.0, ax]), (1.0, by)
 
 
 def _first_witness(p, q, walks, exhausted: str, via_dual) -> Witness:
-    """The first candidate (A, b_at(t)) of ``walks`` that ``_certify``
-    accepts at (p, q), as a witness; running out raises
+    """The first candidate (A, B_t) of ``walks`` that ``_certify`` accepts at
+    (p, q), in schedule order, as a witness; running out raises
     ``SearchExhaustedError`` with the message ``exhausted``.
 
-    Each walk's A is prepared once.  A candidate outside the means' domain
-    (``DomainError``) ends its walk, and ends the search if it is the walk's
-    first (j = 0): the eigenvalue that fails the floor, y = 4^-k of B_t or
-    about sin^2(theta)/4 for the inner mean of a dual pair, only falls as k
-    and j grow.
+    Each walk's A is prepared once and its ``_BLOCKS`` go to ``_first_hit``.
+    A candidate outside the means' domain (``DomainError``) ends its walk,
+    and ends the search if it is the walk's first (j = 0): the eigenvalue
+    that fails the floor, y = 4^-k of B_t or about sin^2(theta)/4 for the
+    inner mean of a dual pair, only falls as k and j grow.
     """
-    for k, x, y, a, b_at in walks:
+    for k, x, y, a, diagonal in walks:
         gap = _decomposed_gap(p, q, eig_sym(a))
-        for j, theta in enumerate(_THETA_SCHEDULE):
-            b, dec_b = b_at(theta)
+        for start, stop in _BLOCKS:
+            bs, dec_b = _block(diagonal, start, stop)
             try:
-                hit = _certify(gap, dec_b)
+                hit = _first_hit(gap, dec_b)
             except DomainError:
-                if j == 0:
+                if start == 0:
                     raise SearchExhaustedError(exhausted) from None
                 break
             if hit is not None:
-                lam, vec = hit
-                return Witness(normalize_exponent(p), normalize_exponent(q), a, b, lam, vec,
-                               x=x, y=y, theta=theta, dual_applied=via_dual, k=k, j=j)
+                i, lam, vec = hit
+                j = start + i
+                return Witness(normalize_exponent(p), normalize_exponent(q), a, bs[i], lam, vec,
+                               x=x, y=y, theta=_THETA_SCHEDULE[j], dual_applied=via_dual,
+                               k=k, j=j)
     raise SearchExhaustedError(exhausted)
 
 

@@ -78,7 +78,9 @@ def _functions(p: float):
 
 def _sums_against(dec_a):
     """``(r, dec_b) -> S_r`` for the decomposed A and a decomposed B of its
-    shape, or for stacks of them (see :func:`~powmean.core.spectral_fun`).
+    shape, for stacks of them, or for one A against a stack of B (see
+    :func:`~powmean.core.spectral_fun`); row i of a stack has the bits of
+    its pair's single call.
 
     B's shape is checked first.  Each exponent's f(A)/2 is made at the first
     B that needs it and then reused, so the errors of an exponent or of f(A)
@@ -88,7 +90,7 @@ def _sums_against(dec_a):
     sides = {}
 
     def power_sum(r, dec_b):
-        if dec_b.basis.shape != shape:
+        if dec_b.basis.shape[-len(shape):] != shape:
             raise DimensionMismatchError("means need equal dimensions")
         side = sides.get(r)
         if side is None:
@@ -140,9 +142,9 @@ def power_mean_gap(p: float, q: float, a, b) -> np.ndarray:
 
 def _decomposed_gap(p: float, q: float, dec_a):
     """``dec_b -> M_q(A, B) - M_p(A, B)`` for the decomposed A and a decomposed
-    B, its sums drawn lazily for :func:`_gap`.  A decomposition here is any
-    :class:`~powmean.core.SpectralDecomposition` with ascending eigenvalues,
-    from :func:`~powmean.core.eig_sym` or drawn as one."""
+    B or a stack of B, its sums drawn lazily for :func:`_gap`.  A decomposition
+    here is any :class:`~powmean.core.SpectralDecomposition` with ascending
+    eigenvalues, from :func:`~powmean.core.eig_sym` or drawn as one."""
     power_sum = _sums_against(dec_a)
     return lambda dec_b: _gap(p, q, power_sum(q, dec_b), lambda: power_sum(p, dec_b))
 

@@ -25,6 +25,7 @@ from powmean import (
     classify,
     core,
     det_coeff_power_pair,
+    dual,
     eig_sym,
     find_counterexample,
     in_sufficient_region,
@@ -347,12 +348,17 @@ def test_search_error_paths(call, error, message, monkeypatch):
     assert str(info.value) == message
 
 
-def _witness_words(p, q):
-    """float.hex words of the witness at (p, q): a, b, its eigenvalue and
-    vector, then k, j and the dual flag; or the error's type and message.
-    Adding 0.0 folds the sign of a zero, which nothing reads."""
+def _witness_words(p, q, search=find_counterexample):
+    """float.hex words of the witness ``search`` gives at (p, q)."""
+    return _words(lambda: search(p, q))
+
+
+def _words(search):
+    """float.hex words of the witness ``search()`` returns: a, b, its
+    eigenvalue and vector, then k, j and the dual flag; or the error's type
+    and message.  Adding 0.0 folds the sign of a zero, which nothing reads."""
     try:
-        w = find_counterexample(p, q)
+        w = search()
     except PowerMeanError as exc:
         return ["%s:%s" % (type(exc).__name__, exc)]
     floats = [*w.a.ravel().tolist(), *w.b.ravel().tolist(), w.neg_eigenvalue,
@@ -372,6 +378,57 @@ def _pinned_pairs():
             if not in_sufficient_region(p, q):
                 break
         pairs.append((p, q))
+    return pairs
+
+
+def _candidate_at(diagonal, j):
+    """B_t of the walk with ``diagonal`` at angle j, built alone."""
+    theta = ce._THETA_SCHEDULE[j]
+    return ce._projection(theta) if diagonal is None else ce._rotated(diagonal, theta)
+
+
+def _reference_witness(p, q, walks, candidate, exhausted, via_dual):
+    """``_first_witness`` one candidate at a time: each B_t is
+    ``candidate(diagonal, j)``, decomposed alone and certified by ``_certify``,
+    and a ``DomainError`` ends its walk, or the search at j = 0."""
+    for k, x, y, a, diagonal in walks:
+        gap = _decomposed_gap(p, q, eig_sym(a))
+        for j, theta in enumerate(ce._THETA_SCHEDULE):
+            b = candidate(diagonal, j)
+            try:
+                hit = ce._certify(gap, core._decompose(b))
+            except DomainError:
+                if j == 0:
+                    raise SearchExhaustedError(exhausted) from None
+                break
+            if hit is not None:
+                return ce.Witness(normalize_exponent(p), normalize_exponent(q), a, b, *hit,
+                                  x=x, y=y, theta=theta, dual_applied=via_dual, k=k, j=j)
+    raise SearchExhaustedError(exhausted)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_search(p, q, candidate=_candidate_at):
+    """``find_counterexample`` at a walked label (p < q outside the region),
+    through ``_reference_witness``."""
+    label = classify(p, q)
+    bp, bq = dual(p, q) if label.via_dual else (p, q)
+    exhausted = "%s schedule exhausted at (%g, %g)" % (label.case.value, bp, bq)
+    walks = ce._walks(label.case, bp, bq, label.via_dual)
+    return _reference_witness(p, q, walks, candidate, exhausted, label.via_dual)
+
+
+def _reference_pairs():
+    """2,000 seeded pairs p < q outside the region; about one in twenty has
+    an exponent set to 0, so both log-Euclidean labels occur."""
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < 2000:
+        p, q = sorted((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
+        if rng.random() < 0.05:
+            p, q = sorted((0.0, p if rng.random() < 0.5 else q))
+        if p < q and not in_sufficient_region(p, q):
+            pairs.append((p, q))
     return pairs
 
 
@@ -415,11 +472,12 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
         exponents = (-q, -p) if via_dual else (p, q)
         case = Case.LOG_EUCLIDEAN if p == 0.0 else Case.PD_ROTATION
         ended = False
-        for _, _, _, a, b_at in ce._walks(case, p, q, via_dual):
+        for _, _, _, a, diagonal in ce._walks(case, p, q, via_dual):
             stopped = ended
-            for j, theta in enumerate(ce._THETA_SCHEDULE):
+            for j in range(len(ce._THETA_SCHEDULE)):
                 try:
-                    ce._certify(_decomposed_gap(*exponents, eig_sym(a)), b_at(theta)[1])
+                    ce._certify(_decomposed_gap(*exponents, eig_sym(a)),
+                                core._decompose(_candidate_at(diagonal, j)))
                     fails = False
                 except DomainError:
                     fails = True
@@ -430,26 +488,127 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
     assert skipped and all(skipped)
 
 
-def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search():
-    # Scripted walks on the one A of a certified witness: B = A misses (a
-    # zero gap), a B with y = 4^-20 below the floor raises DomainError, and
-    # the witness's B certifies.  Each angle gives a B and its decomposition.
+def test_block_search_matches_the_one_candidate_reference():
+    # Every witness and error of the search, which certifies the later angles
+    # of a walk as stacks, has the bits of the search one candidate at a time,
+    # on the six walked labels and an overflowing mean.
+    pairs = _reference_pairs() + [(p, q) for p, q in _LABEL_PAIRS if p < q] + [(0.4, 1e308)]
+    assert {str(classify(p, q)) for p, q in pairs} == set(_SEARCH_ORDER)
+    js, errors = set(), set()
+    for p, q in pairs:
+        words = _witness_words(p, q)
+        assert words == _witness_words(p, q, _reference_search), (p, q)
+        if len(words) > 1:
+            js.add(int(words[-2]))
+        else:
+            errors.add(words[0].split(":")[0])
+    # witnesses in every block, and both errors of the walked labels
+    assert {_block_of(j) for j in js} == set(ce._BLOCKS)
+    assert errors == {"SearchExhaustedError", "PreconditionError"}
+
+
+#: Pairs of the reference sample that the CI's warm-cache step searches: a
+#: pd-rotation, a rank-one and a dual witness at j >= 7, and a dual pair
+#: whose walks end at a DomainError at j = 13, inside the block 7..14.
+_BLOCK_PAIRS = {(0.38315483079990553, 2.7432755469899197): ("pd-rotation", 13),
+                (0.8880077500132666, 0.9455894048212028): ("rank-one", 13),
+                (-2.3602163418164466, -0.3926688563973775): ("pd-rotation-dual", 11),
+                (-2.4940517038639287, -0.42809933568076897): ("pd-rotation-dual", None)}
+
+
+@pytest.mark.parametrize("p, q", sorted(_BLOCK_PAIRS))
+def test_block_pairs_reach_the_later_blocks(p, q):
+    assert (p, q) in _reference_pairs()
+    label, j = _BLOCK_PAIRS[p, q]
+    reached = []
+    w = _words(lambda: _reference_search(p, q, lambda d, j: reached.append(j) or
+                                         _candidate_at(d, j)))
+    assert str(classify(p, q)) == label
+    if j is None:
+        # a walk ends at a DomainError at j = 13 or at the schedule's end,
+        # and the search at a DomainError at j = 0
+        ends = [a for a, b in zip(reached, reached[1:] + [0]) if b == 0]
+        assert w[0].startswith("SearchExhaustedError") and 13 in ends
+        assert set(ends) <= {0, 13, len(ce._THETA_SCHEDULE) - 1}
+    else:
+        assert w[-2] == repr(j)
+
+
+def _scripted_walks(monkeypatch, a, *scripts):
+    """Walks k = 0, 1, ... on the one A: script k maps an angle index j to its
+    B, every other angle holding B = A (a zero gap, a miss).  ``_block`` is
+    replaced by the blocks cut from them; returns the walks and the
+    candidate function of ``_reference_witness``."""
+    rows = [[a] * len(ce._THETA_SCHEDULE) for _ in scripts]
+    for walk, script in zip(rows, scripts):
+        for j, b in script.items():
+            walk[j] = b
+
+    def block(k, start, stop):
+        bs = tuple(rows[k][start:stop])
+        return bs, core._decompose(bs[0] if len(bs) == 1 else np.stack(bs))
+
+    monkeypatch.setattr(ce, "_block", block)
+    return [(k, None, None, a, k) for k in range(len(scripts))], lambda k, j: rows[k][j]
+
+
+def _scripted_search(monkeypatch, p, q, a, *scripts):
+    """Words of ``_first_witness`` on the scripted walks, asserted equal to
+    those of ``_reference_witness``."""
+    walks, candidate = _scripted_walks(monkeypatch, a, *scripts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        words = _words(lambda: ce._first_witness(p, q, walks, "x", False))
+        assert words == _words(lambda: _reference_witness(p, q, walks, candidate, "x", False))
+    return words
+
+
+def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search(monkeypatch):
+    # Scripted walks on the one A of a certified witness: a B with y = 4^-20
+    # below the floor raises DomainError, and the witness's B certifies.
     p, q = -0.5, 1.0
     hit = find_counterexample(p, q)
-    quiet, fails = hit.a, ce._rotated([1.0, 4.0**-20], 0.1)
+    fails = ce._rotated([1.0, 4.0**-20], 0.1)
+    words = _scripted_search(monkeypatch, p, q, hit.a, {1: fails, 2: hit.b}, {0: hit.b})
+    assert words[-3:] == ["1", "0", "False"]
+    words = _scripted_search(monkeypatch, p, q, hit.a, {0: fails, 1: hit.b}, {0: hit.b})
+    assert words == ["SearchExhaustedError:x"]
 
-    def walk(*bs):
-        candidates = [(b, core._decompose(b)) for b in bs]
-        return None, None, None, hit.a, dict(zip(ce._THETA_SCHEDULE, candidates)).__getitem__
 
-    w = ce._first_witness(p, q, [walk(quiet, fails, hit.b), walk(hit.b)], "x", False)
-    assert w.j == 0 and w.b is hit.b
-    with pytest.raises(SearchExhaustedError, match="^x$"):
-        ce._first_witness(p, q, [walk(fails, hit.b), walk(hit.b)], "x", False)
+@pytest.mark.parametrize("bad, good, k, j", [
+    (5, 4, 0, 4),    # after the certifying row: the earlier witness
+    (4, 5, 1, 9),    # before it: the walk ends at j = 4, the next certifies
+    (7, 14, 1, 9),   # the first row of a block
+    (20, 19, 0, 19),
+])
+def test_domain_error_inside_a_block(monkeypatch, bad, good, k, j):
+    p, q = -0.5, 1.0
+    hit = find_counterexample(p, q)
+    fails = ce._rotated([1.0, 4.0**-20], 0.1)
+    words = _scripted_search(monkeypatch, p, q, hit.a, {bad: fails, good: hit.b}, {9: hit.b})
+    assert words[-3:] == [repr(k), repr(j), "False"]
+
+
+@pytest.mark.parametrize("bad, good, j", [(5, 4, 4), (4, 5, None), (12, 16, None), (16, 12, 12)])
+def test_overflowing_mean_inside_a_block(monkeypatch, bad, good, j):
+    # B^2 of a B with eigenvalue 1e200 overflows, so the q-mean's root raises
+    # PreconditionError; a block raises it only where no earlier row certifies.
+    p, q = -0.5, 2.0
+    hit = find_counterexample(p, q)
+    big = ce._rotated([1.0, 1e200], 0.1)
+    words = _scripted_search(monkeypatch, p, q, hit.a, {bad: big, good: hit.b}, {0: hit.b})
+    if j is None:
+        assert words == ["PreconditionError:matrix entries must be finite"]
+    else:
+        assert words[-3:] == ["0", repr(j), "False"]
+
+
+def _block_of(j):
+    """The (start, stop) of ``_BLOCKS`` that holds angle j."""
+    return next((start, stop) for start, stop in ce._BLOCKS if start <= j < stop)
 
 
 def test_certify_validates_once_per_decomposition(monkeypatch):
-    ce._candidate.cache_clear()
+    ce._block.cache_clear()
     w = find_counterexample(0.25, 2.0)
     core._recent.cache_clear()  # the search left its A in eig_sym's memo
     decompositions = count_calls(monkeypatch, core._decompose)
@@ -457,15 +616,21 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     gap = _decomposed_gap(w.p, w.q, eig_sym(w.a))
     # a walk's A is validated and decomposed once
     assert (len(guards), len(decompositions)) == (1, 1)
-    # the search left its B, validated and decomposed, in the cache
-    b, dec_b = ce._candidate((1.0, w.y), w.theta)
-    assert b is w.b and (len(guards), len(decompositions)) == (1, 1)
+    # the search left its block of B, validated and decomposed, in the cache
+    start, stop = _block_of(w.j)
+    assert stop - start > 1
+    bs, dec_b = ce._block((1.0, w.y), start, stop)
+    i = w.j - start
+    assert bs[i] is w.b and (len(guards), len(decompositions)) == (1, 1)
     for _ in range(2):
-        lam, vec = ce._certify(gap, dec_b)
+        lam, vec = ce._certify(gap, core.SpectralDecomposition(dec_b.eigenvalues[i], dec_b.basis[i]))
         assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
     # _certify validates nothing; the root of each mean and the gap are
-    # decomposed as they were built
+    # decomposed as they were built, and so is the whole block's, as stacks
     assert (len(guards), len(decompositions)) == (1, 1 + 2 * 3)
+    found, lam, vec = ce._first_hit(gap, dec_b)
+    assert (found, lam) == (i, w.neg_eigenvalue) and np.array_equal(vec, w.witness)
+    assert (len(guards), len(decompositions)) == (1, 1 + 3 * 3)
 
 
 #: One pair per label, as the CI's counterexample step runs them.
@@ -475,30 +640,32 @@ _LABEL_PAIRS = [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.8),
 
 @pytest.mark.parametrize("p, q", _LABEL_PAIRS)
 def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
-    # A first search validates each rotated B_t once, where _candidate builds
-    # it, and an identical second search none, as it reads them from the
-    # cache; a projection or c I is never validated.  Every other validation
-    # is of a walk's A, once each.
-    ce._candidate.cache_clear()
+    # A first search validates each rotated B_t of the blocks it reaches
+    # once, where _block builds them, and an identical second search none,
+    # as it reads them from the cache; a projection or c I is never
+    # validated.  Every other validation is of a walk's A, once each.
+    ce._block.cache_clear()
     label = classify(p, q)
     rotated = label.case in (Case.PD_ROTATION, Case.LOG_EUCLIDEAN) or (
         label.case is Case.RANK_ONE and label.via_dual)
-    symmetrize, candidate, certify = core.symmetrize, ce._candidate, ce._certify
-    built, certified = [], []
-    monkeypatch.setattr(ce, "_candidate", lambda *key: built.append(candidate(*key)) or built[-1])
+    symmetrize, block, first_hit, certify = core.symmetrize, ce._block, ce._first_hit, ce._certify
+    built, searched, certified = [], [], []
+    monkeypatch.setattr(ce, "_block", lambda *key: built.append(block(*key)) or built[-1])
+    monkeypatch.setattr(ce, "_first_hit",
+                        lambda gap, dec_b: searched.append(dec_b) or first_hit(gap, dec_b))
     monkeypatch.setattr(ce, "_certify",
                         lambda gap, dec_b: certified.append(dec_b) or certify(gap, dec_b))
     prepared = count_calls(monkeypatch, ce._decomposed_gap)
     guards = count_calls(monkeypatch, core.symmetrize)
     for first in (True, False):
-        for calls in (built, certified, prepared, guards):
+        for calls in (built, searched, certified, prepared, guards):
             calls.clear()
         w = find_counterexample(p, q)
         validated = [symmetrize(*args) for args in guards]
-        # every decomposition certified is a built candidate's, or c I's
-        assert [id(dec) for _, dec in built] == list(map(id, certified)) or (
-            not built and len(certified) == 1)
-        candidates = [b for b, _ in built] or [w.b]
+        # every block searched is a built one's; c I is certified alone
+        assert list(map(id, searched)) == [id(dec) for _, dec in built]
+        assert built or len(certified) == 1
+        candidates = [b for bs, _ in built for b in bs] or [w.b]
         per_candidate = [sum(np.array_equal(v, b) for v in validated) for b in candidates]
         assert per_candidate == [int(rotated and first)] * len(candidates)
         assert len(guards) == len(prepared) + sum(per_candidate)
@@ -506,19 +673,25 @@ def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
 
 def test_search_prepares_each_walks_a_once(monkeypatch):
     # (0.49, 1.12) certifies its 162nd candidate, k = 29 and j = 14, on the
-    # eighth theta walk; its A = diag(1, 2^-k) is the only diagonal matrix
-    # the search validates or decomposes, since every B_t has t > 0
+    # eighth theta walk.  j = 14 ends its block, so the blocks the search
+    # reaches hold exactly the candidates of the one-at-a-time search, in its
+    # order.  Its A = diag(1, 2^-k) is the only diagonal matrix the search
+    # validates or decomposes, since every B_t has t > 0.
     def diagonal(m, *_):
         m = np.asarray(m)
         return m.shape == (2, 2) and m[0, 1] == 0.0 and m[1, 0] == 0.0
 
-    calls = []
-    certify = ce._certify
-    monkeypatch.setattr(ce, "_certify", lambda *args: calls.append(None) or certify(*args))
+    reached = []
+    _reference_search(0.49, 1.12, lambda d, j: reached.append((d, j)) or _candidate_at(d, j))
+    core._recent.cache_clear()  # the reference left the walks' A in eig_sym's memo
+    blocks, block = [], ce._block
+    monkeypatch.setattr(ce, "_block", lambda *key: blocks.append(key) or block(*key))
     guards = count_calls(monkeypatch, core.symmetrize)
     decompositions = count_calls(monkeypatch, core._decompose)
     w = find_counterexample(0.49, 1.12)
-    assert (w.k, w.j, len(calls)) == (29, 14, 162)
+    searched = [(d, j) for d, start, stop in blocks for j in range(start, stop)]
+    assert (w.k, w.j, len(searched)) == (29, 14, 162)
+    assert searched == reached
     assert sum(diagonal(*args) for args in guards) == 8
     assert sum(diagonal(*args) for args in decompositions) == 8
 
@@ -544,14 +717,18 @@ def test_exhausted_search_skips_candidates_below_the_floor(monkeypatch, p, q):
 
 
 def test_candidate_cache_is_bounded_by_the_schedule():
-    # A key is a schedule position: an x-walk of _X_SCHEDULE, direct or dual,
-    # or one of the two rank-one walks, at an angle of _THETA_SCHEDULE.  The
-    # public builders, and so the lemma oracle, add no entry at any angle.
-    bound = (2 * len(ce._X_SCHEDULE) + 2) * len(ce._THETA_SCHEDULE)
-    assert bound == 1596
+    # A key is a block of a walk: an x-walk of _X_SCHEDULE, direct or dual,
+    # or one of the two rank-one walks, and one of _BLOCKS, which partition
+    # _THETA_SCHEDULE; so the entries hold at most one B_t per schedule
+    # position.  The public builders, and so the lemma oracle, add no entry.
+    angles = [j for start, stop in ce._BLOCKS for j in range(start, stop)]
+    assert angles == list(range(len(ce._THETA_SCHEDULE)))
+    walks = 2 * len(ce._X_SCHEDULE) + 2
+    bound = walks * len(ce._BLOCKS)
+    assert (bound, walks * len(angles)) == (456, 1596)
     for p, q in _pinned_pairs() + _LABEL_PAIRS:
         _witness_words(p, q)
-    size = ce._candidate.cache_info().currsize
+    size = ce._block.cache_info().currsize
     assert 0 < size <= bound
     rng = random.Random(3)
     for theta in [rng.uniform(-3.0, 3.0) for _ in range(20)] + list(ce._THETA_SCHEDULE):
@@ -559,21 +736,22 @@ def test_candidate_cache_is_bounded_by_the_schedule():
         rank_one_pair(theta)
         pd_rotation_difference(0.25, 2.0, 0.25, 0.0625)(theta)
         rank_one_difference(0.6, 0.8)(theta)
-    assert ce._candidate.cache_info().currsize == size
+    assert ce._block.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("p, q", _LABEL_PAIRS[:6])
 def test_searched_candidate_is_read_only(monkeypatch, p, q):
-    # A caller's write to a searched B, or to its cached decomposition, raises
-    # instead of corrupting later searches, and a repeated search shares it.
+    # A caller's write to a searched B, or to its block's cached
+    # decomposition, raises instead of corrupting later searches, and a
+    # repeated search shares it.
     words = _witness_words(p, q)
-    certify, certified = ce._certify, []
-    monkeypatch.setattr(ce, "_certify",
-                        lambda gap, dec_b: certified.append(dec_b) or certify(gap, dec_b))
+    first_hit, searched = ce._first_hit, []
+    monkeypatch.setattr(ce, "_first_hit",
+                        lambda gap, dec_b: searched.append(dec_b) or first_hit(gap, dec_b))
     w = find_counterexample(p, q)
     with pytest.raises(ValueError):
         w.b[0, 0] = 0.0
-    for m in certified[-1]:
+    for m in searched[-1]:
         with pytest.raises(ValueError):
             m[0] = 0.0
     assert find_counterexample(p, q).b is w.b
@@ -585,10 +763,10 @@ def test_cold_and_warm_searches_give_the_same_bits():
     # the shared one: the witnesses and messages are the same bits.
     cold = []
     for p, q in _pinned_pairs():
-        ce._candidate.cache_clear()
+        ce._block.cache_clear()
         cold.append(_witness_words(p, q))
     warm = [[_witness_words(p, q) for p, q in _pinned_pairs()] for _ in range(2)]
-    assert ce._candidate.cache_info().hits > 0
+    assert ce._block.cache_info().hits > 0
     assert warm == [cold, cold]
 
 

@@ -604,13 +604,28 @@ def test_dimension_mismatch():
         power_mean(1.0, np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatchError):
         power_mean_gap(0.5, 2.0, np.eye(2), np.eye(3))
-    # the order check's sums: pairs of unequal dimension, or a stack against
-    # one matrix
+    # the sums: pairs of unequal dimension, a stack of A against one B, and
+    # one A against a stack of B of another dimension
     with pytest.raises(DimensionMismatchError):
         _power_sums(0.5, 2.0, eig_sym(np.eye(2)), eig_sym(np.eye(3)))
     stack = core.SpectralDecomposition(np.ones((4, 2)), np.tile(np.eye(2), (4, 1, 1)))
     with pytest.raises(DimensionMismatchError):
         _power_sums(0.5, 2.0, stack, eig_sym(np.eye(2)))
+    with pytest.raises(DimensionMismatchError):
+        _power_sums(0.5, 2.0, eig_sym(np.eye(3)), stack)
+
+
+@pytest.mark.parametrize("p, q", [(0.25, 2.0), (-0.5, 1.0), (0.0, 3.0), (-2.0, 0.0)])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_one_matrix_against_a_stack_has_the_bits_of_single_calls(p, q, dim):
+    # The counterexample search certifies blocks of B_t against one A: row i
+    # of the stacked gap is the single gap of A and B_i, bit for bit.
+    gap = _decomposed_gap(p, q, eig_sym(random_pd(dim, 81, 10.0)))
+    bs = [random_pd(dim, 90 + i, 1e3) for i in range(6)]
+    stacked = gap(core._decompose(np.stack(bs)))
+    assert stacked.shape == (6, dim, dim)
+    for row, b in zip(stacked, bs):
+        assert row.tobytes() == gap(core._decompose(b)).tobytes()
 
 
 # ---------------------------------------------------------------------------
