@@ -146,7 +146,9 @@ def _rescaled(m: np.ndarray, decompose) -> SpectralDecomposition:
 def _eig_2x2_row(a: float, b: float, d: float):
     """The 2x2 closed form on the Python floats of [[a, b], [b, d]], for one
     matrix or a stack's row: ascending eigenvalues and the basis rows, or
-    ``None`` where big^2 leaves the normal range (the caller rescales)."""
+    ``None`` at a NaN, an |entry| > max / 2 or big^2 outside the normal range."""
+    if not (abs(a) <= _HALF_MAX and abs(b) <= _HALF_MAX and abs(d) <= _HALF_MAX):
+        return None
     if b == 0.0:
         if a <= d:
             return [a, d], [[1.0, 0.0], [0.0, 1.0]]
@@ -176,6 +178,7 @@ def _eig_2x2(m: np.ndarray) -> SpectralDecomposition:
     (a, b), (_, d) = m.tolist()
     done = _eig_2x2_row(a, b, d)
     if done is None:
+        symmetrize(m)  # raises where m + m is not finite
         return _rescaled(m, _eig_2x2)
     return SpectralDecomposition(np.array(done[0]), np.array(done[1]))
 
@@ -360,7 +363,7 @@ def _recent(data: bytes, n: int) -> SpectralDecomposition:
 
 def _decompose(m: np.ndarray) -> SpectralDecomposition:
     """:func:`eig_sym` of ``m`` bitwise equal to its transpose: its own symmetric
-    part, so :func:`symmetrize` runs only to raise on a non-finite ``m + m``.
+    part, so :func:`symmetrize` runs only to raise, at a NaN or an |entry| > max / 2.
 
     ``m`` may be an ``(N, n, n)`` stack of such matrices: the result is then
     stacked, ``(N, n)`` eigenvalues and ``(N, n, n)`` bases, and row i has
@@ -369,13 +372,13 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
     """
     if m.ndim == 3:
         return _decompose_stack(m)
-    if not all(map(math.isfinite, (m + m).flat)):
-        symmetrize(m)  # raises
     n = m.shape[0]
-    if n == 1:
-        return SpectralDecomposition(np.array([m[0, 0]]), np.ones((1, 1)))
     if n == 2:
         return _eig_2x2(m)
+    if not all(map(math.isfinite, (m + m).flat)):
+        symmetrize(m)  # raises
+    if n == 1:
+        return SpectralDecomposition(np.array([m[0, 0]]), np.ones((1, 1)))
     return _eig_jacobi(m)
 
 

@@ -14,11 +14,11 @@ M_p(A, B) <= M_q(A, B) is produced by one of three 2x2 families:
 A theta walk is data, (k, x, y, A, diagonal of B_t): only B_t moves along
 it.  One loop prepares each walk's fixed A once (validated, decomposed and
 raised to each mean's power), certifies B_t in the schedule's blocks (the
-first three angles alone, where most searches end, then j = 3-6, 7-14 and
-15-20 each as one stack), returns the first hit in schedule order and ends
+first two angles alone, where half the searches end, then j = 2-5, 6-12 and
+13-20 each as one stack), returns the first hit in schedule order and ends
 a walk at a ``DomainError``; witnesses and errors are those of certifying
 one candidate at a time.  B_t depends only on its schedule position, so
-``_block`` builds each block once per process (456 blocks of 1,596 B_t at
+``_block`` builds each block once per process (380 blocks of 1,596 B_t at
 most; a rotation is validated as it is built, a projection never),
 decomposes it unvalidated and shares both, read-only, with every search.
 Labels reached through the dual reflection (p, q) -> (-q, -p) walk the
@@ -32,7 +32,7 @@ walks the family of its label and certifies the first candidate whose
 smallest eigenvalue lies below -``CERT_TOL`` (a fixed 1e-12); a pair with
 p > q certifies the scalar pair (I, c I), c = 4 for |p|, |q| <= 500.  Every
 witness is certified directly: the returned negative eigenvalue and unit
-vector come from an eigendecomposition of M_q - M_p on the actual
+vector come from the closed-form eigendecomposition of M_q - M_p on the
 returned matrices, never from the expansion that guided the search.
 """
 
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpectralDecomposition, _decompose, eig_sym, mat_fun, symmetrize
+from .core import SpectralDecomposition, _decompose, _eig_2x2_row, eig_sym, mat_fun, symmetrize
 from .errors import (
     DegenerateFrameError,
     DomainError,
@@ -63,7 +63,7 @@ CERT_TOL = 1e-12
 _X_SCHEDULE = range(4, 41)
 _THETA_SCHEDULE = tuple(0.1 * 2.0**-j for j in range(21))
 #: The (start, stop) blocks in which a walk certifies ``_THETA_SCHEDULE``.
-_BLOCKS = ((0, 1), (1, 2), (2, 3), (3, 7), (7, 15), (15, 21))
+_BLOCKS = ((0, 1), (1, 2), (2, 6), (6, 13), (13, 21))
 _DUAL_RANK_ONE_SHIFT = 1e-9
 
 #: Classic 3x3 positive definite matrix (due to Choi) whose top-left 2x2
@@ -162,32 +162,39 @@ def _block(diagonal, start, stop):
 
 def _certify(gap, dec_b):
     """Smallest eigenvalue and unit witness of the 2x2 M_q - M_p, if below
-    ``-CERT_TOL``, from the gap of a prepared A and one decomposed B; the gap
-    is exactly symmetric, so it takes the unvalidated ``_decompose``."""
-    dec = _decompose(gap(dec_b))
-    lam = float(dec.eigenvalues[0])
-    if lam < -CERT_TOL:
-        return lam, dec.basis[:, 0].copy()
+    ``-CERT_TOL``, from the gap of a prepared A and one decomposed B."""
+    hit = _first_row(gap(dec_b))
+    return None if hit is None else hit[1:]
+
+
+def _first_row(gaps):
+    """(i, eigenvalue, unit witness) of the first 2x2 of ``gaps``, one gap or a
+    stack, whose smallest eigenvalue lies below ``-CERT_TOL``, or ``None``, with
+    the bits of ``_decompose`` of that gap: the closed form on its Python floats,
+    a vector made only where a row certifies, and ``_decompose`` where the
+    closed form declines a row, to raise or rescale as it does."""
+    for i, (a, b, _, d) in enumerate(gaps.reshape(-1, 4).tolist()):
+        done = _eig_2x2_row(a, b, d)
+        if done is None:
+            done = [half.tolist() for half in _decompose(gaps.reshape(-1, 2, 2)[i])]
+        (lam, _), ((x, _), (y, _)) = done
+        if lam < -CERT_TOL:
+            return i, lam, np.array([x, y])
     return None
 
 
 def _first_hit(gap, dec_b):
     """(i, eigenvalue, witness) of the first B_i of a ``_block`` that
-    ``_certify`` accepts, or ``None``.  A stack takes one stacked gap, row i
-    with the bits of B_i's; if it raises, ``_certify`` takes the rows one by
-    one, so an error is raised only where B_i alone raises it, and only if
-    no earlier row certifies."""
+    certifies, or ``None``.  A stack takes one stacked gap, row i with the
+    bits of B_i's, read by ``_first_row``; if that raises, ``_certify`` takes
+    the rows one by one, so an error is raised only where B_i alone raises
+    it, and only if no earlier row certifies."""
     rows = (dec_b,)
     if dec_b.basis.ndim == 3:
         try:
-            dec = _decompose(gap(dec_b))
+            return _first_row(gap(dec_b))
         except PowerMeanError:
             rows = map(SpectralDecomposition, dec_b.eigenvalues, dec_b.basis)
-        else:
-            for i, lam in enumerate(dec.eigenvalues[:, 0].tolist()):
-                if lam < -CERT_TOL:
-                    return i, lam, dec.basis[i, :, 0].copy()
-            return None
     for i, row in enumerate(rows):
         hit = _certify(gap, row)
         if hit is not None:

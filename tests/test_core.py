@@ -124,6 +124,78 @@ def test_unvalidated_decomposition_keeps_the_guard_verdicts(m):
     assert str(unvalidated.value) == str(guard.value)
 
 
+def _array_guard_decompose(m):
+    """``core._decompose`` of one exactly symmetric 2x2 with its guard on the
+    array, kept as the reference for the guard on the closed form's floats:
+    ``symmetrize`` raises where m + m is not finite, and the closed form,
+    which then sees only entries within max / 2, rescales where big^2 leaves
+    the normal range."""
+    if not all(map(math.isfinite, (m + m).flat)):
+        symmetrize(m)  # raises
+    (a, b), (_, d) = m.tolist()
+    done = _unguarded_eig_2x2_row(a, b, d)
+    if done is None:
+        return core._rescaled(m, _array_guard_decompose)
+    return core.SpectralDecomposition(np.array(done[0]), np.array(done[1]))
+
+
+def _unguarded_eig_2x2_row(a, b, d):
+    """``core._eig_2x2_row`` without its entry guard."""
+    if b == 0.0:
+        if a <= d:
+            return [a, d], [[1.0, 0.0], [0.0, 1.0]]
+        return [d, a], [[0.0, 1.0], [1.0, 0.0]]
+    half = 0.5 * (a - d)
+    r = math.hypot(half, b)
+    mid = 0.5 * (a + d)
+    big = mid + math.copysign(r, mid)
+    if not sys.float_info.min <= big * big < math.inf:
+        return None
+    other = (a * d - b * b) / big
+    lo, hi = (min(other, big), big) if big > 0.0 else (big, max(other, big))
+    if half >= 0.0:
+        ux, uy = r + half, b
+    else:
+        ux, uy = b, r - half
+    nrm = math.hypot(ux, uy)
+    c, s = ux / nrm, uy / nrm
+    (x0, y0), (x1, y1) = core._fix_sign(-s, c), core._fix_sign(c, s)
+    return [lo, hi], [[x0, x1], [y0, y1]]
+
+
+def _decomposition_words(decompose, m):
+    """Bytes of ``decompose(m)``'s eigenvalues and basis, or its error."""
+    try:
+        dec = decompose(m)
+    except PowerMeanError as exc:
+        return type(exc).__name__, str(exc)
+    return dec.eigenvalues.tobytes(), dec.basis.tobytes()
+
+
+def test_2x2_guard_on_floats_matches_the_array_guard():
+    # _decompose tests a 2x2's guard on the Python floats its closed form
+    # reads: the same bits and errors as the guard on m + m, for finite,
+    # tiny, huge (about max / 2 and beyond), infinite and NaN entries.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    half = core._HALF_MAX
+    edges = [0.0, -0.0, 5e-324, 1e-200, 1e154, 1e155, 1e200, half, np.nextafter(half, 0.0),
+             np.nextafter(half, math.inf), sys.float_info.max, math.inf, math.nan]
+    entry = st.one_of(st.floats(), st.floats(-1e-150, 1e-150),
+                      st.sampled_from(edges + [-x for x in edges]))
+
+    @hypothesis.seed(2)
+    @hypothesis.settings(max_examples=800, deadline=None, database=None)
+    @hypothesis.given(entry, entry, entry)
+    def check(a, b, d):
+        m = np.array([[a, b], [b, d]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (_decomposition_words(core._decompose, m)
+                    == _decomposition_words(_array_guard_decompose, m))
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 # ---------------------------------------------------------------------------

@@ -387,16 +387,28 @@ def _candidate_at(diagonal, j):
     return ce._projection(theta) if diagonal is None else ce._rotated(diagonal, theta)
 
 
+def _reference_certify(gap, dec_b):
+    """The reference's certifier: smallest eigenvalue and unit witness of the
+    full ``_decompose`` of the 2x2 gap of one decomposed B, if below
+    ``-CERT_TOL``.  The search reads the same bits from the gap's closed form."""
+    dec = core._decompose(gap(dec_b))
+    lam = float(dec.eigenvalues[0])
+    if lam < -ce.CERT_TOL:
+        return lam, dec.basis[:, 0].copy()
+    return None
+
+
 def _reference_witness(p, q, walks, candidate, exhausted, via_dual):
     """``_first_witness`` one candidate at a time: each B_t is
-    ``candidate(diagonal, j)``, decomposed alone and certified by ``_certify``,
-    and a ``DomainError`` ends its walk, or the search at j = 0."""
+    ``candidate(diagonal, j)``, decomposed alone and certified by
+    ``_reference_certify``, and a ``DomainError`` ends its walk, or the search
+    at j = 0."""
     for k, x, y, a, diagonal in walks:
         gap = _decomposed_gap(p, q, eig_sym(a))
         for j, theta in enumerate(ce._THETA_SCHEDULE):
             b = candidate(diagonal, j)
             try:
-                hit = ce._certify(gap, core._decompose(b))
+                hit = _reference_certify(gap, core._decompose(b))
             except DomainError:
                 if j == 0:
                     raise SearchExhaustedError(exhausted) from None
@@ -490,7 +502,8 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
 
 def test_block_search_matches_the_one_candidate_reference():
     # Every witness and error of the search, which certifies the later angles
-    # of a walk as stacks, has the bits of the search one candidate at a time,
+    # of a walk as stacks and reads each gap's closed form, has the bits of
+    # the search one candidate at a time through the gap's full decomposition,
     # on the six walked labels and an overflowing mean.
     pairs = _reference_pairs() + [(p, q) for p, q in _LABEL_PAIRS if p < q] + [(0.4, 1e308)]
     assert {str(classify(p, q)) for p, q in pairs} == set(_SEARCH_ORDER)
@@ -507,13 +520,23 @@ def test_block_search_matches_the_one_candidate_reference():
     assert errors == {"SearchExhaustedError", "PreconditionError"}
 
 
-#: Pairs of the reference sample that the CI's warm-cache step searches: a
-#: pd-rotation, a rank-one and a dual witness at j >= 7, and a dual pair
-#: whose walks end at a DomainError at j = 13, inside the block 7..14.
+#: Pairs of the reference sample that the CI's warm-cache step searches, so
+#: that each stacked block certifies: a rank-one-dual witness at j = 5, the
+#: last row of 2..5, a dual one at j = 11 in 6..12, a pd-rotation and a
+#: rank-one one at j = 13, the first row of 13..20; and a dual pair whose
+#: walks end at a DomainError at j = 13, so that block raises at its first row.
 _BLOCK_PAIRS = {(0.38315483079990553, 2.7432755469899197): ("pd-rotation", 13),
                 (0.8880077500132666, 0.9455894048212028): ("rank-one", 13),
+                (-0.9384857706051029, -0.711090339153869): ("rank-one-dual", 5),
                 (-2.3602163418164466, -0.3926688563973775): ("pd-rotation-dual", 11),
                 (-2.4940517038639287, -0.42809933568076897): ("pd-rotation-dual", None)}
+
+
+def test_block_pairs_cover_each_stacked_block():
+    stacked = {(start, stop) for start, stop in ce._BLOCKS if stop - start > 1}
+    reached = {_block_of(13 if j is None else j) for _, j in _BLOCK_PAIRS.values()}
+    assert reached == stacked
+    assert _block_of(13)[0] == 13
 
 
 @pytest.mark.parametrize("p, q", sorted(_BLOCK_PAIRS))
@@ -577,7 +600,9 @@ def test_domain_error_ends_its_walk_and_at_the_first_angle_the_search(monkeypatc
 @pytest.mark.parametrize("bad, good, k, j", [
     (5, 4, 0, 4),    # after the certifying row: the earlier witness
     (4, 5, 1, 9),    # before it: the walk ends at j = 4, the next certifies
-    (7, 14, 1, 9),   # the first row of a block
+    (7, 14, 1, 9),   # the good row in the next block
+    (6, 12, 1, 9),   # the first row of a block
+    (13, 14, 1, 9),  # the first row of the last block, where dual walks end
     (20, 19, 0, 19),
 ])
 def test_domain_error_inside_a_block(monkeypatch, bad, good, k, j):
@@ -600,6 +625,81 @@ def test_overflowing_mean_inside_a_block(monkeypatch, bad, good, j):
         assert words == ["PreconditionError:matrix entries must be finite"]
     else:
         assert words[-3:] == ["0", repr(j), "False"]
+
+
+#: 2x2 gap rows that the closed form reads: one certifies, one does not.
+_CERTIFIES = [[-1.0, 0.5], [0.5, 2.0]]
+_MISSES = [[2.0, 0.1], [0.1, 3.0]]
+#: Gap rows the closed form hands to ``_decompose``, and the first word of
+#: what each gives alone: big^2 above or below the normal range (rescaled: a
+#: witness, row 0, or a miss), an entry above max / 2 and non-finite entries
+#: (raised).
+_DECLINED_ROWS = {
+    "rescaled-hit": ([[-1e200, 3e199], [3e199, 1e200]], 0),
+    "rescaled-miss": ([[1e200, 3e199], [3e199, 2e200]], None),
+    "rescaled-tiny": ([[-1e-200, 3e-201], [3e-201, 1e-200]], None),
+    "above-half-max": ([[1e308, 0.0], [0.0, 1.0]],
+                       "PreconditionError:symmetric part overflows: max |entry| 1.000e+308"),
+    "nan": ([[1.0, math.nan], [math.nan, 1.0]], "PreconditionError:matrix entries must be finite"),
+    "inf": ([[-math.inf, 0.0], [0.0, 1.0]], "PreconditionError:matrix entries must be finite"),
+}
+#: Where a declined row sits among the gap rows of a block.
+_LAYOUTS = {"alone": lambda row: [row],
+            "first": lambda row: [row, _CERTIFIES],
+            "after-misses": lambda row: [_MISSES, _MISSES, row, _CERTIFIES],
+            "after-a-hit": lambda row: [_MISSES, _CERTIFIES, row]}
+
+
+def _hit_words(search):
+    """The (i, eigenvalue, vector) ``search()`` returns as float.hex words,
+    ``[None]`` for no hit, or its error's type and message."""
+    try:
+        hit = search()
+    except PowerMeanError as exc:
+        return ["%s:%s" % (type(exc).__name__, exc)]
+    if hit is None:
+        return [None]
+    i, lam, vec = hit
+    return [i, float.hex(lam)] + [float.hex(v) for v in vec.tolist()]
+
+
+def _reference_rows(rows):
+    """The first certifying row of the gap ``rows``, each certified alone by
+    ``_reference_certify``, or the error of the first row that raises."""
+    for i, row in enumerate(rows):
+        hit = _reference_certify(lambda _: np.array(row), None)
+        if hit is not None:
+            return (i, *hit)
+    return None
+
+
+def _certified_alone(gap_row):
+    """``_certify`` of a B whose gap is ``gap_row``, as row 0 of a block."""
+    hit = ce._certify(lambda _: gap_row, None)
+    return None if hit is None else (0, *hit)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(_DECLINED_ROWS))
+@np.errstate(over="ignore", invalid="ignore")
+def test_gap_rows_the_closed_form_declines(kind, layout):
+    # A gap row that the closed form declines takes the full decomposition:
+    # rescaled or raised, with the bits and message of the row alone, and
+    # raised only where no earlier row certifies.  One row goes through
+    # _certify; a stack through _first_hit, whose gap gives row i for row i.
+    row, alone = _DECLINED_ROWS[kind]
+    assert core._eig_2x2_row(row[0][0], row[0][1], row[1][1]) is None
+    rows = _LAYOUTS[layout](row)
+    stack = np.array(rows)
+    if layout == "alone":
+        got = _hit_words(lambda: _certified_alone(stack[0]))
+        assert got[0] == alone
+    else:
+        index = core.SpectralDecomposition(np.arange(len(rows) * 2.0).reshape(-1, 2) // 2,
+                                           np.zeros((len(rows), 2, 2)))
+        gap = (lambda dec: stack if dec.basis.ndim == 3 else stack[int(dec.eigenvalues[0])])
+        got = _hit_words(lambda: ce._first_hit(gap, index))
+    assert got == _hit_words(lambda: _reference_rows(rows))
 
 
 def _block_of(j):
@@ -625,12 +725,14 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     for _ in range(2):
         lam, vec = ce._certify(gap, core.SpectralDecomposition(dec_b.eigenvalues[i], dec_b.basis[i]))
         assert lam == w.neg_eigenvalue and np.array_equal(vec, w.witness)
-    # _certify validates nothing; the root of each mean and the gap are
-    # decomposed as they were built, and so is the whole block's, as stacks
-    assert (len(guards), len(decompositions)) == (1, 1 + 2 * 3)
+    # _certify validates nothing; the root of each mean is decomposed as it
+    # was built, and the gap's smallest eigenvalue and vector come from its
+    # closed form, undecomposed: two decompositions a candidate, and two for
+    # the whole block's roots, as stacks
+    assert (len(guards), len(decompositions)) == (1, 1 + 2 * 2)
     found, lam, vec = ce._first_hit(gap, dec_b)
     assert (found, lam) == (i, w.neg_eigenvalue) and np.array_equal(vec, w.witness)
-    assert (len(guards), len(decompositions)) == (1, 1 + 3 * 3)
+    assert (len(guards), len(decompositions)) == (1, 1 + 3 * 2)
 
 
 #: One pair per label, as the CI's counterexample step runs them.
@@ -673,10 +775,11 @@ def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
 
 def test_search_prepares_each_walks_a_once(monkeypatch):
     # (0.49, 1.12) certifies its 162nd candidate, k = 29 and j = 14, on the
-    # eighth theta walk.  j = 14 ends its block, so the blocks the search
-    # reaches hold exactly the candidates of the one-at-a-time search, in its
-    # order.  Its A = diag(1, 2^-k) is the only diagonal matrix the search
-    # validates or decomposes, since every B_t has t > 0.
+    # eighth theta walk.  The blocks the search reaches hold the candidates
+    # of the one-at-a-time search, in its order, and then the rest of the
+    # block 13..20 that holds j = 14.  Its A = diag(1, 2^-k) is the only
+    # diagonal matrix the search validates or decomposes, since every B_t
+    # has t > 0.
     def diagonal(m, *_):
         m = np.asarray(m)
         return m.shape == (2, 2) and m[0, 1] == 0.0 and m[1, 0] == 0.0
@@ -690,8 +793,8 @@ def test_search_prepares_each_walks_a_once(monkeypatch):
     decompositions = count_calls(monkeypatch, core._decompose)
     w = find_counterexample(0.49, 1.12)
     searched = [(d, j) for d, start, stop in blocks for j in range(start, stop)]
-    assert (w.k, w.j, len(searched)) == (29, 14, 162)
-    assert searched == reached
+    assert (w.k, w.j, len(reached), len(searched)) == (29, 14, 162, 168)
+    assert searched == reached + [(reached[-1][0], j) for j in range(15, 21)]
     assert sum(diagonal(*args) for args in guards) == 8
     assert sum(diagonal(*args) for args in decompositions) == 8
 
@@ -725,7 +828,7 @@ def test_candidate_cache_is_bounded_by_the_schedule():
     assert angles == list(range(len(ce._THETA_SCHEDULE)))
     walks = 2 * len(ce._X_SCHEDULE) + 2
     bound = walks * len(ce._BLOCKS)
-    assert (bound, walks * len(angles)) == (456, 1596)
+    assert (bound, walks * len(angles)) == (380, 1596)
     for p, q in _pinned_pairs() + _LABEL_PAIRS:
         _witness_words(p, q)
     size = ce._block.cache_info().currsize
