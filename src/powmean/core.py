@@ -387,7 +387,8 @@ def _decompose_stack(m: np.ndarray) -> SpectralDecomposition:
     read once as Python floats, and the results built as one array each."""
     count, n = m.shape[:2]
     # |x| <= max / 2 iff x + x is finite: the guard of a single call, per row.
-    guarded = (np.abs(m) <= _HALF_MAX).all(axis=(1, 2)).tolist()
+    # A 2x2 row's closed form tests it on the floats it reads, so needs no array.
+    guarded = [True] * count if n == 2 else (np.abs(m) <= _HALF_MAX).all(axis=(1, 2)).tolist()
     if n == 1:
         if not all(guarded):
             _decompose(m[guarded.index(False)])  # raises

@@ -1,6 +1,5 @@
 import ctypes
 import glob
-import math
 import os
 import sys
 
@@ -26,21 +25,6 @@ def sym_rand(rng, n, scale=1.0):
     """Random symmetric matrix (test helper)."""
     g = rng.standard_normal((n, n)) * scale
     return (g + g.T) / 2.0
-
-
-def spectrum_from_draws(u, gauss, condition_spread):
-    """Eigenvalues, in draw order, and orthogonal basis of one random_pd
-    matrix from its own uniform row ``u`` and normal slice ``gauss`` (test
-    helper)."""
-    vals = np.exp(u * math.log(condition_spread))
-    q, r = np.linalg.qr(gauss)
-    return vals, q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-
-
-def composed(vals, basis):
-    """The matrix Q diag(vals) Q^T as random_pd composes it (test helper)."""
-    m = (basis * vals) @ basis.T
-    return (m + m.T) / 2.0
 
 
 def count_calls(monkeypatch, fn, check=None):

@@ -23,7 +23,6 @@ from powmean import (
     LOG,
     NonConvergenceError,
     Power,
-    PowerMeanError,
     PreconditionError,
     eig_sym,
     loewner_leq,
@@ -33,10 +32,13 @@ from powmean import (
     symmetrize,
 )
 from powmean import core
-from powmean.fuzz import FUZZ_TARGETS, fuzz_map_order, fuzz_point, order_margin
+from powmean.fuzz import FUZZ_TARGETS, fuzz_map_order, fuzz_point
 from powmean.maps import plane_rotation
 
-from conftest import count_calls, spectrum_from_draws, sym_rand
+import reference
+from reference import words
+from conftest import count_calls, sym_rand
+from test_fast_paths import STACK_FUNCTIONS, check_row, stacked_spectra
 
 
 # ---------------------------------------------------------------------------
@@ -119,81 +121,7 @@ def test_unvalidated_decomposition_keeps_the_guard_verdicts(m):
     # finiteness and overflow verdicts apply, word for word
     with pytest.raises(PreconditionError) as guard:
         symmetrize(m)
-    with pytest.raises(PreconditionError) as unvalidated:
-        core._decompose(m)
-    assert str(unvalidated.value) == str(guard.value)
-
-
-def _array_guard_decompose(m):
-    """``core._decompose`` of one exactly symmetric 2x2 with its guard on the
-    array, kept as the reference for the guard on the closed form's floats:
-    ``symmetrize`` raises where m + m is not finite, and the closed form,
-    which then sees only entries within max / 2, rescales where big^2 leaves
-    the normal range."""
-    if not all(map(math.isfinite, (m + m).flat)):
-        symmetrize(m)  # raises
-    (a, b), (_, d) = m.tolist()
-    done = _unguarded_eig_2x2_row(a, b, d)
-    if done is None:
-        return core._rescaled(m, _array_guard_decompose)
-    return core.SpectralDecomposition(np.array(done[0]), np.array(done[1]))
-
-
-def _unguarded_eig_2x2_row(a, b, d):
-    """``core._eig_2x2_row`` without its entry guard."""
-    if b == 0.0:
-        if a <= d:
-            return [a, d], [[1.0, 0.0], [0.0, 1.0]]
-        return [d, a], [[0.0, 1.0], [1.0, 0.0]]
-    half = 0.5 * (a - d)
-    r = math.hypot(half, b)
-    mid = 0.5 * (a + d)
-    big = mid + math.copysign(r, mid)
-    if not sys.float_info.min <= big * big < math.inf:
-        return None
-    other = (a * d - b * b) / big
-    lo, hi = (min(other, big), big) if big > 0.0 else (big, max(other, big))
-    if half >= 0.0:
-        ux, uy = r + half, b
-    else:
-        ux, uy = b, r - half
-    nrm = math.hypot(ux, uy)
-    c, s = ux / nrm, uy / nrm
-    (x0, y0), (x1, y1) = core._fix_sign(-s, c), core._fix_sign(c, s)
-    return [lo, hi], [[x0, x1], [y0, y1]]
-
-
-def _decomposition_words(decompose, m):
-    """Bytes of ``decompose(m)``'s eigenvalues and basis, or its error."""
-    try:
-        dec = decompose(m)
-    except PowerMeanError as exc:
-        return type(exc).__name__, str(exc)
-    return dec.eigenvalues.tobytes(), dec.basis.tobytes()
-
-
-def test_2x2_guard_on_floats_matches_the_array_guard():
-    # _decompose tests a 2x2's guard on the Python floats its closed form
-    # reads: the same bits and errors as the guard on m + m, for finite,
-    # tiny, huge (about max / 2 and beyond), infinite and NaN entries.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    half = core._HALF_MAX
-    edges = [0.0, -0.0, 5e-324, 1e-200, 1e154, 1e155, 1e200, half, np.nextafter(half, 0.0),
-             np.nextafter(half, math.inf), sys.float_info.max, math.inf, math.nan]
-    entry = st.one_of(st.floats(), st.floats(-1e-150, 1e-150),
-                      st.sampled_from(edges + [-x for x in edges]))
-
-    @hypothesis.seed(2)
-    @hypothesis.settings(max_examples=800, deadline=None, database=None)
-    @hypothesis.given(entry, entry, entry)
-    def check(a, b, d):
-        m = np.array([[a, b], [b, d]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert (_decomposition_words(core._decompose, m)
-                    == _decomposition_words(_array_guard_decompose, m))
-
-    check()
+    assert words(core._decompose, m) == ["PreconditionError:%s" % guard.value]
 
 
 # ---------------------------------------------------------------------------
@@ -405,108 +333,17 @@ def test_eig_nonconvergence_when_sweep_cap_hit(rng, monkeypatch):
         eig_sym(m)
 
 
-def _reference_jacobi(m):
-    """The cyclic Jacobi rotation loop over lists that the compiled sweeps
-    replaced, kept as the reference they must match bit for bit."""
-    with np.errstate(over="ignore"):
-        frob2 = float((m * m).sum())
-    if not math.isfinite(frob2):
-        return core._rescaled(m, _reference_jacobi)
-    n = m.shape[0]
-    a = m.tolist()
-    vt = np.eye(n).tolist()  # rows of vt are the columns of the basis
-    thresh = core._JACOBI_THRESHOLD * math.sqrt(frob2)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    idx = range(n)
-    polish = 1
-    for _ in range(core._JACOBI_SWEEP_CAP):
-        if all(abs(a[p][q]) <= thresh for p, q in pairs):
-            if polish == 0:
-                break
-            polish -= 1
-        for p, q in pairs:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            rowp, rowq = a[p], a[q]
-            for j in idx:
-                if j != p and j != q:
-                    x, y = rowp[j], rowq[j]
-                    rowp[j] = a[j][p] = c * x - s * y
-                    rowq[j] = a[j][q] = s * x + c * y
-            app, aqq = rowp[p], rowq[q]
-            rowp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
-            rowq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
-            rowp[q] = rowq[p] = 0.0
-            vp, vq = vt[p], vt[q]
-            for j in idx:
-                x, y = vp[j], vq[j]
-                vp[j] = c * x - s * y
-                vq[j] = s * x + c * y
-    else:
-        raise NonConvergenceError(
-            "Jacobi sweeps exceeded the cap of %d" % core._JACOBI_SWEEP_CAP
-        )
-    order = sorted(idx, key=lambda i: a[i][i])
-    basis = np.array([core._fix_sign(*vt[i]) for i in order]).T
-    return core.SpectralDecomposition(np.array([a[i][i] for i in order]), basis)
-
-
-def _reference_inputs(dim, seed):
-    """Seeded symmetric matrices of every kind the sweeps must round alike."""
-    rng = np.random.default_rng([dim, seed])
-    g = rng.standard_normal((dim, dim))
-    t = rng.integers(-2, 3, size=(dim, dim)).astype(float)
-    sparse = (g + g.T) * (rng.random((dim, dim)) < 0.5)
-    base = [
-        g @ g.T + 0.1 * np.eye(dim),  # positive definite
-        g + g.T,  # indefinite
-        t + t.T,  # integer-valued, with exact ties among entries and eigenvalues
-        np.diag(rng.integers(-2, 3, size=dim).astype(float)),  # no off-diagonal
-        (sparse + sparse.T) / 2.0,  # some zero off-diagonals
-    ]
-    for m in base:
-        yield from (m, m * 2.0**40, m * 2.0**-40)
-    # squares overflow: these take the rescaled route
-    yield from ((g + g.T) * 1e156, g @ g.T * 1e155)
-
-
 @pytest.mark.parametrize("dim", range(3, core.MAX_DIM + 1))
 def test_eig_sweeps_match_the_rotation_loop_bit_for_bit(dim):
-    # The full sweeps give the loop's eigenvalues and basis; the
-    # eigenvalue-only sweeps its smallest eigenvalue, or None where its
-    # squares overflow and the loop rescales.
-    rescaled = 0
-    for seed in range(8):
-        for m in _reference_inputs(dim, seed):
-            dec = eig_sym(m)
-            m = symmetrize(m)
-            ref = _reference_jacobi(m)
-            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            assert dec.basis.tobytes() == ref.basis.tobytes()
-            lam = core._sweeps(dim, False)(m.ravel().tolist(), core._JACOBI_THRESHOLD,
-                                           core._JACOBI_SWEEP_CAP)
-            if lam is None:
-                rescaled += 1
-                with np.errstate(over="ignore"):
-                    assert not math.isfinite(float((m * m).sum()))
-            else:
-                assert lam.hex() == float(ref.eigenvalues[0]).hex()
-    assert rescaled == 2 * 8
+    # the full sweeps and the eigenvalue-only ones against the rotation loop
+    check_row("jacobi", dim)
 
 
 def test_eig_sweep_cap_message_matches_the_rotation_loop(rng, monkeypatch):
     monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
     m = sym_rand(rng, 5)
-    with pytest.raises(NonConvergenceError) as ref:
-        _reference_jacobi(symmetrize(m))
-    with pytest.raises(NonConvergenceError) as ours:
-        eig_sym(m)
-    assert str(ours.value) == str(ref.value) == "Jacobi sweeps exceeded the cap of 1"
+    assert words(eig_sym, m) == words(reference.jacobi, symmetrize(m)) == [
+        "NonConvergenceError:Jacobi sweeps exceeded the cap of 1"]
 
 
 def test_eig_sweeps_compile_per_dimension_on_first_use():
@@ -550,32 +387,10 @@ def test_jacobi_threshold_sums_squares_as_numpy_does():
 
 
 @pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
-def test_stacked_decomposition_matches_single_calls_bitwise(dim, monkeypatch):
-    # Row i of a stacked _decompose has the bits of _decompose of matrix i
-    # alone, eigenvalues and basis, and its basis the same memory order, so
-    # numpy's matmul rounds a stacked root as it rounds a single one.  The
-    # inputs include rows whose entry products leave the normal range (2x2)
-    # or whose squares overflow (n >= 3): those take the rescaled route.
-    rows = [symmetrize(m) for seed in range(3) for m in _reference_inputs(dim, seed)]
-    rows.append(rows[0] * 1e-160)
-    if dim == 2:
-        rows.append(np.array([[8.9e307, 8.9e307], [8.9e307, -8.9e307]]))
-    stack = np.array(rows)
-    rescaled = count_calls(monkeypatch, core._rescaled)
-    for m in (stack, stack[1::2]):
-        del rescaled[:]
-        got = core._decompose(m)
-        assert got.eigenvalues.shape == m.shape[:2] and got.basis.shape == m.shape
-        stacked = len(rescaled)
-        for i, row in enumerate(m):
-            one = core._decompose(row)
-            assert got.eigenvalues[i].tobytes() == one.eigenvalues.tobytes(), i
-            assert got.basis[i].tobytes() == one.basis.tobytes(), i
-            assert got.basis[i].strides == one.basis.strides, i
-        assert len(rescaled) == 2 * stacked
-        assert stacked > 0 or dim == 1
-    empty = core._decompose(np.empty((0, dim, dim)))
-    assert empty.eigenvalues.shape == (0, dim) and empty.basis.shape == (0, dim, dim)
+def test_stacked_decomposition_matches_single_calls_bitwise(dim):
+    # Row i of a stack has the bits and memory order of matrix i alone, at
+    # n = 2 with entries at and past the guard of a single call too.
+    check_row("decompose", dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -587,11 +402,9 @@ def test_stacked_decomposition_raises_the_first_bad_rows_error(dim, bad):
     rows = [random_pd(dim, seed, 10.0) for seed in range(5)]
     rows[1][0, 0] = bad
     rows[3][-1, -1] = np.nan
-    with pytest.raises(PreconditionError) as alone:
-        core._decompose(rows[1])
-    with pytest.raises(PreconditionError) as stacked:
-        core._decompose(np.array(rows))
-    assert str(stacked.value) == str(alone.value)
+    alone = words(core._decompose, rows[1])
+    assert words(core._decompose, np.array(rows)) == alone
+    assert alone[0].startswith("PreconditionError:")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -663,15 +476,9 @@ def test_eig_sym_memo_stays_within_its_bound_on_wide_inputs():
 
 
 @pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
-def test_fuzz_targets_give_the_same_bits_cold_and_warm(target, monkeypatch):
-    # Twice in one process with the memo, then with every decomposition made
-    # afresh: the same reports, bit for bit.
-    def words():
-        report = FUZZ_TARGETS[target](300, 7)
-        return report.summary(), float.hex(report.worst), report.failures
-    warm = [words(), words()]
-    monkeypatch.setattr(core, "_recent", core._recent.__wrapped__)
-    assert warm == [words()] * 2
+def test_fuzz_targets_give_the_same_bits_cold_and_warm(target):
+    # twice with the memo, and with every decomposition made afresh
+    check_row("warm-fuzz", target)
 
 
 # ---------------------------------------------------------------------------
@@ -709,45 +516,12 @@ def test_mat_fun_integer_powers_allow_indefinite():
     assert np.allclose(mat_fun(m, Power(0)), np.eye(2))
 
 
-def _stacked_spectra(dim, rows=7, seed=0):
-    """Ascending spectra and bases of ``rows`` random PD matrices, stacked."""
-    vals, bases = core._random_pd_spectra(np.random.default_rng([dim, seed]), dim,
-                                          [2.0, 5.0, 10.0, 50.0] * (rows // 4 + 1))
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)[:rows]
-    return vals, np.take_along_axis(bases, order[:, None, :], axis=2)[:rows]
-
-
-_STACK_FUNCTIONS = [Power(2.0), Power(3.0), Power(0.0), Power(0.5), Power(1.7), Power(-1.0),
-                    Power(-0.5), Power(-2.3), LOG, EXP]
-
-
 @pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
-@pytest.mark.parametrize("f", _STACK_FUNCTIONS, ids=repr)
+@pytest.mark.parametrize("f", STACK_FUNCTIONS, ids=repr)
 def test_stacked_spectral_fun_matches_single_calls_bitwise(dim, f):
     # A stack of decompositions gives each matrix the bits of a call on it
-    # alone, contiguous or every other row (as fuzz_point slices its pairs).
-    vals, bases = _stacked_spectra(dim)
-    stacks = [(vals, bases), (vals[0::2], bases[0::2])]
-    if dim > 1 and isinstance(f, Power) and f.exponent > 0.0:
-        # one row with its smallest eigenvalue inside the PSD floor, one
-        # just below zero within it; the others outside, one of them just
-        # above its own floor but below the floor of a row 1e4 times larger,
-        # whose smallest is inside its own floor and above every other
-        # row's, so each row must be clamped at its own floor
-        floored = vals.copy()
-        floored[2, 0] = 1e-3 * core.PSD_FLOOR * floored[2, -1]
-        floored[4, 0] = -1e-3 * core.PSD_FLOOR * floored[4, -1]
-        floored[5, 0] = 2.0 * core.PSD_FLOOR * floored[5, -1]
-        floored[6] *= 1e4
-        floored[6, 0] = 0.5 * core.PSD_FLOOR * floored[6, -1]
-        stacks.append((floored, bases))
-    for v, b in stacks:
-        got = core.spectral_fun(core.SpectralDecomposition(v, b), f)
-        assert got.shape == b.shape
-        for i in range(len(v)):
-            one = core.spectral_fun(core.SpectralDecomposition(v[i].copy(), b[i].copy()), f)
-            assert got[i].tobytes() == one.tobytes(), i
+    # alone, and clamps each row at its own floor.
+    check_row("spectral-fun", (f, dim))
 
 
 @pytest.mark.parametrize("f, bad", [(LOG, 0.0), (Power(-1.0), 0.0), (Power(-0.5), -1.0),
@@ -756,17 +530,15 @@ def test_stacked_spectral_fun_raises_the_first_failing_rows_error(f, bad):
     # Rows 3 and 5 leave the domain: the stack raises what row 3 alone
     # raises.  For positive powers row 1 sits inside the floor, which they
     # accept.
-    vals, bases = _stacked_spectra(3)
+    vals, bases = stacked_spectra(3)
     vals = vals.copy()
     if isinstance(f, Power) and f.exponent > 0.0:
         vals[1, 0] = 1e-3 * core.PSD_FLOOR * vals[1, -1]
     vals[3, 0] = bad * vals[3, -1]
     vals[5, 0] = 2.0 * bad * vals[5, -1] - 1.0
-    with pytest.raises(DomainError) as alone:
-        core.spectral_fun(core.SpectralDecomposition(vals[3], bases[3]), f)
-    with pytest.raises(DomainError) as stacked:
-        core.spectral_fun(core.SpectralDecomposition(vals, bases), f)
-    assert str(stacked.value) == str(alone.value)
+    alone = words(core.spectral_fun, core.SpectralDecomposition(vals[3], bases[3]), f)
+    assert words(core.spectral_fun, core.SpectralDecomposition(vals, bases), f) == alone
+    assert alone[0].startswith("DomainError:")
 
 
 def test_power_composition_roundtrip(rng):
@@ -858,67 +630,11 @@ def test_loewner_dimension_mismatch():
         loewner_leq(np.eye(2), np.eye(3))
 
 
-def _verdict_bits(call, d):
-    """The hex bits of (margin, min eigenvalue) from ``call(d)``, or the type
-    and message of its error."""
-    try:
-        margin, lam = call(d)
-    except PowerMeanError as err:
-        return type(err), str(err)
-    return margin.hex(), lam.hex()
-
-
-def _full_verdict(d):
-    verdict = core._order_verdict(d)
-    return verdict.margin, verdict.min_eigenvalue
-
-
-def _order_margin_inputs(dim):
-    """Exactly symmetric gaps of every kind order_margin must judge as the
-    full verdict does: the sweeps' reference inputs, near-degenerate and
-    near-zero spectra, ties and signed zeros, rows on the rescaled route,
-    and entries past the decomposition's guard at every position."""
-    rng = np.random.default_rng([30, dim])
-    ms = [symmetrize(m) for seed in range(3) for m in _reference_inputs(dim, seed)]
-    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-    for vals in (1.0 + 1e-15 * rng.standard_normal(dim), 1e-12 * rng.standard_normal(dim),
-                 np.arange(dim) // 2 - 1.0):
-        m = (q * vals) @ q.T
-        ms.append((m + m.T) / 2.0)
-    ms += [np.zeros((dim, dim)), np.full((dim, dim), -0.0), 2.0 * np.eye(dim),
-           np.ones((dim, dim)), np.diag(np.tile([0.0, -0.0], dim)[:dim]),
-           np.where(np.eye(dim) > 0.0, 1.0, -0.0)]
-    if dim == 2:  # b = 0, either order, and a tie
-        ms += [np.diag([3.0, -1.0]), np.diag([-1.0, 3.0]), np.diag([2.0, 2.0])]
-    ms += [m * scale for m in ms[:5] for scale in (1e-160, 1e160)]
-    top = np.nextafter(core._HALF_MAX, math.inf)
-    ms += [np.diag(np.full(dim, top)), np.diag(np.full(dim, core._HALF_MAX))]
-    for bad in (math.inf, -math.inf, math.nan):
-        for i, j in itertools.combinations_with_replacement(range(dim), 2):
-            m = ms[0].copy()
-            m[i, j] = m[j, i] = bad
-            ms.append(m)
-    return ms
-
-
 @pytest.mark.parametrize("dim", range(1, core.MAX_DIM + 1))
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_order_margin_has_the_full_verdicts_bits(dim, monkeypatch):
-    # The order check reads lambda_min and max|D| from the eigenvalue-only
-    # kernel; margin and eigenvalue carry the full verdict's bits, and where
-    # the kernel defers (rescaled or rejected rows) so do errors.
-    ms = _order_margin_inputs(dim)
-    deferred = 0
-    for m in ms:
-        assert m.tobytes() == m.T.tobytes()
-        deferred += core._min_eigenvalue(m) is None
-        assert _verdict_bits(order_margin, m) == _verdict_bits(_full_verdict, m)
-    assert 0 < deferred < len(ms)
-    if dim >= 3:
-        monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
-        m = ms[1]
-        assert _verdict_bits(order_margin, m) == _verdict_bits(_full_verdict, m) == (
-            NonConvergenceError, "Jacobi sweeps exceeded the cap of 1")
+def test_order_margin_has_the_full_verdicts_bits(dim):
+    # The eigenvalue-only kernel gives the full verdict's margin and
+    # eigenvalue, and where it defers (rescaled or rejected rows) its errors.
+    check_row("order-margin", dim)
 
 
 # ---------------------------------------------------------------------------
@@ -953,37 +669,9 @@ def test_random_pd_validates_arguments():
             random_pd(3, 0, spread)
 
 
-def _random_pd_reference(dim, seed, condition_spread):
-    """The per-matrix construction random_pd must reproduce bit for bit."""
-    rng = np.random.default_rng(seed)
-    vals = np.exp(rng.uniform(-1.0, 1.0, size=dim) * math.log(condition_spread))
-    gauss = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    m = (q * vals) @ q.T
-    return (m + m.T) / 2.0
-
-
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_random_pd_stack_matches_per_matrix_reference(dim):
-    spreads = (1.0, 2.0, 5.0, 10.0, 1e3)
-    draws = [(seed, spread) for seed in range(200) for spread in spreads]
-    # numpy's log of 1.4987631026277761 misses libm's by one bit.
-    pool = spreads + (1.4987631026277761,)
-    for seed in range(40):
-        stack_spreads = [pool[(seed + i) % len(pool)] for i in range(25)]
-        rng, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        vals, bases = core._random_pd_spectra(rng, dim, stack_spreads)
-        # A generator in the same state gives one uniform block, then one
-        # normal block; spectrum i comes from row i and slice i of them.
-        u = blocks.uniform(-1.0, 1.0, (len(stack_spreads), dim))
-        gauss = blocks.standard_normal((len(stack_spreads), dim, dim))
-        assert vals.shape == (len(stack_spreads), dim)
-        assert bases.shape == (len(stack_spreads), dim, dim)
-        assert rng.bit_generator.state == blocks.bit_generator.state
-        for i, spread in enumerate(stack_spreads):
-            want_vals, want_basis = spectrum_from_draws(u[i], gauss[i], spread)
-            assert np.array_equal(vals[i], want_vals), (seed, i)
-            assert np.array_equal(bases[i], want_basis), (seed, i)
-    for seed, spread in draws[:: len(spreads) + 1]:
-        assert np.array_equal(random_pd(dim, seed, spread), _random_pd_reference(dim, seed, spread))
+    # A stack of spectra is one uniform block, then one normal block, and
+    # spectrum i is built from row i and slice i alone; random_pd is one.
+    check_row("random-pd-spectra", dim)
+    check_row("random-pd", dim)

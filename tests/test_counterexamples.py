@@ -18,19 +18,16 @@ from powmean import (
     Case,
     DomainError,
     InRegionError,
-    PowerMeanError,
     PreconditionError,
     SearchExhaustedError,
     choi_sign_table,
     classify,
     core,
     det_coeff_power_pair,
-    dual,
     eig_sym,
     find_counterexample,
     in_sufficient_region,
     normalize_exponent,
-    numeric_det_coeff,
     pd_rotation_difference,
     pd_rotation_pair,
     plane_rotation,
@@ -38,11 +35,13 @@ from powmean import (
     power_mean_gap,
     rank_one_difference,
     rank_one_pair,
-    rank_one_remainder_orders,
     scalar_power_mean,
 )
 
+import reference
 from conftest import assert_pinned, count_calls
+from test_fast_paths import (DECLINED_ROWS, LABEL_PAIRS, LAYOUTS, block_of, check_row,
+                             reference_pairs)
 
 
 def _independent_check(witness):
@@ -348,25 +347,7 @@ def test_search_error_paths(call, error, message, monkeypatch):
     assert str(info.value) == message
 
 
-def _witness_words(p, q, search=find_counterexample):
-    """float.hex words of the witness ``search`` gives at (p, q)."""
-    return _words(lambda: search(p, q))
-
-
-def _words(search):
-    """float.hex words of the witness ``search()`` returns: a, b, its
-    eigenvalue and vector, then k, j and the dual flag; or the error's type
-    and message.  Adding 0.0 folds the sign of a zero, which nothing reads."""
-    try:
-        w = search()
-    except PowerMeanError as exc:
-        return ["%s:%s" % (type(exc).__name__, exc)]
-    floats = [*w.a.ravel().tolist(), *w.b.ravel().tolist(), w.neg_eigenvalue,
-              *w.witness.tolist()]
-    return [float.hex(v + 0.0) for v in floats] + [repr(w.k), repr(w.j), repr(w.dual_applied)]
-
-
-def _pinned_pairs():
+def pinned_pairs():
     """The 500 seeded pairs outside the region of the witness pin."""
     rng = random.Random(11)
     pairs = []
@@ -381,77 +362,14 @@ def _pinned_pairs():
     return pairs
 
 
-def _candidate_at(diagonal, j):
-    """B_t of the walk with ``diagonal`` at angle j, built alone."""
-    theta = ce._THETA_SCHEDULE[j]
-    return ce._projection(theta) if diagonal is None else ce._rotated(diagonal, theta)
-
-
-def _reference_certify(gap, dec_b):
-    """The reference's certifier: smallest eigenvalue and unit witness of the
-    full ``_decompose`` of the 2x2 gap of one decomposed B, if below
-    ``-CERT_TOL``.  The search reads the same bits from the gap's closed form."""
-    dec = core._decompose(gap(dec_b))
-    lam = float(dec.eigenvalues[0])
-    if lam < -ce.CERT_TOL:
-        return lam, dec.basis[:, 0].copy()
-    return None
-
-
-def _reference_witness(p, q, walks, candidate, exhausted, via_dual):
-    """``_first_witness`` one candidate at a time: each B_t is
-    ``candidate(diagonal, j)``, decomposed alone and certified by
-    ``_reference_certify``, and a ``DomainError`` ends its walk, or the search
-    at j = 0."""
-    for k, x, y, a, diagonal in walks:
-        gap = _decomposed_gap(p, q, eig_sym(a))
-        for j, theta in enumerate(ce._THETA_SCHEDULE):
-            b = candidate(diagonal, j)
-            try:
-                hit = _reference_certify(gap, core._decompose(b))
-            except DomainError:
-                if j == 0:
-                    raise SearchExhaustedError(exhausted) from None
-                break
-            if hit is not None:
-                return ce.Witness(normalize_exponent(p), normalize_exponent(q), a, b, *hit,
-                                  x=x, y=y, theta=theta, dual_applied=via_dual, k=k, j=j)
-    raise SearchExhaustedError(exhausted)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _reference_search(p, q, candidate=_candidate_at):
-    """``find_counterexample`` at a walked label (p < q outside the region),
-    through ``_reference_witness``."""
-    label = classify(p, q)
-    bp, bq = dual(p, q) if label.via_dual else (p, q)
-    exhausted = "%s schedule exhausted at (%g, %g)" % (label.case.value, bp, bq)
-    walks = ce._walks(label.case, bp, bq, label.via_dual)
-    return _reference_witness(p, q, walks, candidate, exhausted, label.via_dual)
-
-
-def _reference_pairs():
-    """2,000 seeded pairs p < q outside the region; about one in twenty has
-    an exponent set to 0, so both log-Euclidean labels occur."""
-    rng = random.Random(5)
-    pairs = []
-    while len(pairs) < 2000:
-        p, q = sorted((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)))
-        if rng.random() < 0.05:
-            p, q = sorted((0.0, p if rng.random() < 0.5 else q))
-        if p < q and not in_sufficient_region(p, q):
-            pairs.append((p, q))
-    return pairs
-
-
 def test_witness_bits_pinned():
     # 500 seeded pairs outside the region, about one in five with p > q and
     # 16 uncertified, recorded once the 2x2 small eigenvalue became det / big
     # and the rank-one dual shift 1e-9.  A change to any witness or search
     # outcome must re-record this deliberately.
     words = []
-    for p, q in _pinned_pairs():
-        words += _witness_words(p, q)
+    for p, q in pinned_pairs():
+        words += reference.words(find_counterexample, p, q)
     digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
     assert_pinned(digest, {
         "SkylakeX": "c0aacb2ac47389ffc861156e1ec00af79307092717cd4da59fa678a6f1115334",
@@ -489,7 +407,7 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
             for j in range(len(ce._THETA_SCHEDULE)):
                 try:
                     ce._certify(_decomposed_gap(*exponents, eig_sym(a)),
-                                core._decompose(_candidate_at(diagonal, j)))
+                                core._decompose(reference.candidate_at(diagonal, j)))
                     fails = False
                 except DomainError:
                     fails = True
@@ -501,27 +419,13 @@ def test_rotation_walk_stops_only_where_every_candidate_fails(q):
 
 
 def test_block_search_matches_the_one_candidate_reference():
-    # Every witness and error of the search, which certifies the later angles
-    # of a walk as stacks and reads each gap's closed form, has the bits of
-    # the search one candidate at a time through the gap's full decomposition,
-    # on the six walked labels and an overflowing mean.
-    pairs = _reference_pairs() + [(p, q) for p, q in _LABEL_PAIRS if p < q] + [(0.4, 1e308)]
-    assert {str(classify(p, q)) for p, q in pairs} == set(_SEARCH_ORDER)
-    js, errors = set(), set()
-    for p, q in pairs:
-        words = _witness_words(p, q)
-        assert words == _witness_words(p, q, _reference_search), (p, q)
-        if len(words) > 1:
-            js.add(int(words[-2]))
-        else:
-            errors.add(words[0].split(":")[0])
-    # witnesses in every block, and both errors of the walked labels
-    assert {_block_of(j) for j in js} == set(ce._BLOCKS)
-    assert errors == {"SearchExhaustedError", "PreconditionError"}
+    # Stacked blocks and each gap's closed form give every witness and error
+    # of the search one candidate at a time, through the gap's decomposition.
+    check_row("block-search")
 
 
-#: Pairs of the reference sample that the CI's warm-cache step searches, so
-#: that each stacked block certifies: a rank-one-dual witness at j = 5, the
+#: Pairs of the reference sample that test_fast_paths searches warm and cold,
+#: so that each stacked block certifies: a rank-one-dual witness at j = 5, the
 #: last row of 2..5, a dual one at j = 11 in 6..12, a pd-rotation and a
 #: rank-one one at j = 13, the first row of 13..20; and a dual pair whose
 #: walks end at a DomainError at j = 13, so that block raises at its first row.
@@ -534,18 +438,18 @@ _BLOCK_PAIRS = {(0.38315483079990553, 2.7432755469899197): ("pd-rotation", 13),
 
 def test_block_pairs_cover_each_stacked_block():
     stacked = {(start, stop) for start, stop in ce._BLOCKS if stop - start > 1}
-    reached = {_block_of(13 if j is None else j) for _, j in _BLOCK_PAIRS.values()}
+    reached = {block_of(13 if j is None else j) for _, j in _BLOCK_PAIRS.values()}
     assert reached == stacked
-    assert _block_of(13)[0] == 13
+    assert block_of(13)[0] == 13
 
 
 @pytest.mark.parametrize("p, q", sorted(_BLOCK_PAIRS))
 def test_block_pairs_reach_the_later_blocks(p, q):
-    assert (p, q) in _reference_pairs()
+    assert (p, q) in reference_pairs()
     label, j = _BLOCK_PAIRS[p, q]
     reached = []
-    w = _words(lambda: _reference_search(p, q, lambda d, j: reached.append(j) or
-                                         _candidate_at(d, j)))
+    w = reference.words(reference.search, p, q,
+                        lambda d, j: reached.append(j) or reference.candidate_at(d, j))
     assert str(classify(p, q)) == label
     if j is None:
         # a walk ends at a DomainError at j = 13 or at the schedule's end,
@@ -561,7 +465,7 @@ def _scripted_walks(monkeypatch, a, *scripts):
     """Walks k = 0, 1, ... on the one A: script k maps an angle index j to its
     B, every other angle holding B = A (a zero gap, a miss).  ``_block`` is
     replaced by the blocks cut from them; returns the walks and the
-    candidate function of ``_reference_witness``."""
+    candidate function of ``reference.witness``."""
     rows = [[a] * len(ce._THETA_SCHEDULE) for _ in scripts]
     for walk, script in zip(rows, scripts):
         for j, b in script.items():
@@ -577,11 +481,11 @@ def _scripted_walks(monkeypatch, a, *scripts):
 
 def _scripted_search(monkeypatch, p, q, a, *scripts):
     """Words of ``_first_witness`` on the scripted walks, asserted equal to
-    those of ``_reference_witness``."""
+    those of ``reference.witness``."""
     walks, candidate = _scripted_walks(monkeypatch, a, *scripts)
     with np.errstate(over="ignore", invalid="ignore"):
-        words = _words(lambda: ce._first_witness(p, q, walks, "x", False))
-        assert words == _words(lambda: _reference_witness(p, q, walks, candidate, "x", False))
+        words = reference.words(ce._first_witness, p, q, walks, "x", False)
+        assert words == reference.words(reference.witness, p, q, walks, candidate, "x", False)
     return words
 
 
@@ -627,84 +531,12 @@ def test_overflowing_mean_inside_a_block(monkeypatch, bad, good, j):
         assert words[-3:] == ["0", repr(j), "False"]
 
 
-#: 2x2 gap rows that the closed form reads: one certifies, one does not.
-_CERTIFIES = [[-1.0, 0.5], [0.5, 2.0]]
-_MISSES = [[2.0, 0.1], [0.1, 3.0]]
-#: Gap rows the closed form hands to ``_decompose``, and the first word of
-#: what each gives alone: big^2 above or below the normal range (rescaled: a
-#: witness, row 0, or a miss), an entry above max / 2 and non-finite entries
-#: (raised).
-_DECLINED_ROWS = {
-    "rescaled-hit": ([[-1e200, 3e199], [3e199, 1e200]], 0),
-    "rescaled-miss": ([[1e200, 3e199], [3e199, 2e200]], None),
-    "rescaled-tiny": ([[-1e-200, 3e-201], [3e-201, 1e-200]], None),
-    "above-half-max": ([[1e308, 0.0], [0.0, 1.0]],
-                       "PreconditionError:symmetric part overflows: max |entry| 1.000e+308"),
-    "nan": ([[1.0, math.nan], [math.nan, 1.0]], "PreconditionError:matrix entries must be finite"),
-    "inf": ([[-math.inf, 0.0], [0.0, 1.0]], "PreconditionError:matrix entries must be finite"),
-}
-#: Where a declined row sits among the gap rows of a block.
-_LAYOUTS = {"alone": lambda row: [row],
-            "first": lambda row: [row, _CERTIFIES],
-            "after-misses": lambda row: [_MISSES, _MISSES, row, _CERTIFIES],
-            "after-a-hit": lambda row: [_MISSES, _CERTIFIES, row]}
-
-
-def _hit_words(search):
-    """The (i, eigenvalue, vector) ``search()`` returns as float.hex words,
-    ``[None]`` for no hit, or its error's type and message."""
-    try:
-        hit = search()
-    except PowerMeanError as exc:
-        return ["%s:%s" % (type(exc).__name__, exc)]
-    if hit is None:
-        return [None]
-    i, lam, vec = hit
-    return [i, float.hex(lam)] + [float.hex(v) for v in vec.tolist()]
-
-
-def _reference_rows(rows):
-    """The first certifying row of the gap ``rows``, each certified alone by
-    ``_reference_certify``, or the error of the first row that raises."""
-    for i, row in enumerate(rows):
-        hit = _reference_certify(lambda _: np.array(row), None)
-        if hit is not None:
-            return (i, *hit)
-    return None
-
-
-def _certified_alone(gap_row):
-    """``_certify`` of a B whose gap is ``gap_row``, as row 0 of a block."""
-    hit = ce._certify(lambda _: gap_row, None)
-    return None if hit is None else (0, *hit)
-
-
-@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
-@pytest.mark.parametrize("kind", sorted(_DECLINED_ROWS))
-@np.errstate(over="ignore", invalid="ignore")
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(DECLINED_ROWS))
 def test_gap_rows_the_closed_form_declines(kind, layout):
-    # A gap row that the closed form declines takes the full decomposition:
-    # rescaled or raised, with the bits and message of the row alone, and
-    # raised only where no earlier row certifies.  One row goes through
-    # _certify; a stack through _first_hit, whose gap gives row i for row i.
-    row, alone = _DECLINED_ROWS[kind]
-    assert core._eig_2x2_row(row[0][0], row[0][1], row[1][1]) is None
-    rows = _LAYOUTS[layout](row)
-    stack = np.array(rows)
-    if layout == "alone":
-        got = _hit_words(lambda: _certified_alone(stack[0]))
-        assert got[0] == alone
-    else:
-        index = core.SpectralDecomposition(np.arange(len(rows) * 2.0).reshape(-1, 2) // 2,
-                                           np.zeros((len(rows), 2, 2)))
-        gap = (lambda dec: stack if dec.basis.ndim == 3 else stack[int(dec.eigenvalues[0])])
-        got = _hit_words(lambda: ce._first_hit(gap, index))
-    assert got == _hit_words(lambda: _reference_rows(rows))
-
-
-def _block_of(j):
-    """The (start, stop) of ``_BLOCKS`` that holds angle j."""
-    return next((start, stop) for start, stop in ce._BLOCKS if start <= j < stop)
+    # A row the closed form declines is rescaled or raised as alone, and
+    # raised only where no earlier row certifies, through _certify or _first_hit.
+    check_row("first-row", (kind, layout))
 
 
 def test_certify_validates_once_per_decomposition(monkeypatch):
@@ -717,7 +549,7 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     # a walk's A is validated and decomposed once
     assert (len(guards), len(decompositions)) == (1, 1)
     # the search left its block of B, validated and decomposed, in the cache
-    start, stop = _block_of(w.j)
+    start, stop = block_of(w.j)
     assert stop - start > 1
     bs, dec_b = ce._block((1.0, w.y), start, stop)
     i = w.j - start
@@ -735,12 +567,7 @@ def test_certify_validates_once_per_decomposition(monkeypatch):
     assert (len(guards), len(decompositions)) == (1, 1 + 3 * 2)
 
 
-#: One pair per label, as the CI's counterexample step runs them.
-_LABEL_PAIRS = [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.8),
-                (-0.8, -0.6), (2.0, 1.0), (600.0, 1.0), (1.0, -600.0)]
-
-
-@pytest.mark.parametrize("p, q", _LABEL_PAIRS)
+@pytest.mark.parametrize("p, q", LABEL_PAIRS)
 def test_search_validates_each_candidate_at_most_once(monkeypatch, p, q):
     # A first search validates each rotated B_t of the blocks it reaches
     # once, where _block builds them, and an identical second search none,
@@ -785,7 +612,8 @@ def test_search_prepares_each_walks_a_once(monkeypatch):
         return m.shape == (2, 2) and m[0, 1] == 0.0 and m[1, 0] == 0.0
 
     reached = []
-    _reference_search(0.49, 1.12, lambda d, j: reached.append((d, j)) or _candidate_at(d, j))
+    reference.search(0.49, 1.12,
+                     lambda d, j: reached.append((d, j)) or reference.candidate_at(d, j))
     core._recent.cache_clear()  # the reference left the walks' A in eig_sym's memo
     blocks, block = [], ce._block
     monkeypatch.setattr(ce, "_block", lambda *key: blocks.append(key) or block(*key))
@@ -829,8 +657,8 @@ def test_candidate_cache_is_bounded_by_the_schedule():
     walks = 2 * len(ce._X_SCHEDULE) + 2
     bound = walks * len(ce._BLOCKS)
     assert (bound, walks * len(angles)) == (380, 1596)
-    for p, q in _pinned_pairs() + _LABEL_PAIRS:
-        _witness_words(p, q)
+    for p, q in pinned_pairs() + LABEL_PAIRS:
+        reference.words(find_counterexample, p, q)
     size = ce._block.cache_info().currsize
     assert 0 < size <= bound
     rng = random.Random(3)
@@ -842,12 +670,12 @@ def test_candidate_cache_is_bounded_by_the_schedule():
     assert ce._block.cache_info().currsize == size
 
 
-@pytest.mark.parametrize("p, q", _LABEL_PAIRS[:6])
+@pytest.mark.parametrize("p, q", LABEL_PAIRS[:6])
 def test_searched_candidate_is_read_only(monkeypatch, p, q):
     # A caller's write to a searched B, or to its block's cached
     # decomposition, raises instead of corrupting later searches, and a
     # repeated search shares it.
-    words = _witness_words(p, q)
+    words = reference.words(find_counterexample, p, q)
     first_hit, searched = ce._first_hit, []
     monkeypatch.setattr(ce, "_first_hit",
                         lambda gap, dec_b: searched.append(dec_b) or first_hit(gap, dec_b))
@@ -858,39 +686,7 @@ def test_searched_candidate_is_read_only(monkeypatch, p, q):
         with pytest.raises(ValueError):
             m[0] = 0.0
     assert find_counterexample(p, q).b is w.b
-    assert _witness_words(p, q) == words
-
-
-def test_cold_and_warm_searches_give_the_same_bits():
-    # Each pinned pair searched on an emptied cache, then every pair twice on
-    # the shared one: the witnesses and messages are the same bits.
-    cold = []
-    for p, q in _pinned_pairs():
-        ce._block.cache_clear()
-        cold.append(_witness_words(p, q))
-    warm = [[_witness_words(p, q) for p, q in _pinned_pairs()] for _ in range(2)]
-    assert ce._block.cache_info().hits > 0
-    assert warm == [cold, cold]
-
-
-def _oracle_words():
-    """float.hex words of the lemma oracle's value and error on each family."""
-    results = [numeric_det_coeff(rank_one_difference(0.6, 0.8),
-                                 orders=rank_one_remainder_orders(0.6, 0.8)),
-               numeric_det_coeff(pd_rotation_difference(0.5, 2.0, 0.25, 0.0625)),
-               numeric_det_coeff(pd_rotation_difference(0.0, 2.0, 0.25, 0.0625))]
-    return [float.hex(v) for result in results for v in result]
-
-
-def test_eig_sym_memo_gives_the_same_bits_cold_and_warm(monkeypatch):
-    # Each pinned pair's witness and the lemma oracle of each family, twice
-    # with eig_sym's memo, then with every decomposition made afresh.
-    def words():
-        return [_witness_words(p, q) for p, q in _pinned_pairs()] + _oracle_words()
-    warm = [words(), words()]
-    assert core._recent.cache_info().hits > 0
-    monkeypatch.setattr(core, "_recent", core._recent.__wrapped__)
-    assert warm == [words()] * 2
+    assert reference.words(find_counterexample, p, q) == words
 
 
 @pytest.mark.parametrize("family", ["pd-rotation", "rank-one"])

@@ -43,7 +43,10 @@ from powmean.fuzz import fuzz_point, order_margin
 from powmean.maps import plane_rotation
 from powmean.means import _decomposed_gap, _gap, _power_sums
 
-from conftest import assert_pinned, composed, count_calls, spectrum_from_draws, sym_rand
+import reference
+from conftest import assert_pinned, count_calls, sym_rand
+from reference import composed, words
+from test_fast_paths import check_row
 
 
 def test_normalize_exponent_threshold():
@@ -178,12 +181,9 @@ def test_power_mean_gap_matches_two_calls(dim):
 def test_power_mean_gap_errors_match_two_calls(p, q):
     a = np.diag([2.0, 0.0])
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(DomainError) as two_calls:
-        power_mean(q, a, b) - power_mean(p, a, b)
-    with pytest.raises(DomainError) as gap:
-        power_mean_gap(p, q, a, b)
-    assert type(gap.value) is type(two_calls.value)
-    assert str(gap.value) == str(two_calls.value)
+    two_calls = words(lambda: power_mean(q, a, b) - power_mean(p, a, b))
+    assert words(power_mean_gap, p, q, a, b) == two_calls
+    assert two_calls[0].startswith("DomainError:")
 
 
 _PINNED_EXPONENTS = (-2.0, -0.5, -5e-9, 0.0, 1e-9, 0.5, 1.0, 3.0)
@@ -230,12 +230,9 @@ def test_gap_against_raises_its_a_side_error_at_the_first_b(p, q):
     a = np.diag([2.0, 0.0])
     gap = _decomposed_gap(p, q, eig_sym(a))
     for b in ([[1.0, 0.5], [0.5, 1.0]], np.eye(2), [[1.0, 0.5], [0.5, 1.0]]):
-        with pytest.raises(DomainError) as two_calls:
-            power_mean(q, a, b) - power_mean(p, a, b)
-        with pytest.raises(DomainError) as prepared:
-            gap(eig_sym(b))
-        assert type(prepared.value) is type(two_calls.value)
-        assert str(prepared.value) == str(two_calls.value)
+        two_calls = words(lambda: power_mean(q, a, b) - power_mean(p, a, b))
+        assert words(gap, eig_sym(b)) == two_calls
+        assert two_calls[0].startswith("DomainError:")
 
 
 @pytest.mark.parametrize(
@@ -404,45 +401,13 @@ def test_map_order_margins_are_loewner_margins_of_map_powers(monkeypatch):
         assert (margin, lam) == (verdict.margin, verdict.min_eigenvalue)
 
 
-def _ascending(vals, basis):
-    order = np.argsort(vals, kind="stable")
-    return core.SpectralDecomposition(vals[order], basis[:, order])
-
-
-def _fuzz_point_reference(p, q, trials, seed, dims):
-    """fuzz_point as a per-trial loop over its draw order on the single-pair
-    route: per dimension, all spreads, then every matrix's uniform row, then
-    every matrix's normal slice; each pair's two sorted spectra go to the sum
-    stage (its overflows silenced, as fuzz_point's are), the one gap routine
-    and the order verdict, one pair at a time."""
-    rng = fuzz._spawn(seed, 0)
-    passed, worst = True, float("inf")
-    for dim in dims:
-        spreads = [fuzz._SPREADS[k] for k in rng.integers(len(fuzz._SPREADS), size=trials)]
-        u = [rng.uniform(-1.0, 1.0, dim) for _ in range(2 * trials)]
-        gauss = [rng.standard_normal((dim, dim)) for _ in range(2 * trials)]
-        for t, spread in enumerate(spreads):
-            dec_a = _ascending(*spectrum_from_draws(u[2 * t], gauss[2 * t], spread))
-            dec_b = _ascending(*spectrum_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread))
-            with np.errstate(over="ignore", invalid="ignore"):
-                s_q, s_p = _power_sums(p, q, dec_a, dec_b)
-            verdict = core._order_verdict(_gap(p, q, s_q, lambda: s_p))
-            margin, lam = verdict.margin, verdict.min_eigenvalue
-            worst = min(worst, lam)
-            passed &= margin >= 0.0
-    return passed, worst
-
-
 @pytest.mark.parametrize("p,q,dims", [
     (0.5, 2.0, (2, 3)),
     (0.25, 1.0, (2, 3)),  # outside the region: some checks fail
     (-1.0, 0.0, (1, 4, 8)),
 ])
 def test_fuzz_point_matches_per_trial_reference(p, q, dims):
-    for seed in range(3):
-        got = fuzz_point(p, q, 25, seed, dims=dims)
-        assert got == _fuzz_point_reference(p, q, 25, seed, dims)
-    assert fuzz_point(p, q, 0, 0, dims=dims) == (True, float("inf"))
+    check_row("fuzz-point", (p, q, dims))
 
 
 def test_fuzz_point_draws_pd_pairs_with_shared_spreads(monkeypatch):
@@ -545,31 +510,23 @@ def test_fuzz_point_decomposes_two_matrices_per_check(monkeypatch):
     assert not eigs and not guards
 
 
-def _outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the type and message of its error."""
-    try:
-        return fn(*args)
-    except PowerMeanError as err:
-        return type(err), str(err)
-
-
 def test_fuzz_point_keeps_the_errors_of_extreme_exponents():
     # The stacked sums run ahead of the roots without a warning; a stacked
     # root stage raises, so the dimension runs again trial by trial and
     # raises what the per-trial loop raises.
-    finite = (PreconditionError, "matrix entries must be finite")
+    finite = "PreconditionError:matrix entries must be finite"
     for args, error in [
         ((300, 400, 3, 0), finite),
-        ((-400, -300, 3, 0), (DomainError, "power -0.00333333 needs eigenvalues > 6.059e+279, "
-                                           "smallest is 1.309e+275")),
+        ((-400, -300, 3, 0), "DomainError:power -0.00333333 needs eigenvalues > 6.059e+279, "
+                             "smallest is 1.309e+275"),
         ((400, 400, 20, 3), finite),
         ((300, 500, 20, 3), finite),
         ((2, 700, 20, 3), finite),
-        ((-400, -300, 20, 3), (DomainError, "power -0.00333333 needs eigenvalues > 9.163e+54, "
-                                            "smallest is 0.000e+00")),
+        ((-400, -300, 20, 3), "DomainError:power -0.00333333 needs eigenvalues > 9.163e+54, "
+                              "smallest is 0.000e+00"),
     ]:
-        assert _outcome(fuzz_point, *args) == error, args
-        assert _outcome(_fuzz_point_reference, *args, (2, 3)) == error, args
+        assert words(fuzz_point, *args) == [error], args
+        assert words(reference.fuzz_point, *args, (2, 3)) == [error], args
 
 
 def test_fuzz_point_raises_the_first_failing_trials_error(monkeypatch):
@@ -593,10 +550,10 @@ def test_fuzz_point_raises_the_first_failing_trials_error(monkeypatch):
 
     monkeypatch.setattr(means, "_root", failing_root)
     args = (p, q, trials, 3, (3,))
-    assert _outcome(fuzz_point, *args) == (DomainError, "p-root of trial 2")
-    assert _outcome(_fuzz_point_reference, *args) == (DomainError, "p-root of trial 2")
+    assert words(fuzz_point, *args) == ["DomainError:p-root of trial 2"]
+    assert words(reference.fuzz_point, *args) == ["DomainError:p-root of trial 2"]
     del bad[p, s_p[2].tobytes()]
-    assert _outcome(fuzz_point, *args) == (DomainError, "q-root of trial 5")
+    assert words(fuzz_point, *args) == ["DomainError:q-root of trial 5"]
 
 
 def test_dimension_mismatch():
@@ -620,12 +577,7 @@ def test_dimension_mismatch():
 def test_one_matrix_against_a_stack_has_the_bits_of_single_calls(p, q, dim):
     # The counterexample search certifies blocks of B_t against one A: row i
     # of the stacked gap is the single gap of A and B_i, bit for bit.
-    gap = _decomposed_gap(p, q, eig_sym(random_pd(dim, 81, 10.0)))
-    bs = [random_pd(dim, 90 + i, 1e3) for i in range(6)]
-    stacked = gap(core._decompose(np.stack(bs)))
-    assert stacked.shape == (6, dim, dim)
-    for row, b in zip(stacked, bs):
-        assert row.tobytes() == gap(core._decompose(b)).tobytes()
+    check_row("one-a-stack-of-b", (p, q, dim))
 
 
 # ---------------------------------------------------------------------------
