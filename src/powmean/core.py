@@ -13,6 +13,8 @@ gap's smallest eigenvalue comes from :func:`_min_eigenvalue`, with no basis.
 The solvers rely on exact symmetry and run on Python floats: the 2x2 closed
 form, and at n >= 3 the Jacobi sweeps of :func:`_jacobi_source`, one per
 dimension with or without the basis, each computing a mirrored pair once.
+A stack runs the sweeps row by row, then orders and signs all its eigenpairs
+in one array pass, :func:`_finish_stack`, bit for bit the per-matrix finish.
 
 All operations are pure functions of their inputs, and no returned array is
 mutated in place; :func:`eig_sym` shares its recent results, read-only.
@@ -295,10 +297,10 @@ def _sweeps(n: int, vectors: bool):
 
 def _jacobi_row(flat: list, n: int):
     """Cyclic Jacobi on the Python floats of one n x n matrix, row-major in
-    ``flat``, for one matrix or a stack's row: ascending eigenvalues (a stable
-    sort, so ties keep their diagonal order) and the eigenvectors, the basis
-    columns, with their signs fixed; ``None`` where the squares overflow (the
-    caller rescales)."""
+    ``flat``: ascending eigenvalues (a stable sort, so ties keep their
+    diagonal order) and the eigenvectors, the basis columns, with their signs
+    fixed; ``None`` where the squares overflow (the caller rescales).  A
+    stack's rows take the same sweeps and :func:`_finish_stack`."""
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
@@ -384,8 +386,13 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
 
 def _decompose_stack(m: np.ndarray) -> SpectralDecomposition:
     """:func:`_decompose` of a stack: the solver of its dimension on each row,
-    read once as Python floats, and the results built as one array each."""
+    read once as Python floats, and the results built as one array each,
+    at n >= 3 by :func:`_finish_stack`.  A stack of one is its single call,
+    whose finish costs less than the array pass."""
     count, n = m.shape[:2]
+    if count == 1:
+        dec = _decompose(m[0])
+        return SpectralDecomposition(dec.eigenvalues[None], dec.basis[None])
     # |x| <= max / 2 iff x + x is finite: the guard of a single call, per row.
     # A 2x2 row's closed form tests it on the floats it reads, so needs no array.
     guarded = [True] * count if n == 2 else (np.abs(m) <= _HALF_MAX).all(axis=(1, 2)).tolist()
@@ -393,20 +400,37 @@ def _decompose_stack(m: np.ndarray) -> SpectralDecomposition:
         if not all(guarded):
             _decompose(m[guarded.index(False)])  # raises
         return SpectralDecomposition(m[:, 0].copy(), np.ones((count, 1, 1)))
+    sweeps = n > 2 and _sweeps(n, True)
     vals, vecs = [], []
     for i, (flat, ok) in enumerate(zip(m.reshape(count, n * n).tolist(), guarded)):
-        done = ok and (_eig_2x2_row(flat[0], flat[1], flat[3]) if n == 2 else _jacobi_row(flat, n))
+        done = ok and (_eig_2x2_row(flat[0], flat[1], flat[3]) if n == 2
+                       else sweeps(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP))
         if not done:
-            # The row raises, or takes _rescaled, as a single call.
+            # The row raises, or takes _rescaled, as a single call; its
+            # finished eigenpairs are a fixed point of _finish_stack.
             dec = _decompose(m[i])
             done = dec.eigenvalues.tolist(), (dec.basis if n == 2 else dec.basis.T).tolist()
         vals.append(done[0])
         vecs.append(done[1])
-    # Each basis keeps the memory order of a single call's (a Jacobi basis is
-    # a transposed array), so numpy's matmul rounds a stack's rows alike.
+    vals = np.array(vals).reshape(count, n)
     vecs = np.array(vecs).reshape(count, n, n)
-    return SpectralDecomposition(np.array(vals).reshape(count, n),
-                                 vecs if n == 2 else vecs.transpose(0, 2, 1))
+    return SpectralDecomposition(vals, vecs) if n == 2 else _finish_stack(vals, vecs)
+
+
+def _finish_stack(vals: np.ndarray, rows: np.ndarray) -> SpectralDecomposition:
+    """The finish of :func:`_jacobi_row` for a stack, as one array pass: each
+    row of ``vals`` (N, n) sorted ascending by a stable sort, its eigenvectors,
+    the rows of ``rows`` (N, n, n), moved with it and signed by
+    :func:`_fix_sign`'s rule (the first entry of largest |value| made
+    non-negative).  The bases are the transposed rows, so each keeps the
+    memory order of a single call's and numpy's matmul rounds a stack's rows
+    alike."""
+    order = vals.argsort(axis=1, kind="stable")
+    stack, vector = np.arange(len(vals))[:, None], np.arange(vals.shape[1])
+    rows = rows[stack, order]
+    pivots = rows[stack, vector, np.abs(rows).argmax(axis=2)]
+    rows = np.where(pivots[:, :, None] < 0.0, -rows, rows)
+    return SpectralDecomposition(vals[stack, order], rows.transpose(0, 2, 1))
 
 
 def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:

@@ -18,6 +18,15 @@ f(A)/2 + f(B)/2 (:func:`_sums_against`) or phi(f(A)) (:func:`_map_sum`) with
 f = X^r or log from :func:`_functions`, then the root stage f^-1(S_r) of
 :func:`_root`.  The public means compose the two; :func:`_gap`, the one gap
 routine, serves ``power_mean_gap``, the counterexample search and the fuzz.
+
+The root stage decomposes S_r, except where f^-1 is X or X^2 (p = 1 or 1/2):
+there M_p is S_r itself, or S_r @ S_r made exactly symmetric.  That one
+product rounds like the spectral rebuild V diag(lambda^2) V^T, a few n eps
+|S|^2 normwise, so the rule stops at X^2: X^3 and up take more products,
+each adding its rounding, and an inverse power a solve, which loses relative
+accuracy on an ill-conditioned sum.  A non-finite sum, or one with an entry
+above ``_SQUARE_MAX``, is decomposed as any other, and raises, rescales or
+warns there.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ from .errors import DimensionMismatchError, NotUnitalError, PreconditionError
 from .functions import EXP, LOG, Power
 
 LOG_EUCLIDEAN_THRESHOLD = 1e-8
+#: Largest |entry| of a sum whose root X or X^2 skips the decomposition: at
+#: n <= 8 no entry of S @ S or of S @ S + (S @ S)^T then exceeds max / 4.
+_SQUARE_MAX = math.sqrt(sys.float_info.max) / 8.0
 
 
 def normalize_exponent(p: float) -> float:
@@ -70,10 +82,15 @@ def scalar_power_mean(p: float, a: float, b: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _functions(p: float):
     """f and f^-1 of the p-mean: X^p and X^(1/p), or log and exp at p = 0: the
-    one place where an exponent becomes a function.  The tags are immutable,
-    so the recent exponents' pairs are kept for the two stages of a mean."""
+    one place where an exponent becomes a function; then the degree of f^-1
+    where it is X or X^2 (p = 1 or 1/2), else 0, for :func:`_root`.  The tags
+    are immutable, so the recent exponents' triples are kept for the two
+    stages of a mean."""
     p = normalize_exponent(p)
-    return (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
+    if p == 0.0:
+        return LOG, EXP, 0
+    inverse = Power(1.0 / p)
+    return Power(p), inverse, int(inverse.exponent) if inverse.exponent in (1.0, 2.0) else 0
 
 
 def _sums_against(dec_a):
@@ -103,8 +120,25 @@ def _sums_against(dec_a):
 
 
 def _root(r: float, s: np.ndarray) -> np.ndarray:
-    """f^-1(S_r) of one exactly symmetric sum, a stack of them or a map sum."""
-    return spectral_fun(_decompose(s), _functions(r)[1])
+    """f^-1(S_r) of one exactly symmetric sum, a stack of them or a map sum.
+
+    Where f^-1 is X or X^2 and every |entry| is at most ``_SQUARE_MAX``, the
+    root is S itself or S @ S made exactly symmetric; any other sum, a
+    non-finite one included, is decomposed, and raises, rescales or warns
+    there.  A stack with such rows takes each row alone, so row i keeps the
+    bits and the error of its single call.
+    """
+    _, inverse, degree = _functions(r)
+    if degree:
+        fits = np.abs(s).max(axis=(-2, -1)) <= _SQUARE_MAX  # False at a NaN
+        if fits.all():
+            if degree == 1:
+                return s
+            square = s @ s
+            return (square + square.mT) / 2.0
+        if s.ndim == 3:
+            return np.array([_root(r, row) for row in s])
+    return spectral_fun(_decompose(s), inverse)
 
 
 def power_mean(p: float, a, b) -> np.ndarray:

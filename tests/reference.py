@@ -8,14 +8,16 @@ same bits or the same error; ``test_fast_paths`` pairs them.
 """
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 
-from powmean import (DomainError, NonConvergenceError, PowerMeanError, SearchExhaustedError,
-                     classify, core, dual, eig_sym, fuzz, normalize_exponent, symmetrize)
+from powmean import (EXP, LOG, DomainError, NonConvergenceError, Power, PowerMeanError,
+                     SearchExhaustedError, classify, core, dual, eig_sym, fuzz,
+                     normalize_exponent, symmetrize)
 from powmean import counterexamples as ce
-from powmean.means import _decomposed_gap, _gap, _power_sums
+from powmean.means import _decomposed_gap
 
 
 def words(fn, *args):
@@ -162,12 +164,30 @@ def _ascending(vals, basis):
     return core.SpectralDecomposition(vals[order], basis[:, order])
 
 
+def power_sum(r, dec_a, dec_b):
+    """S_r = f(A)/2 + f(B)/2 of one decomposed pair, f = X^r or log at r = 0."""
+    f = LOG if r == 0.0 else Power(r)
+    return 0.5 * core.spectral_fun(dec_a, f) + 0.5 * core.spectral_fun(dec_b, f)
+
+
+def root(r, s):
+    """f^-1(S_r) of one exactly symmetric sum: S itself at r = 1 and
+    (S @ S + (S @ S)^T) / 2 at r = 1/2, while every |entry| is at most
+    sqrt(max) / 8; otherwise exp or X^(1/r) of its decomposition."""
+    if r in (1.0, 0.5) and np.abs(s).max() <= math.sqrt(sys.float_info.max) / 8.0:
+        return s if r == 1.0 else (s @ s + (s @ s).T) / 2.0
+    return core.spectral_fun(core._decompose(s), EXP if r == 0.0 else Power(1.0 / r))
+
+
 def fuzz_point(p, q, trials, seed, dims):
     """fuzz_point as a per-trial loop over its draw order on the single-pair
     route: per dimension, all spreads, then every matrix's uniform row, then
-    every matrix's normal slice; each pair's two sorted spectra go to the sum
-    stage (its overflows silenced, as fuzz_point's are), the one gap routine
-    and the order verdict, one pair at a time."""
+    every matrix's normal slice; each pair's two sorted spectra give S_q,
+    then S_p unless the normalized exponents are equal (their overflows
+    silenced, as fuzz_point's are), then the q-root, the p-root and their
+    gap (zero at equal exponents), and the order verdict, one pair at a
+    time."""
+    p, q = normalize_exponent(p), normalize_exponent(q)
     rng = fuzz._spawn(seed, 0)
     passed, worst = True, float("inf")
     for dim in dims:
@@ -178,8 +198,11 @@ def fuzz_point(p, q, trials, seed, dims):
             dec_a = _ascending(*spectrum_from_draws(u[2 * t], gauss[2 * t], spread))
             dec_b = _ascending(*spectrum_from_draws(u[2 * t + 1], gauss[2 * t + 1], spread))
             with np.errstate(over="ignore", invalid="ignore"):
-                s_q, s_p = _power_sums(p, q, dec_a, dec_b)
-            verdict = core._order_verdict(_gap(p, q, s_q, lambda: s_p))
+                s_q = power_sum(q, dec_a, dec_b)
+                s_p = s_q if p == q else power_sum(p, dec_a, dec_b)
+            high = root(q, s_q)
+            gap = high - (high if p == q else root(p, s_p))
+            verdict = core._order_verdict(gap)
             worst = min(worst, verdict.min_eigenvalue)
             passed &= verdict.margin >= 0.0
     return passed, worst

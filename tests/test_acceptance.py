@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line
 per criterion.  Each criterion with a runtime budget asserts it.
 """
 
-import math
 import time
 from contextlib import contextmanager
 

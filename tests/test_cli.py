@@ -2,7 +2,6 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from powmean.cli import CSV_HEADER, main
@@ -51,9 +50,9 @@ def test_scan_bytes_pinned(tmp_path):
     assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert_pinned(digest, {
-        "SkylakeX": "bf18fc672907548ebff6870f17fce8a94cd1d6ce58a485a6399f9ba35cbed731",
-        "Haswell": "42ba491011f2dac0c35d0e8fe7bac14f979e14b205250fdc88e5209d60591c3d",
-        "Sandybridge": "b7010b73f1387cc29f6405067ed35bd2b714450cec2f470708c7dc9cdd37d3d2",
+        "SkylakeX": "684747f194b527c03d476f0ddc8a03e8034e4d301e099540057bb9b1a1c44727",
+        "Haswell": "a29e193509b93415b5aa511b64548106d0c78e434c12558db0709dd8468ceb28",
+        "Sandybridge": "ab3772dff04adeb2e9fea64d304b8b9271a0061528ca7cc784a0278bccfeaf6a",
     })
 
 

@@ -89,9 +89,15 @@ def _decompose_rows(dim):
     return np.array(rows)
 
 
+def _one_row_stacks(stack):
+    """A stack of its first row, and of row 15, whose squares overflow."""
+    return stack[:1], stack[15:16]
+
+
 def _decompose_stacks(dim):
     stack = _decompose_rows(dim)
-    yield from ((stack,), (stack[1::2],), (np.empty((0, dim, dim)),))
+    yield from ((stack,), (stack[1::2],), *((m,) for m in _one_row_stacks(stack)),
+                (np.empty((0, dim, dim)),))
     if dim == 2:
         # an entry at or past the guard of a single call, |x| <= max / 2, in
         # a row between two others: rescaled at +-max / 2, raised past it
@@ -108,14 +114,16 @@ def _decompose_check(dim, got):
     # transposed), so numpy's matmul rounds a stack's rows alike; the stack
     # rescales the rows that single calls rescale.
     stack = _decompose_rows(dim)
-    for m in (stack, stack[1::2]):
+    first, overflowing = _one_row_stacks(stack)
+    for m, rescales in [(stack, dim > 1), (stack[1::2], dim > 1), (first, False),
+                        (overflowing, dim > 1)]:
         with mock.patch.object(core, "_rescaled", wraps=core._rescaled) as rescaled:
             dec = core._decompose(m)
             stacked = rescaled.call_count
             singles = [core._decompose(row) for row in m]
         assert dec.eigenvalues.shape == m.shape[:2] and dec.basis.shape == m.shape
         assert [b.strides for b in dec.basis] == [one.basis.strides for one in singles]
-        assert rescaled.call_count == 2 * stacked and (stacked > 0 or dim == 1)
+        assert rescaled.call_count == 2 * stacked and (stacked > 0) == rescales
     empty = core._decompose(np.empty((0, dim, dim)))
     return empty.eigenvalues.shape == (0, dim) and empty.basis.shape == (0, dim, dim)
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from powmean.means import _decomposed_gap, _gap, _power_sums
 import reference
 from conftest import assert_pinned, count_calls, sym_rand
 from reference import composed, words
-from test_fast_paths import check_row
+from test_fast_paths import check_row, stacked_spectra
 
 
 def test_normalize_exponent_threshold():
@@ -205,10 +207,108 @@ def test_means_bits_pinned():
             words += [float.hex(v + 0.0) for v in map_power(phi, p, a).ravel().tolist()]
     digest = hashlib.sha256(" ".join(words).encode()).hexdigest()
     assert_pinned(digest, {
-        "SkylakeX": "3a637b64ad1aa7c5a74be7fcc842745809151ea7381fc89bd973b2b8c905f328",
-        "Haswell": "dd9e4da8bd6053c29b8be0ae1dee980e4da455c6d34ca95175aec8c43a1ce791",
-        "Sandybridge": "79ddc6c4cb78a489cb1b8e51b8fd555a126e7c3ca0e26c15ebfb1dc7e5930709",
+        "SkylakeX": "5c8f7ed86a6112d833d436f7462e8e1a95833baf7d1747b9d7dea82d54c9c3ad",
+        "Haswell": "ed9ccb71492154f848047a6b592db5fe8fbb73aeedecfb89ac0c99b4cf65a50f",
+        "Sandybridge": "328e4b316bb15190fb6bc3e8ff82a3e5a8c0ed167803c77f429d12c616fc5d8c",
     })
+
+
+def _spectral_root(r, s):
+    """The root of S_r through a decomposition of each matrix, as for any r."""
+    f = Power(1.0 / r)
+    return [core.spectral_fun(core._decompose(m), f) for m in s.reshape(-1, *s.shape[-2:])]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_roots_x_and_x_squared_take_no_decomposition(monkeypatch, dim):
+    # At r = 1 and 1/2 every mean's root is S_r or (S@S + (S@S)^T)/2, bit for
+    # bit, with no decomposition of the sum; a stack's rows are single calls.
+    a, b = random_pd(dim, 40 + dim, 10.0), random_pd(dim, 50 + dim, 10.0)
+    phi = random_kraus_map(dim, 3, 60 + dim)
+    sums = {r: 0.5 * mat_fun(a, Power(r)) + 0.5 * mat_fun(b, Power(r)) for r in (1.0, 0.5)}
+    vals, bases = stacked_spectra(dim, rows=8)
+    dec_a = core.SpectralDecomposition(vals[0::2], bases[0::2])
+    dec_b = core.SpectralDecomposition(vals[1::2], bases[1::2])
+    s_q, s_p = _power_sums(0.5, 1.0, dec_a, dec_b)
+
+    def decomposed(m):
+        raise AssertionError("a sum was decomposed")
+
+    monkeypatch.setattr(means, "_decompose", decomposed)  # not eig_sym's, of A and B
+    for r, s in sums.items():
+        assert power_mean(r, a, b).tobytes() == reference.root(r, s).tobytes()
+        map_sum = phi.apply(mat_fun(a, Power(r)))
+        assert map_power(phi, r, a).tobytes() == reference.root(r, map_sum).tobytes()
+    gap = reference.root(1.0, sums[1.0]) - reference.root(0.5, sums[0.5])
+    assert power_mean_gap(0.5, 1.0, a, b).tobytes() == gap.tobytes()
+    rows = [reference.root(1.0, q) - reference.root(0.5, p) for q, p in zip(s_q, s_p)]
+    assert _gap(0.5, 1.0, s_q, lambda: s_p).tobytes() == np.array(rows).tobytes()
+    for r, stack in ((1.0, s_q), (0.5, s_p)):
+        assert means._root(r, stack).tobytes() == np.array(
+            [means._root(r, row) for row in stack]).tobytes()
+
+
+def _outcome(fn, *args):
+    """The words of ``fn(*args)`` and the warnings it issues, each recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = words(fn, *args)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_roots_x_and_x_squared_of_non_finite_sums_raise(r, dim, bad):
+    # such a sum is decomposed, which raises as before; in a stack, at its row
+    s = np.eye(dim) + 0.25
+    broken = s.copy()
+    broken[0, -1] = broken[-1, 0] = bad
+    stack = np.array([s, broken, s, broken])
+    finite = ["PreconditionError:matrix entries must be finite"]
+    for sums in (broken, stack):
+        assert _outcome(means._root, r, sums) == _outcome(_spectral_root, r, sums) == (finite, [])
+        assert words(_gap, 2.0, r, sums, lambda: sums) == finite
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sums_too_large_to_square_take_the_decomposition(dim):
+    # Entries above sqrt(max) / 8 are decomposed: X^2 of them overflows with
+    # the warnings of that route, X of them is rescaled, and entries above
+    # max / 2 raise; up to the bound the rule holds.  A stack with such a row
+    # gives each row's single call, warnings included.
+    def scaled(x):
+        m = np.eye(dim) + 0.25
+        m[0, 0] = x
+        return m
+
+    top = means._SQUARE_MAX
+    above = np.nextafter(top, math.inf)
+    for r in (1.0, 0.5):
+        assert words(means._root, r, scaled(top)) == words(reference.root, r, scaled(top))
+        for x in (above, 1e155, 1e300, 1e308):
+            got = _outcome(means._root, r, scaled(x))
+            assert got == _outcome(_spectral_root, r, scaled(x)), (r, x)
+            assert (x == 1e308) == got[0][0].startswith("PreconditionError:symmetric part")
+        stack = np.array([scaled(2.0), scaled(1e155), scaled(3.0)])
+        rows = [_outcome(means._root, r, m) for m in stack]
+        assert _outcome(means._root, r, stack) == (sum((w for w, _ in rows), []),
+                                                   sum((c for _, c in rows), []))
+    assert _outcome(means._root, 0.5, scaled(1e155))[1], "X^2 of 1e155 overflows"
+
+
+def test_roots_x_and_x_squared_agree_with_the_decomposition():
+    # Normwise, |M_r - V diag(lambda^k) V^T|_max <= 32 n eps max|S_r|^k for the
+    # root X^k, k = 1 or 2: each route rounds one product of n terms.
+    eps = np.finfo(float).eps
+    for dim in range(1, 9):
+        for seed in range(25):
+            spread = 10.0 if seed % 2 else 1e3
+            a, b = random_pd(dim, 7000 + seed, spread), random_pd(dim, 8000 + seed, spread)
+            for r, k in ((1.0, 1), (0.5, 2)):
+                s = 0.5 * mat_fun(a, Power(r)) + 0.5 * mat_fun(b, Power(r))
+                error = np.abs(power_mean(r, a, b) - _spectral_root(r, s)[0]).max()
+                assert error <= 32.0 * dim * eps * np.abs(s).max() ** k, (dim, seed, r)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -268,10 +368,11 @@ def test_order_check_validates_once_per_decomposition(monkeypatch):
     kernels = count_calls(monkeypatch, core._min_eigenvalue)
     guards = count_calls(monkeypatch, core.symmetrize)
     _order_check(0.5, 2.0, eig_sym(a), eig_sym(b))
-    # A and B are validated by eig_sym; they and each mean's sum (for its
-    # root) are decomposed, the sums as the library built them, and
-    # M_q - M_p goes once through the lambda_min kernel
-    assert len(decompositions) == 4
+    # A and B are validated by eig_sym; they and the q-mean's sum (for its
+    # root) are decomposed, the sum as the library built it; the p-mean's
+    # root is X^2, with no decomposition; M_q - M_p goes once through the
+    # lambda_min kernel
+    assert len(decompositions) == 3
     assert len(kernels) == 1
     assert len(guards) == 2
 
@@ -283,8 +384,8 @@ def test_equal_exponent_gap_takes_one_mean(monkeypatch, p, q):
     decompositions = count_calls(monkeypatch, core._decompose)
     guards = count_calls(monkeypatch, core.symmetrize)
     gap = power_mean_gap(p, q, a, b)
-    # A, B and the one mean's root
-    assert len(decompositions) == 3
+    # A, B and the one mean's root, unless that root is X^2
+    assert len(decompositions) == (2 if p == 0.5 else 3)
     assert len(guards) == 2
     assert not gap.any()
 
@@ -326,10 +427,12 @@ def test_library_built_decompositions_are_exactly_symmetric(monkeypatch):
         g = rng.standard_normal((dim, dim))
         g[:, 0] = 0.0
         singular = g @ g.T  # an eigenvalue inside the floor, for p > 0
-        for p, q, x in [(0.0, 2.0, a), (-1.0, 0.0, a), (0.5, 1.5, singular), (0.5, 0.5, a)]:
-            # each mean's root, one mean at p = q, and the gap's lambda_min
+        for p, q, x, roots in [(0.0, 2.0, a, 2), (-1.0, 0.0, a, 2), (0.5, 1.5, singular, 1),
+                               (0.5, 0.5, a, 0)]:
+            # each mean's root but an X^2 one, one mean at p = q, and the
+            # gap's lambda_min
             del kernels[:]
-            assert unvalidated(_order_check, p, q, eig_sym(x), eig_sym(b)) == (1 if p == q else 2)
+            assert unvalidated(_order_check, p, q, eig_sym(x), eig_sym(b)) == roots
             assert len(kernels) == 1
     for p, q in [(0.25, 2.0), (-2.0, -0.25), (0.0, 2.0), (-2.0, 0.0), (0.6, 0.99), (-0.95, -0.6)]:
         assert unvalidated(find_counterexample, p, q) > 0
@@ -488,24 +591,26 @@ def test_drawn_decompositions_agree_with_composed_matrices(p, q):
 def test_fuzz_point_decomposes_two_matrices_per_check(monkeypatch):
     # Drawn spectra need no validation and no decomposition: each check
     # decomposes the sum of each mean (for its root), or the one sum at
-    # equal exponents, and takes its gap's lambda_min from the kernel, all
-    # built exactly symmetric; a stack counts as its rows.  The powers of A
-    # and of B, and each mean's roots, are one stacked call per exponent and
-    # dimension; each verdict is one kernel call on its own gap.
+    # equal exponents, unless the root is X or X^2, and takes its gap's
+    # lambda_min from the kernel, all built exactly symmetric; a stack
+    # counts as its rows.  The powers of A and of B, and each decomposed
+    # root, are one stacked call per exponent and dimension; each verdict is
+    # one kernel call on its own gap.
     decompositions = count_calls(monkeypatch, core._decompose, check=_assert_bitwise_symmetric)
     kernels = count_calls(monkeypatch, core._min_eigenvalue, check=_assert_bitwise_symmetric)
     functions = count_calls(monkeypatch, core.spectral_fun)
     eigs = count_calls(monkeypatch, core.eig_sym)
     guards = count_calls(monkeypatch, core.symmetrize)
     dims = (1, 2, 3, 5)
-    for p, q, means in [(0.5, 2.0, 2), (-1.0, 0.0, 2), (0.5, 0.5, 1), (0.0, 0.0, 1)]:
+    for p, q, means, roots in [(0.5, 2.0, 2, 1), (-1.0, 0.0, 2, 2), (0.5, 0.5, 1, 0),
+                               (0.0, 0.0, 1, 1), (1.0, 2.0, 2, 1)]:
         del decompositions[:], kernels[:], functions[:]
         fuzz_point(p, q, 7, 5, dims=dims)
         stacks = [m.shape for m, in decompositions]
-        assert stacks == [(7, dim, dim) for dim in dims for _ in range(means)]
+        assert stacks == [(7, dim, dim) for dim in dims for _ in range(roots)]
         assert [d.shape for d, in kernels] == [(dim, dim) for dim in dims for _ in range(7)]
         stacked = [dec.eigenvalues.shape for dec, _ in functions if dec.eigenvalues.ndim == 2]
-        assert stacked == [(7, dim) for dim in dims for _ in range(3 * means)]
+        assert stacked == [(7, dim) for dim in dims for _ in range(2 * means + roots)]
         assert len(functions) == len(stacked)
     assert not eigs and not guards
 
@@ -540,15 +645,17 @@ def test_fuzz_point_raises_the_first_failing_trials_error(monkeypatch):
     fuzz_point(p, q, trials, 3, dims=(3,))
     [(s_q, s_p)] = sums
     bad = {(p, s_p[2].tobytes()): "p-root of trial 2", (q, s_q[5].tobytes()): "q-root of trial 5"}
-    inner_root = means._root
 
-    def failing_root(r, s):
-        for m in s.reshape(-1, 3, 3):
-            if (r, m.tobytes()) in bad:
-                raise DomainError(bad[r, m.tobytes()])
-        return inner_root(r, s)
+    def failing(inner_root):
+        def root(r, s):
+            for m in s.reshape(-1, 3, 3):
+                if (r, m.tobytes()) in bad:
+                    raise DomainError(bad[r, m.tobytes()])
+            return inner_root(r, s)
+        return root
 
-    monkeypatch.setattr(means, "_root", failing_root)
+    monkeypatch.setattr(means, "_root", failing(means._root))
+    monkeypatch.setattr(reference, "root", failing(reference.root))
     args = (p, q, trials, 3, (3,))
     assert words(fuzz_point, *args) == ["DomainError:p-root of trial 2"]
     assert words(reference.fuzz_point, *args) == ["DomainError:p-root of trial 2"]
@@ -627,8 +734,9 @@ def test_compression_cube_of_choi_matrix():
 def test_map_power_validates_its_input_once(monkeypatch, p):
     a = random_pd(3, 73, 10.0)
     phi = compression((0, 1), 3)
-    f, inverse = (LOG, EXP) if p == 0.0 else (Power(p), Power(1.0 / p))
-    two_step = mat_fun(phi.apply(mat_fun(symmetrize(a), f)), inverse)
+    s = phi.apply(mat_fun(symmetrize(a), LOG if p == 0.0 else Power(p)))
+    # the root of X^2 is S @ S made exactly symmetric, with no decomposition
+    two_step = mat_fun(s, EXP) if p == 0.0 else (s @ s + (s @ s).T) / 2.0
     guards = count_calls(monkeypatch, core.symmetrize)
     out = map_power(phi, p, a)
     assert sum(np.array_equal(args[0], a) for args in guards) == 1
