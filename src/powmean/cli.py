@@ -49,7 +49,9 @@ _CHOI_POWERS = (-2.0, -0.5, 0.5, 1.5, 3.0)
 #: 1,681, far below a grid whose values alone would exhaust memory.
 _MAX_SCAN_CELLS = 1_000_000
 #: Most random pairs per in-region cell: a cell draws all of a dimension's
-#: pairs at once, about 0.75 KB a trial at dimension 3, so about 75 MB here.
+#: pairs at once, about 1.1 KB a trial at its peak, so a cell here peaks
+#: about 110 MB above the import (a one-cell scan at (1.5, 3): 139 MB of
+#: peak RSS in all, with numpy 2.4.6).
 _MAX_SCAN_TRIALS = 100_000
 
 

@@ -10,11 +10,14 @@ so callers that only decompose pass their matrices straight to it; those the
 library builds exactly symmetric (a mean's root, a search candidate) skip the
 guard through :func:`_decompose`, one matrix or a stack of them, and an order
 gap's smallest eigenvalue comes from :func:`_min_eigenvalue`, with no basis.
-The solvers rely on exact symmetry and run on Python floats: the 2x2 closed
-form, and at n >= 3 the Jacobi sweeps of :func:`_jacobi_source`, one per
-dimension with or without the basis, each computing a mirrored pair once.
-A stack runs the sweeps row by row, then orders and signs all its eigenpairs
-in one array pass, :func:`_finish_stack`, bit for bit the per-matrix finish.
+The solvers rely on exact symmetry.  One matrix, and a 2x2 stack's rows,
+run on Python floats: the 2x2 closed form, and at n >= 3 the Jacobi sweeps
+of :func:`_jacobi_source`, one per dimension with or without the basis,
+each computing a mirrored pair once.  A stack of two or more matrices at
+n >= 3 takes one LAPACK ``eigh``, its eigenvectors signed in one array pass
+by :func:`_finish_stack` with the per-matrix rule; row i has the bits of
+``eigh`` on matrix i alone, finished, and agrees with its single call to
+rounding.
 
 All operations are pure functions of their inputs, and no returned array is
 mutated in place; :func:`eig_sym` shares its recent results, read-only.
@@ -202,8 +205,10 @@ def _jacobi_source(n: int, vectors: bool) -> str:
     ``v`` line and returns ``min`` of the diagonal, the same float as the
     first of its stable sort, since no rotation of the diagonal and no
     stop test reads the basis.  Either raises ``NonConvergenceError``
-    after ``cap`` sweeps.  It exists for speed only: when LAPACK replaces
-    :func:`_eig_jacobi`, this generator goes with it.
+    after ``cap`` sweeps.  The sweeps serve one matrix at a time (a stack
+    of two or more at n >= 3 takes LAPACK's ``eigh``).  It exists for speed
+    only: when LAPACK replaces :func:`_eig_jacobi`, this generator goes
+    with it.
     """
     def a(i, j):
         return "a%d_%d" % (min(i, j), max(i, j))
@@ -299,8 +304,7 @@ def _jacobi_row(flat: list, n: int):
     """Cyclic Jacobi on the Python floats of one n x n matrix, row-major in
     ``flat``: ascending eigenvalues (a stable sort, so ties keep their
     diagonal order) and the eigenvectors, the basis columns, with their signs
-    fixed; ``None`` where the squares overflow (the caller rescales).  A
-    stack's rows take the same sweeps and :func:`_finish_stack`."""
+    fixed; ``None`` where the squares overflow (the caller rescales)."""
     # Rotations run on Python floats: at n <= 8 a numpy call per row or
     # column costs more than its arithmetic.  Every product and sum rounds
     # once (no fused multiply-add), as separate numpy ufuncs do.
@@ -368,9 +372,11 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
     part, so :func:`symmetrize` runs only to raise, at a NaN or an |entry| > max / 2.
 
     ``m`` may be an ``(N, n, n)`` stack of such matrices: the result is then
-    stacked, ``(N, n)`` eigenvalues and ``(N, n, n)`` bases, and row i has
-    the bits of ``_decompose(m[i])``; the first row whose call alone raises
-    raises that error.
+    stacked, ``(N, n)`` eigenvalues and ``(N, n, n)`` bases, and the first
+    row whose call alone raises raises that error.  Row i has the bits of
+    ``_decompose(m[i])`` at n <= 2 or N = 1, and at n >= 3 those of LAPACK's
+    ``eigh`` on ``m[i]`` alone, finished by :func:`_finish_stack`, unless a
+    row sends the stack to the single calls (see :func:`_decompose_stack`).
     """
     if m.ndim == 3:
         return _decompose_stack(m)
@@ -385,52 +391,59 @@ def _decompose(m: np.ndarray) -> SpectralDecomposition:
 
 
 def _decompose_stack(m: np.ndarray) -> SpectralDecomposition:
-    """:func:`_decompose` of a stack: the solver of its dimension on each row,
-    read once as Python floats, and the results built as one array each,
-    at n >= 3 by :func:`_finish_stack`.  A stack of one is its single call,
-    whose finish costs less than the array pass."""
+    """:func:`_decompose` of a stack, its results built as one array each.
+
+    A stack of one is its single call.  A 2x2 row takes the closed form on
+    its Python floats.  At n >= 3 one LAPACK ``eigh`` decomposes all rows,
+    :func:`_finish_stack` signs their eigenvectors, and an ``eigh`` that
+    fails raises ``NonConvergenceError``.  A row outside the guard of a
+    single call, or an ``eigh`` result that is not finite, sends the stack
+    to the single calls in row order, so its first failing row raises, or
+    rescales, as it does alone.
+    """
     count, n = m.shape[:2]
     if count == 1:
         dec = _decompose(m[0])
         return SpectralDecomposition(dec.eigenvalues[None], dec.basis[None])
-    # |x| <= max / 2 iff x + x is finite: the guard of a single call, per row.
-    # A 2x2 row's closed form tests it on the floats it reads, so needs no array.
-    guarded = [True] * count if n == 2 else (np.abs(m) <= _HALF_MAX).all(axis=(1, 2)).tolist()
-    if n == 1:
-        if not all(guarded):
-            _decompose(m[guarded.index(False)])  # raises
-        return SpectralDecomposition(m[:, 0].copy(), np.ones((count, 1, 1)))
-    sweeps = n > 2 and _sweeps(n, True)
-    vals, vecs = [], []
-    for i, (flat, ok) in enumerate(zip(m.reshape(count, n * n).tolist(), guarded)):
-        done = ok and (_eig_2x2_row(flat[0], flat[1], flat[3]) if n == 2
-                       else sweeps(flat, _JACOBI_THRESHOLD, _JACOBI_SWEEP_CAP))
-        if not done:
-            # The row raises, or takes _rescaled, as a single call; its
-            # finished eigenpairs are a fixed point of _finish_stack.
-            dec = _decompose(m[i])
-            done = dec.eigenvalues.tolist(), (dec.basis if n == 2 else dec.basis.T).tolist()
-        vals.append(done[0])
-        vecs.append(done[1])
-    vals = np.array(vals).reshape(count, n)
-    vecs = np.array(vecs).reshape(count, n, n)
-    return SpectralDecomposition(vals, vecs) if n == 2 else _finish_stack(vals, vecs)
+    if n == 2:
+        vals, bases = [], []
+        for i, (a, b, _, d) in enumerate(m.reshape(count, 4).tolist()):
+            done = _eig_2x2_row(a, b, d)
+            if done is None:
+                # The row raises, or takes _rescaled, as a single call.
+                dec = _decompose(m[i])
+                done = dec.eigenvalues.tolist(), dec.basis.tolist()
+            vals.append(done[0])
+            bases.append(done[1])
+        return SpectralDecomposition(np.array(vals).reshape(count, 2),
+                                     np.array(bases).reshape(count, 2, 2))
+    # |x| <= max / 2 iff x + x is finite: the guard of a single call.
+    if (np.abs(m) <= _HALF_MAX).all():
+        if n == 1:
+            return SpectralDecomposition(m[:, 0].copy(), np.ones((count, 1, 1)))
+        try:
+            vals, vecs = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError("LAPACK eigh: %s" % exc) from None
+        if np.isfinite(vals).all() and np.isfinite(vecs).all():
+            return _finish_stack(vals, vecs.mT)
+    decs = [_decompose(row) for row in m]
+    # Transposed twice, each basis keeps a single call's memory order.
+    return SpectralDecomposition(np.array([dec.eigenvalues for dec in decs]),
+                                 np.array([dec.basis.T for dec in decs]).mT)
 
 
 def _finish_stack(vals: np.ndarray, rows: np.ndarray) -> SpectralDecomposition:
-    """The finish of :func:`_jacobi_row` for a stack, as one array pass: each
-    row of ``vals`` (N, n) sorted ascending by a stable sort, its eigenvectors,
-    the rows of ``rows`` (N, n, n), moved with it and signed by
-    :func:`_fix_sign`'s rule (the first entry of largest |value| made
-    non-negative).  The bases are the transposed rows, so each keeps the
-    memory order of a single call's and numpy's matmul rounds a stack's rows
-    alike."""
-    order = vals.argsort(axis=1, kind="stable")
-    stack, vector = np.arange(len(vals))[:, None], np.arange(vals.shape[1])
-    rows = rows[stack, order]
-    pivots = rows[stack, vector, np.abs(rows).argmax(axis=2)]
-    rows = np.where(pivots[:, :, None] < 0.0, -rows, rows)
-    return SpectralDecomposition(vals[stack, order], rows.transpose(0, 2, 1))
+    """A stack's eigenpairs from LAPACK's ``eigh``, finished in one array pass:
+    ``vals`` (N, n) as ``eigh`` gives them, ascending, and each eigenvector,
+    a row of ``rows`` (N, n, n), signed by :func:`_fix_sign`'s rule (the
+    first entry of largest |value| made non-negative).  The bases are the
+    transposed rows, so each keeps the memory order of a single call's and
+    numpy's matmul rounds a stack's rows alike."""
+    pivots = np.take_along_axis(rows, np.abs(rows).argmax(axis=2)[:, :, None], axis=2)
+    signed = rows.copy(order="C")
+    np.negative(signed, out=signed, where=pivots < 0.0)
+    return SpectralDecomposition(vals, signed.mT)
 
 
 def _spectrum_values(f: ScalarFunction, eigs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ byte-identical.
 Every order check, here and in ``scan``, is one :func:`order_margin` call on
 its gap D = M_q - M_p, which :func:`~powmean.means._gap` builds exactly
 symmetric from the means' sums.  The suites decompose their matrices by
-``eig_sym``; :func:`fuzz_point` takes its draws as stacked decompositions.
+``eig_sym``; :func:`fuzz_point` takes its draws as stacked decompositions,
+and its roots' decompositions are stacked too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import (ORDER_SLACK, SpectralDecomposition, _min_eigenvalue, _order_verdict,
                    _random_pd_spectra, eig_sym, mat_fun, random_pd, spectral_fun)
-from .errors import PowerMeanError
+from .errors import NonConvergenceError, PowerMeanError
 from .functions import Power
 from .maps import apply_power_affine_2x2, random_kraus_map
 from .means import _gap, _limit_deviations, _map_sum, _power_sums, power_mean
@@ -101,11 +102,17 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
     dimension draws all its spreads, then all its spectra, from the one cell
     generator; both matrices of a trial share its spread.  No matrix is
     built, validated or decomposed before the means, and their powers, sums,
-    roots and gaps are taken for all trials of a dimension at once, with the
-    bits of one trial at a time.  A stage of a stack raises its first
+    roots and gaps are taken for all trials of a dimension at once: row i
+    has the bits of trial i alone, its roots at n >= 3 decomposed as a
+    stack's row is, by LAPACK's ``eigh`` (see
+    :func:`~powmean.core._decompose`).  A stage of a stack raises its first
     failing row, so when one raises (or a floating-point warning would be
     issued) the dimension runs again trial by trial, raising or warning as
-    that loop does.
+    that loop does.  That rerun decomposes each root alone, by the
+    single-matrix solver, so where a stage only warns its results equal the
+    stacked route's within rounding, not bit for bit.  A
+    ``NonConvergenceError`` of a stacked ``eigh`` is raised, not rerun: the
+    rerun's other solver would hide it.
     """
     rng = _spawn(seed, 0)
     passed, worst = True, float("inf")
@@ -122,6 +129,8 @@ def fuzz_point(p: float, q: float, trials: int, seed: int, dims=(2, 3)):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 gaps = _gap(p, q, s_q, lambda: s_p)
+        except NonConvergenceError:
+            raise
         except (PowerMeanError, FloatingPointError):
             gaps = map(lambda s_q, s_p: _gap(p, q, s_q, lambda: s_p), s_q, s_p)
         for d in gaps:

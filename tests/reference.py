@@ -17,7 +17,6 @@ from powmean import (EXP, LOG, DomainError, NonConvergenceError, Power, PowerMea
                      SearchExhaustedError, classify, core, dual, eig_sym, fuzz,
                      normalize_exponent, symmetrize)
 from powmean import counterexamples as ce
-from powmean.means import _decomposed_gap
 
 
 def words(fn, *args):
@@ -170,13 +169,59 @@ def power_sum(r, dec_a, dec_b):
     return 0.5 * core.spectral_fun(dec_a, f) + 0.5 * core.spectral_fun(dec_b, f)
 
 
+def eigh(m):
+    """LAPACK's ``eigh`` of one exactly symmetric matrix, finished as a row of
+    a stack: the eigenvalues in a stable ascending sort, each eigenvector
+    moved with its eigenvalue and its first entry of largest |value| made
+    non-negative by ``_fix_sign``, the basis their transposed rows; ``None``
+    where an |entry| exceeds max / 2 or the result is not finite."""
+    if not np.all(np.abs(m) <= core._HALF_MAX):
+        return None
+    vals, vecs = np.linalg.eigh(m)
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        return None
+    order = sorted(range(len(vals)), key=vals.tolist().__getitem__)
+    columns = vecs.T.tolist()
+    basis = np.array([core._fix_sign(*columns[i]) for i in order]).T
+    return core.SpectralDecomposition(vals[order], basis)
+
+
+def decompose(m):
+    """One exactly symmetric matrix decomposed as a row of a stack of two or
+    more: ``eigh`` at n >= 3 where it gives a result, otherwise (and at
+    n <= 2) ``core._decompose``."""
+    dec = eigh(m) if m.shape[0] >= 3 else None
+    return core._decompose(m) if dec is None else dec
+
+
+def decompose_stack(m):
+    """``core._decompose`` of a stack, one row at a time: ``eigh`` of each row
+    at n >= 3 in a stack of two or more; a stack of one, one at n <= 2 and
+    one with a row ``eigh`` declines take each row's single call, in order,
+    so the first failing row raises its error."""
+    if m.shape[1] >= 3 and len(m) > 1:
+        decs = [eigh(row) for row in m]
+        if None not in decs:
+            return decs
+    return [core._decompose(row) for row in m]
+
+
 def root(r, s):
     """f^-1(S_r) of one exactly symmetric sum: S itself at r = 1 and
     (S @ S + (S @ S)^T) / 2 at r = 1/2, while every |entry| is at most
-    sqrt(max) / 8; otherwise exp or X^(1/r) of its decomposition."""
+    sqrt(max) / 8; otherwise exp or X^(1/r) of its ``decompose``."""
     if r in (1.0, 0.5) and np.abs(s).max() <= math.sqrt(sys.float_info.max) / 8.0:
         return s if r == 1.0 else (s @ s + (s @ s).T) / 2.0
-    return core.spectral_fun(core._decompose(s), EXP if r == 0.0 else Power(1.0 / r))
+    return core.spectral_fun(decompose(s), EXP if r == 0.0 else Power(1.0 / r))
+
+
+def gap(p, q, dec_a, dec_b):
+    """M_q - M_p of one decomposed pair, from ``power_sum`` and ``root``: the
+    q-mean first, then the p-mean unless the normalized exponents are equal,
+    when the gap is zero."""
+    p, q = normalize_exponent(p), normalize_exponent(q)
+    high = root(q, power_sum(q, dec_a, dec_b))
+    return high - (high if p == q else root(p, power_sum(p, dec_a, dec_b)))
 
 
 def fuzz_point(p, q, trials, seed, dims):
@@ -238,14 +283,15 @@ def first_row(rows):
 
 def witness(p, q, walks, candidate, exhausted, via_dual):
     """``_first_witness`` one candidate at a time: each B_t is
-    ``candidate(diagonal, j)``, decomposed alone and certified by ``certify``,
-    and a ``DomainError`` ends its walk, or the search at j = 0."""
+    ``candidate(diagonal, j)``, decomposed alone, its ``gap`` with the walk's
+    A built alone and certified by ``certify``, and a ``DomainError`` ends
+    its walk, or the search at j = 0."""
     for k, x, y, a, diagonal in walks:
-        gap = _decomposed_gap(p, q, eig_sym(a))
+        dec_a = eig_sym(a)
         for j, theta in enumerate(ce._THETA_SCHEDULE):
             b = candidate(diagonal, j)
             try:
-                hit = certify(gap, core._decompose(b))
+                hit = certify(lambda dec_b: gap(p, q, dec_a, dec_b), core._decompose(b))
             except DomainError:
                 if j == 0:
                     raise SearchExhaustedError(exhausted) from None

@@ -50,9 +50,9 @@ def test_scan_bytes_pinned(tmp_path):
     assert main(["scan", "--trials", "2", "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert_pinned(digest, {
-        "SkylakeX": "684747f194b527c03d476f0ddc8a03e8034e4d301e099540057bb9b1a1c44727",
-        "Haswell": "a29e193509b93415b5aa511b64548106d0c78e434c12558db0709dd8468ceb28",
-        "Sandybridge": "ab3772dff04adeb2e9fea64d304b8b9271a0061528ca7cc784a0278bccfeaf6a",
+        "SkylakeX": "144438da22866811b73721bc2817f010d7b9300c60bdb338f47a9cda7bdb65d3",
+        "Haswell": "df174e6446bfc55b75362f7b95dd9a48a8da452ebdee4f0b12e259e6e1b567cf",
+        "Sandybridge": "113d10b4a2bad4f0ab8ff7625c6704f2e378485dd9942dac6cca851f978e3b18",
     })
 
 

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,20 +26,26 @@ from powmean import (
     Power,
     PreconditionError,
     eig_sym,
+    find_counterexample,
     loewner_leq,
+    map_power,
     mat_fun,
     power_mean,
+    power_mean_gap,
+    random_kraus_map,
     random_pd,
     symmetrize,
 )
 from powmean import core
+from powmean.cli import main
 from powmean.fuzz import FUZZ_TARGETS, fuzz_map_order, fuzz_point
 from powmean.maps import plane_rotation
 
 import reference
 from reference import words
 from conftest import count_calls, sym_rand
-from test_fast_paths import STACK_FUNCTIONS, check_row, stacked_spectra
+from test_fast_paths import (LABEL_PAIRS, STACK_FUNCTIONS, _cold, _decompose_rows, check_row,
+                             stacked_spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +425,58 @@ def test_stacked_decomposition_raises_an_earlier_rows_solver_error(rng, monkeypa
     monkeypatch.setattr(core, "_JACOBI_SWEEP_CAP", 1)
     with pytest.raises(NonConvergenceError, match="exceeded the cap of 1"):
         core._decompose(np.array([finite, non_finite]))
+
+
+@pytest.mark.parametrize("dim", range(3, core.MAX_DIM + 1))
+def test_stacked_decomposition_agrees_with_single_jacobi_calls(dim):
+    # A stack's rows come from LAPACK's eigh, a single call's from the
+    # Jacobi sweeps: their eigenvalues agree within 1e-14 of the largest
+    # |eigenvalue|, and each basis has a residual |AV - V Lambda| within
+    # 1e-14 of it and is orthogonal within 1e-14.
+    stack = _decompose_rows(dim)
+    dec = core._decompose(stack)
+    for m, vals, basis in zip(stack, *dec):
+        single = core._decompose(m)
+        scale = float(np.abs(vals).max())
+        assert np.abs(vals - single.eigenvalues).max() <= 1e-14 * scale
+        for lam, v in ((vals, basis), single):
+            assert np.abs(m @ v - v * lam).max() <= 1e-14 * scale
+            assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-14
+
+
+def test_only_stacks_of_two_or_more_above_2x2_reach_eigh():
+    # The order checks of fuzz_point at one trial a dimension, a cold search
+    # per label (all 2x2) and single means and map powers above 2x2 keep
+    # their solvers: none calls LAPACK's eigh.  A stack of two does.
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")) as eigh:
+        fuzz_point(0.5, 2.0, 1, 3, dims=range(3, core.MAX_DIM + 1))
+        for p, q in LABEL_PAIRS:
+            _cold(find_counterexample)(p, q)
+        for dim in range(3, core.MAX_DIM + 1):
+            a, b = random_pd(dim, 1, 10.0), random_pd(dim, 2, 10.0)
+            power_mean(-1.5, a, b)
+            power_mean_gap(0.25, 3.0, a, b)
+            map_power(random_kraus_map(dim, dim, dim), 0.0, a)
+        assert not eigh.called
+        with pytest.raises(AssertionError, match="eigh"):
+            core._decompose(np.array([np.eye(3), np.eye(3)]))
+
+
+def test_a_failing_stacked_eigh_leaves_its_scan_cell_uncertified(tmp_path, capsys):
+    # LAPACK's LinAlgError ends as NonConvergenceError, which fuzz_point does
+    # not rerun on the single-matrix solver: the scan writes the cell
+    # uncertified and exits 1.
+    failing = mock.patch.object(np.linalg, "eigh",
+                                side_effect=np.linalg.LinAlgError("Eigenvalues did not converge"))
+    with failing:
+        assert words(core._decompose, np.array([np.eye(3), np.eye(3)])) == [
+            "NonConvergenceError:LAPACK eigh: Eigenvalues did not converge"]
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--pmin", "0.5", "--pmax", "0.5", "--qmin", "2", "--qmax", "2",
+                     "--trials", "5", "--out", str(out)]) == 1
+    assert "INCONSISTENT" in capsys.readouterr().out
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[2:5] == ["in-region", "uncertified", "NonConvergenceError"]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def _decompose_rows(dim):
     return np.array(rows)
 
 
+def _random_pd_stack(dim, count=50):
+    """``count`` random PD matrices, composed as ``random_pd`` composes one."""
+    vals, bases = stacked_spectra(dim, count)
+    m = (bases * vals[:, None, :]) @ bases.mT
+    return (m + m.mT) / 2.0
+
+
 def _one_row_stacks(stack):
     """A stack of its first row, and of row 15, whose squares overflow."""
     return stack[:1], stack[15:16]
@@ -98,32 +105,38 @@ def _decompose_stacks(dim):
     stack = _decompose_rows(dim)
     yield from ((stack,), (stack[1::2],), *((m,) for m in _one_row_stacks(stack)),
                 (np.empty((0, dim, dim)),))
-    if dim == 2:
+    if dim >= 2:
         # an entry at or past the guard of a single call, |x| <= max / 2, in
-        # a row between two others: rescaled at +-max / 2, raised past it
+        # a row between two others: rescaled at +-max / 2, raised past it;
+        # then a row of max / 2 whose spectrum, at n >= 3, overflows
         half, top = core._HALF_MAX, np.nextafter(core._HALF_MAX, math.inf)
+        m = np.diag(np.arange(1.0, dim + 1.0)) + 0.5 * (1.0 - np.eye(dim))
         for x, (i, j) in itertools.product([half, -half, top, -top, math.inf, -math.inf, math.nan],
-                                           [(0, 0), (0, 1), (1, 1)]):
-            m = np.array([[1.0, 0.5], [0.5, 2.0]])
-            m[i, j] = m[j, i] = x
-            yield np.array([stack[0], m, stack[1]]),
+                                           [(0, 0), (0, 1), (dim - 1, dim - 1)]):
+            bad = m.copy()
+            bad[i, j] = bad[j, i] = x
+            yield np.array([stack[0], bad, stack[1]]),
+        yield np.array([stack[0], np.full((dim, dim), half), stack[1]]),
 
 
 def _decompose_check(dim, got):
     # A stacked basis keeps a single call's memory order (a Jacobi basis is
-    # transposed), so numpy's matmul rounds a stack's rows alike; the stack
-    # rescales the rows that single calls rescale.
+    # transposed), so numpy's matmul rounds a stack's rows alike.  Single
+    # calls rescale the rows whose squares overflow, in every stack but the
+    # first row's; a stack rescales as they do, except that at n >= 3 one
+    # eigh of two or more rows scales for itself.
     stack = _decompose_rows(dim)
     first, overflowing = _one_row_stacks(stack)
-    for m, rescales in [(stack, dim > 1), (stack[1::2], dim > 1), (first, False),
-                        (overflowing, dim > 1)]:
+    for m in (stack, stack[1::2], first, overflowing):
         with mock.patch.object(core, "_rescaled", wraps=core._rescaled) as rescaled:
             dec = core._decompose(m)
             stacked = rescaled.call_count
             singles = [core._decompose(row) for row in m]
+        alone = rescaled.call_count - stacked
         assert dec.eigenvalues.shape == m.shape[:2] and dec.basis.shape == m.shape
         assert [b.strides for b in dec.basis] == [one.basis.strides for one in singles]
-        assert rescaled.call_count == 2 * stacked and (stacked > 0) == rescales
+        assert (alone > 0) == (dim > 1 and m is not first)
+        assert stacked == (0 if dim >= 3 and len(m) > 1 else alone)
     empty = core._decompose(np.empty((0, dim, dim)))
     return empty.eigenvalues.shape == (0, dim) and empty.basis.shape == (0, dim, dim)
 
@@ -238,11 +251,11 @@ def _spectra_cases(dim):
     return [(seed, dim, [pool[(seed + i) % len(pool)] for i in range(25)]) for seed in range(40)]
 
 
-def _one_a_gap(build):
-    """``build(gap, bs)`` for the gap of one prepared A against six B."""
+def _one_a_gap(gaps):
+    """``gaps(p, q, dec_a, bs)`` for one prepared A against six B."""
     def run(p, q, dim):
-        gap = _decomposed_gap(p, q, eig_sym(random_pd(dim, 81, 10.0)))
-        return build(gap, [random_pd(dim, 90 + i, 1e3) for i in range(6)])
+        dec_a = eig_sym(random_pd(dim, 81, 10.0))
+        return gaps(p, q, dec_a, [random_pd(dim, 90 + i, 1e3) for i in range(6)])
     return run
 
 
@@ -350,8 +363,14 @@ ROWS = {
                   # the two inputs per seed whose squares overflow, and only those
                   check=lambda dim, got: [w[-1] for w in got].count("None") == 2 * 8),
     "decompose": Row(lambda m: _rows(core._decompose(m)),
-                     lambda m: [core._decompose(row) for row in m],
+                     reference.decompose_stack,
                      _decompose_stacks, check=_decompose_check, quiet=True),
+    # the identity behind the stacked rows above 2x2: LAPACK's eigh gives
+    # each row of a stack the bits of a call on that row alone
+    "eigh-rows": Row(lambda m: _rows(np.linalg.eigh(m)),
+                     lambda m: [np.linalg.eigh(row) for row in m],
+                     lambda dim: [(_decompose_rows(dim),), (_random_pd_stack(dim),)],
+                     params=tuple(range(3, core.MAX_DIM + 1))),
     "2x2-guard": Row(_as_2x2(core._decompose), _as_2x2(reference.array_guard_decompose),
                      _guard_cases, params=("edges", "random-bits", "tiny"), quiet=True),
     "spectral-fun": Row(lambda v, b, f: core.spectral_fun(core.SpectralDecomposition(v, b), f),
@@ -374,8 +393,10 @@ ROWS = {
                       lambda param: [(*param[:2], 25, seed, param[2]) for seed in range(3)] + [
                           (*param[:2], 0, 0, param[2])],
                       check=lambda param, got: got[-1] == ["True", "inf"]),
-    "one-a-stack-of-b": Row(_one_a_gap(lambda gap, bs: gap(core._decompose(np.stack(bs)))),
-                            _one_a_gap(lambda gap, bs: [gap(core._decompose(b)) for b in bs]),
+    "one-a-stack-of-b": Row(_one_a_gap(lambda p, q, dec_a, bs: _decomposed_gap(p, q, dec_a)(
+                                core._decompose(np.stack(bs)))),
+                            _one_a_gap(lambda p, q, dec_a, bs: [
+                                reference.gap(p, q, dec_a, reference.decompose(b)) for b in bs]),
                             lambda param: [param],
                             check=lambda param, got: len(got[0]) == 6 * param[2] ** 2),
     "first-row": Row(_first_hit_of_rows, reference.first_row,
